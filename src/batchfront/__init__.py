@@ -6,7 +6,7 @@ precedence.  Both run in cubic time via a warm-started threshold sweep and
 are verified against an exhaustive oracle on small instances.
 """
 
-from .admissible import AdmissibleSlots, MaxHeap
+from .admissible import AdmissibleSlots
 from .bounded import UNBOUNDED, BoundedSolver, form_batches, solve_reference
 from .fileio import emit_instance, load_instance, parse_instance, save_instance
 from .frontier import (
@@ -50,7 +50,6 @@ __all__ = [
     "InstanceError",
     "Job",
     "Lateness",
-    "MaxHeap",
     "OracleFrontier",
     "OracleSizeError",
     "ParetoFront",

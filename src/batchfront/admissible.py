@@ -6,106 +6,15 @@ indices move strictly leftward over a solver run, so every job passes
 through at most n - 1 groups and a full frontier sweep performs at most
 n*(n-1) relocations in total.
 
-Each group keeps its members in a max-heap keyed by (processing time, -id)
-so the longest admissible job is found quickly; the key order is strict,
-which makes every selection deterministic.
+Each group is a plain set of job ids next to a job -> group map.  No solver
+needs the members in any order: selections that depend on order rank jobs
+by ``Instance.sort_key``, whose (processing time, -id) order is strict,
+which keeps every selection deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 from .model import Instance
-
-Key = tuple[int, int]
-
-
-class MaxHeap:
-    """Array max-heap of (key, item) pairs with delete-by-item support.
-
-    A position map makes removing an arbitrary item O(log n), not just the
-    root; removal swaps in the last entry and sifts it both ways.  Items
-    must be unique and keys totally ordered.
-    """
-
-    __slots__ = ("_entries", "_pos")
-
-    def __init__(self, entries: Iterable[tuple[Key, int]] = ()):
-        self._entries: list[tuple[Key, int]] = list(entries)
-        self._pos = {item: i for i, (_, item) in enumerate(self._entries)}
-        if len(self._pos) != len(self._entries):
-            raise ValueError("duplicate items in heap input")
-        for i in reversed(range(len(self._entries) // 2)):
-            self._sift_down(i)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, item: int) -> bool:
-        return item in self._pos
-
-    def __iter__(self) -> Iterator[int]:
-        """Items in heap-array order (not sorted)."""
-        return (item for _, item in self._entries)
-
-    def peek(self) -> tuple[Key, int] | None:
-        return self._entries[0] if self._entries else None
-
-    def push(self, key: Key, item: int) -> None:
-        assert item not in self._pos, f"item {item} already in heap"
-        self._entries.append((key, item))
-        self._pos[item] = len(self._entries) - 1
-        self._sift_up(len(self._entries) - 1)
-
-    def pop(self) -> tuple[Key, int]:
-        """Remove and return the entry with the largest key."""
-        top = self._entries[0]
-        self.remove(top[1])
-        return top
-
-    def remove(self, item: int) -> None:
-        i = self._pos.pop(item)
-        last = self._entries.pop()
-        if i < len(self._entries):
-            self._entries[i] = last
-            self._pos[last[1]] = i
-            self._sift_down(i)
-            self._sift_up(i)
-
-    def copy(self) -> "MaxHeap":
-        clone = MaxHeap.__new__(MaxHeap)
-        clone._entries = list(self._entries)
-        clone._pos = dict(self._pos)
-        return clone
-
-    def _sift_up(self, i: int) -> None:
-        entry = self._entries[i]
-        while i > 0:
-            parent = (i - 1) // 2
-            if self._entries[parent][0] >= entry[0]:
-                break
-            self._entries[i] = self._entries[parent]
-            self._pos[self._entries[i][1]] = i
-            i = parent
-        self._entries[i] = entry
-        self._pos[entry[1]] = i
-
-    def _sift_down(self, i: int) -> None:
-        size = len(self._entries)
-        entry = self._entries[i]
-        while True:
-            child = 2 * i + 1
-            if child >= size:
-                break
-            if child + 1 < size and self._entries[child + 1][0] > self._entries[child][0]:
-                child += 1
-            if self._entries[child][0] <= entry[0]:
-                break
-            self._entries[i] = self._entries[child]
-            self._pos[self._entries[i][1]] = i
-            i = child
-        self._entries[i] = entry
-        self._pos[entry[1]] = i
 
 
 class AdmissibleSlots:
@@ -123,12 +32,11 @@ class AdmissibleSlots:
         for j, i in limits.items():
             if not 1 <= i <= n:
                 raise ValueError(f"job {j}: group index {i} out of range")
-        self._n = n
-        self._key = {j.id: (j.p, -j.id) for j in instance.jobs}
+        self._instance = instance
         self._limit = dict(limits)
-        self._heaps: list[MaxHeap] = [MaxHeap() for _ in range(n + 1)]
+        self._groups: list[set[int]] = [set() for _ in range(n + 1)]
         for j, i in limits.items():
-            self._heaps[i].push(self._key[j], j)
+            self._groups[i].add(j)
         self.relocations = 0
 
     @classmethod
@@ -138,69 +46,50 @@ class AdmissibleSlots:
 
     @property
     def n(self) -> int:
-        return self._n
+        return self._instance.n
 
     def limit(self, job_id: int) -> int:
         return self._limit[job_id]
-
-    def limits_map(self) -> dict[int, int]:
-        return dict(self._limit)
-
-    def key_of(self, job_id: int) -> Key:
-        return self._key[job_id]
 
     def move(self, job_id: int, to: int) -> None:
         """Relocate a job to a strictly lower group."""
         origin = self._limit[job_id]
         assert 1 <= to < origin, f"job {job_id}: move {origin} -> {to} is not strictly left"
-        self._heaps[origin].remove(job_id)
-        self._heaps[to].push(self._key[job_id], job_id)
+        self._groups[origin].remove(job_id)
+        self._groups[to].add(job_id)
         self._limit[job_id] = to
         self.relocations += 1
 
     def members(self, group: int) -> list[int]:
-        return list(self._heaps[group])
+        return list(self._groups[group])
 
     def group_size(self, group: int) -> int:
-        return len(self._heaps[group])
-
-    def group_sizes(self) -> list[int]:
-        """Sizes indexed 1..n (entry 0 unused)."""
-        return [0] + [len(h) for h in self._heaps[1:]]
+        return len(self._groups[group])
 
     def prefix_capacity_ok(self, b: int) -> bool:
         """True iff every prefix of groups fits in its slots: sum of the
         first i group sizes <= i*b for all i."""
         running = 0
-        for i in range(1, self._n + 1):
-            running += len(self._heaps[i])
+        for i in range(1, self.n + 1):
+            running += len(self._groups[i])
             if running > i * b:
                 return False
         return True
 
-    def peek_largest(self, groups: Iterable[int]) -> int | None:
-        """Largest-key job across the given groups, without removal."""
-        best: tuple[Key, int] | None = None
-        for g in groups:
-            top = self._heaps[g].peek()
-            if top is not None and (best is None or top[0] > best[0]):
-                best = top
-        return best[1] if best else None
-
     def copy(self) -> "AdmissibleSlots":
         clone = AdmissibleSlots.__new__(AdmissibleSlots)
-        clone._n = self._n
-        clone._key = self._key  # immutable per instance, safe to share
+        clone._instance = self._instance
         clone._limit = dict(self._limit)
-        clone._heaps = [h.copy() for h in self._heaps]
+        clone._groups = [set(g) for g in self._groups]
         clone.relocations = self.relocations
         return clone
 
     def dump(self) -> str:
         """One line per nonempty group: ``i: [id(p), ...]`` in key order."""
+        key = self._instance.sort_key
         lines = []
-        for i in range(1, self._n + 1):
-            jobs = sorted(self._heaps[i], key=self._key.__getitem__, reverse=True)
+        for i in range(1, self.n + 1):
+            jobs = sorted(self._groups[i], key=key, reverse=True)
             if jobs:
-                lines.append(f"{i}: [" + ", ".join(f"{j}({self._key[j][0]})" for j in jobs) + "]")
+                lines.append(f"{i}: [" + ", ".join(f"{j}({key(j)[0]})" for j in jobs) + "]")
         return "\n".join(lines)

@@ -19,7 +19,7 @@ import heapq
 from typing import Callable
 
 from .admissible import AdmissibleSlots
-from .model import Instance, Schedule, eval_cost, timetable
+from .model import CostSpec, Instance, Schedule, eval_cost, timetable
 
 Trace = Callable[[str], None]
 
@@ -82,6 +82,19 @@ def _snapshot(slots: list[set[int]], instance: Instance) -> Schedule:
     return timetable(slots[1:], instance)
 
 
+def tolerated_slot(cost: CostSpec, completion: list[int], i: int, threshold) -> int:
+    """Rightmost slot below i whose completion the cost tolerates (strictly
+    below the threshold), or 0 when none does.
+
+    Completion times never decrease with the slot index, so the first
+    tolerable slot scanning downward is the rightmost one.
+    """
+    for k in range(i - 1, 0, -1):
+        if eval_cost(cost, completion[k]) < threshold:
+            return k
+    return 0
+
+
 def solve_reference(instance: Instance, limits: AdmissibleSlots, threshold) -> Schedule | None:
     """Reference solver: rebuild, sweep, repeat until clean.
 
@@ -106,14 +119,8 @@ def solve_reference(instance: Instance, limits: AdmissibleSlots, threshold) -> S
                 cost = instance.job(j).cost
                 if eval_cost(cost, completion[i]) < threshold:
                     continue
-                # Completion times never decrease with the slot index, so the
-                # first tolerable slot scanning downward is the rightmost one.
-                target = None
-                for k in range(i - 1, 0, -1):
-                    if eval_cost(cost, completion[k]) < threshold:
-                        target = k
-                        break
-                if target is None:
+                target = tolerated_slot(cost, completion, i, threshold)
+                if target == 0:
                     return None
                 lim.move(j, target)
                 moved = True
@@ -161,20 +168,6 @@ class BoundedSolver:
         limits = AdmissibleSlots.unrestricted(instance)
         slots = form_batches(instance, limits)
         assert slots is not None
-        return cls(instance, limits, slots, trace, check)
-
-    @classmethod
-    def from_limits(
-        cls,
-        instance: Instance,
-        limits: AdmissibleSlots,
-        trace: Trace | None = None,
-        check: bool = False,
-    ):
-        """Solver over the given limits, or None when they admit no schedule."""
-        slots = form_batches(instance, limits)
-        if slots is None:
-            return None
         return cls(instance, limits, slots, trace, check)
 
     def solve(self, threshold) -> Schedule | None:
@@ -227,6 +220,7 @@ class BoundedSolver:
         instance = self.instance
         slots = self.slots
         cap = instance.effective_capacity
+        key_of = instance.sort_key
         self.limits.move(j, i - 1)
         slots[i].discard(j)
         self.adjustments += 1
@@ -235,7 +229,7 @@ class BoundedSolver:
         for e in range(1, i):
             for j2 in slots[e]:
                 if self.limits.limit(j2) >= i:
-                    key = self.limits.key_of(j2)
+                    key = key_of(j2)
                     if hoist is None or key > hoist[0]:
                         hoist = (key, j2, e)
 
@@ -259,8 +253,8 @@ class BoundedSolver:
 
         carry = j
         for c in range(i - 1, e, -1):
-            shortest = min(slots[c], key=self.limits.key_of)
-            if self.limits.key_of(carry) > self.limits.key_of(shortest):
+            shortest = min(slots[c], key=key_of)
+            if key_of(carry) > key_of(shortest):
                 slots[c].add(carry)
                 slots[c].remove(shortest)
                 carry = shortest

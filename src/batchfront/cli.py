@@ -13,7 +13,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from .bounded import UNBOUNDED
 from .fileio import emit_instance, load_instance, parse_instance
-from .frontier import pareto_bounded, pareto_precedence
+from .frontier import frontier_csv, pareto_front
 from .generate import PROFILES, gen_random
 from .model import InstanceError
 from .oracle import OracleSizeError, oracle_pareto
@@ -63,23 +63,15 @@ def cmd_pareto(args) -> int:
             for line in after.dump().splitlines():
                 trace(f"  {line}")
 
-    if instance.bounded:
-        front = pareto_bounded(instance, trace=trace, on_step=on_step)
-    else:
-        front = pareto_precedence(instance, trace=trace, on_step=on_step)
-    _write(front.to_csv(), args.out)
+    _write(pareto_front(instance, trace=trace, on_step=on_step).to_csv(), args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
     instance = _read_instance(args.instance)
     reference = oracle_pareto(instance)
-    lines = ["c_max,f_max,batches"]
-    for pair in reference.points:
-        witness = reference.witnesses[pair]
-        groups = ";".join(".".join(str(j) for j in batch) for batch in witness.batches())
-        lines.append(f"{pair[0]},{pair[1]},{groups}")
-    _write("\n".join(lines) + "\n", args.out)
+    rows = ((c_max, f_max, reference.witnesses[c_max, f_max]) for c_max, f_max in reference.points)
+    _write(frontier_csv(rows), args.out)
     return 0
 
 

@@ -15,7 +15,7 @@ output never contains a dominated pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .admissible import AdmissibleSlots
 from .bounded import UNBOUNDED, BoundedSolver, Trace, solve_reference
@@ -53,15 +53,19 @@ class ParetoFront:
         return [(pt.makespan, pt.max_cost) for pt in self.points]
 
     def to_csv(self) -> str:
-        """Header ``c_max,f_max,batches``; batches joins nonempty slots with
-        ";" (earliest first), ids within a batch sorted and joined with "."."""
-        lines = ["c_max,f_max,batches"]
-        for pt in self.points:
-            groups = ";".join(
-                ".".join(str(j) for j in batch) for batch in pt.schedule.batches()
-            )
-            lines.append(f"{pt.makespan},{pt.max_cost},{groups}")
-        return "\n".join(lines) + "\n"
+        """The points as ``frontier_csv`` text."""
+        return frontier_csv((pt.makespan, pt.max_cost, pt.schedule) for pt in self.points)
+
+
+def frontier_csv(rows: Iterable[tuple[int, int, Schedule]]) -> str:
+    """Header ``c_max,f_max,batches``, then one line per (makespan, max cost,
+    schedule) row; batches joins nonempty slots with ";" (earliest first),
+    ids within a batch sorted and joined with "."."""
+    lines = ["c_max,f_max,batches"]
+    for makespan, max_cost, schedule in rows:
+        groups = ";".join(".".join(str(j) for j in batch) for batch in schedule.batches())
+        lines.append(f"{makespan},{max_cost},{groups}")
+    return "\n".join(lines) + "\n"
 
 
 def _sweep(instance: Instance, solver, on_step: StepHook | None) -> ParetoFront:
@@ -147,8 +151,12 @@ def pareto_precedence(
     return front
 
 
-def pareto_front(instance: Instance, trace: Trace | None = None) -> ParetoFront:
+def pareto_front(
+    instance: Instance,
+    trace: Trace | None = None,
+    on_step: StepHook | None = None,
+) -> ParetoFront:
     """Dispatch on capacity mode: bounded sweep or precedence sweep."""
     if instance.bounded:
-        return pareto_bounded(instance, trace=trace)
-    return pareto_precedence(instance, trace=trace)
+        return pareto_bounded(instance, trace=trace, on_step=on_step)
+    return pareto_precedence(instance, trace=trace, on_step=on_step)

@@ -160,6 +160,8 @@ class Instance:
                 raise InstanceError(f"bad precedence edge ({a}, {b})")
         if edges:
             self._check_acyclic(n, edges)
+        # sort_key answers from this table, indexed by job id (entry 0 unused)
+        object.__setattr__(self, "_keys", (None, *((j.p, -j.id) for j in jobs)))
 
     @staticmethod
     def _check_acyclic(n: int, edges) -> None:
@@ -201,7 +203,7 @@ class Instance:
 
     def sort_key(self, job_id: int) -> tuple[int, int]:
         """Priority key (p, -id): longer jobs rank higher, ties to smaller id."""
-        return (self.jobs[job_id - 1].p, -job_id)
+        return self._keys[job_id]
 
 
 @dataclass(frozen=True)
@@ -226,10 +228,6 @@ class Schedule:
             if job_id in batch:
                 return i
         raise KeyError(job_id)
-
-    def nonempty(self) -> list[int]:
-        """1-based indices of nonempty slots, earliest first."""
-        return [i for i, batch in enumerate(self.slots, start=1) if batch]
 
     def batches(self) -> list[tuple[int, ...]]:
         """Nonempty batches as sorted id tuples, earliest first."""

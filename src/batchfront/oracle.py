@@ -50,48 +50,69 @@ def enumerate_feasible(
     """
     _guard_size(instance, limits)
     n = instance.n
-    for batches in _partitions(instance, limits):
-        slots = [()] * (n - len(batches)) + batches
-        yield timetable(slots, instance)
+    for _, _, batches in _partitions(instance, limits):
+        yield timetable([()] * (n - len(batches)) + batches, instance)
 
 
-def _partitions(instance: Instance, limits: EnumerationLimits) -> Iterator[list[tuple[int, ...]]]:
+def _partitions(
+    instance: Instance, limits: EnumerationLimits
+) -> Iterator[tuple[int, int, list[tuple[int, ...]]]]:
     """Ordered partitions into nonempty capacity-respecting batches.
 
-    With precedence, a job may only join the next batch once all its
+    Each is yielded as (makespan, max cost, batches earliest first); time
+    and worst cost are carried down the recursion one batch at a time.  The
+    batch list is shared between yields, so copy it to keep it.  With
+    precedence, a job may only join the next batch once all its
     predecessors sit in strictly earlier batches.
     """
     n = instance.n
     cap = instance.effective_capacity
-    preds: dict[int, frozenset[int]] = {j: frozenset() for j in range(1, n + 1)}
+    setup = instance.setup
+    proc = [0] * (n + 1)
+    costf = [None] * (n + 1)
+    for job in instance.jobs:
+        proc[job.id] = job.p
+        costf[job.id] = job.cost.value
+
+    pred_mask = [0] * (n + 1)
     for a, b in instance.precedence:
-        preds[b] = preds[b] | {a}
+        pred_mask[b] |= 1 << a
+    has_prec = bool(instance.precedence)
 
-    emitted = 0
+    seen = 0
+    max_schedules = limits.max_schedules
+    acc: list[tuple[int, ...]] = []
 
-    def rec(remaining: tuple[int, ...], placed: frozenset[int], acc: list[tuple[int, ...]]):
-        nonlocal emitted
+    def rec(remaining: tuple[int, ...], placed_bits: int, t: int, worst):
+        nonlocal seen
         if not remaining:
-            emitted += 1
-            if emitted > limits.max_schedules:
-                raise OracleSizeError(
-                    f"more than {limits.max_schedules} feasible schedules"
-                )
-            yield list(acc)
+            seen += 1
+            if seen > max_schedules:
+                raise OracleSizeError(f"more than {max_schedules} feasible schedules")
+            yield t, worst, acc
             return
-        ready = tuple(j for j in remaining if preds[j] <= placed)
+        if has_prec:
+            ready = tuple(j for j in remaining if pred_mask[j] & ~placed_bits == 0)
+        else:
+            ready = remaining
         for size in range(1, min(cap, len(ready)) + 1):
             for batch in combinations(ready, size):
-                chosen = frozenset(batch)
+                t2 = t + setup
+                for j in batch:
+                    t2 += proc[j]
+                w2 = worst
+                for j in batch:
+                    c = costf[j](t2)
+                    if w2 is None or c > w2:
+                        w2 = c
+                bits = placed_bits
+                for j in batch:
+                    bits |= 1 << j
                 acc.append(batch)
-                yield from rec(
-                    tuple(j for j in remaining if j not in chosen),
-                    placed | chosen,
-                    acc,
-                )
+                yield from rec(tuple(j for j in remaining if not bits >> j & 1), bits, t2, w2)
                 acc.pop()
 
-    yield from rec(tuple(range(1, n + 1)), frozenset(), [])
+    yield from rec(tuple(range(1, n + 1)), 0, 0, None)
 
 
 @dataclass(frozen=True)
@@ -117,55 +138,12 @@ def oracle_pareto(
     """
     _guard_size(instance, limits)
     n = instance.n
-    cap = instance.effective_capacity
-    setup = instance.setup
-    proc = [0] * (n + 1)
-    costf = [None] * (n + 1)
-    for job in instance.jobs:
-        proc[job.id] = job.p
-        costf[job.id] = job.cost.value
-
-    pred_mask = [0] * (n + 1)
-    for a, b in instance.precedence:
-        pred_mask[b] |= 1 << a
-    has_prec = bool(instance.precedence)
-
     best: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     seen = 0
-    max_schedules = limits.max_schedules
-
-    def rec(remaining: tuple[int, ...], placed_bits: int, t: int, worst, acc: list):
-        nonlocal seen
-        if not remaining:
-            seen += 1
-            if seen > max_schedules:
-                raise OracleSizeError(f"more than {max_schedules} feasible schedules")
-            key = (t, worst)
-            if key not in best:
-                best[key] = list(acc)
-            return
-        if has_prec:
-            ready = tuple(j for j in remaining if pred_mask[j] & ~placed_bits == 0)
-        else:
-            ready = remaining
-        for size in range(1, min(cap, len(ready)) + 1):
-            for batch in combinations(ready, size):
-                t2 = t + setup
-                for j in batch:
-                    t2 += proc[j]
-                w2 = worst
-                for j in batch:
-                    c = costf[j](t2)
-                    if w2 is None or c > w2:
-                        w2 = c
-                bits = placed_bits
-                for j in batch:
-                    bits |= 1 << j
-                acc.append(batch)
-                rec(tuple(j for j in remaining if not bits >> j & 1), bits, t2, w2, acc)
-                acc.pop()
-
-    rec(tuple(range(1, n + 1)), 0, 0, None, [])
+    for c_max, f_max, batches in _partitions(instance, limits):
+        seen += 1
+        if (c_max, f_max) not in best:
+            best[c_max, f_max] = list(batches)
 
     frontier: list[tuple[int, int]] = []
     running = None

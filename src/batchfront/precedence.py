@@ -12,11 +12,11 @@ its slot.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from .admissible import AdmissibleSlots
-from .bounded import batch_times
-from .model import Instance, InstanceError, Schedule, eval_cost, timetable
+from .bounded import batch_times, tolerated_slot
+from .model import Instance, Schedule, eval_cost, timetable
 
 Trace = Callable[[str], None]
 
@@ -26,77 +26,30 @@ class PrecGraph:
 
     ``preds(j)`` lists direct predecessors (the inverse adjacency, which is
     what the solver propagates over) and ``succs(j)`` direct successors.
-    Construction validates vertex ids and acyclicity.  Edges may form any
-    DAG relation, not necessarily the covering relation; propagation over
-    redundant edges is only extra work, never wrong, so no reduction is
-    applied by default.
+    Built from an ``Instance``, which has already checked that the edges
+    name real jobs and form a DAG; repeated edges are kept once.  Edges may
+    form any DAG relation, not necessarily the covering relation;
+    propagation over redundant edges is only extra work, never wrong.
     """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        self.n = n
+    def __init__(self, instance: Instance):
+        n = instance.n
         self._succs: list[list[int]] = [[] for _ in range(n + 1)]
         self._preds: list[list[int]] = [[] for _ in range(n + 1)]
         seen = set()
-        for a, b in edges:
-            if not (1 <= a <= n and 1 <= b <= n) or a == b:
-                raise InstanceError(f"bad precedence edge ({a}, {b})")
+        for a, b in instance.precedence:
             if (a, b) in seen:
                 continue
             seen.add((a, b))
             self._succs[a].append(b)
             self._preds[b].append(a)
         self.edge_count = len(seen)
-        self._check_acyclic()
-
-    @classmethod
-    def from_instance(cls, instance: Instance) -> "PrecGraph":
-        return cls(instance.n, instance.precedence)
 
     def preds(self, job_id: int) -> list[int]:
         return self._preds[job_id]
 
     def succs(self, job_id: int) -> list[int]:
         return self._succs[job_id]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in range(1, self.n + 1) for b in self._succs[a]]
-
-    def _check_acyclic(self) -> None:
-        indeg = [0] * (self.n + 1)
-        for b in range(1, self.n + 1):
-            indeg[b] = len(self._preds[b])
-        ready = [v for v in range(1, self.n + 1) if indeg[v] == 0]
-        seen = 0
-        while ready:
-            v = ready.pop()
-            seen += 1
-            for w in self._succs[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-        if seen < self.n:
-            raise InstanceError("precedence edges contain a cycle")
-
-    def transitive_reduction(self) -> "PrecGraph":
-        """The same reachability with every redundant direct edge dropped.
-
-        An edge (a, b) is redundant when b is reachable from another direct
-        successor of a.  Optional preprocessing; the solver does not need it.
-        """
-        kept = []
-        for a in range(1, self.n + 1):
-            direct = set(self._succs[a])
-            reachable_via = set()
-            for c in direct:
-                stack = list(self._succs[c])
-                while stack:
-                    v = stack.pop()
-                    if v in reachable_via:
-                        continue
-                    reachable_via.add(v)
-                    stack.extend(self._succs[v])
-            kept.extend((a, b) for b in direct if b not in reachable_via)
-        return PrecGraph(self.n, kept)
 
 
 def layered_limits(instance: Instance, graph: PrecGraph) -> AdmissibleSlots:
@@ -163,7 +116,7 @@ class PrecedenceSolver:
         trace: Trace | None = None,
         check: bool = False,
     ) -> "PrecedenceSolver":
-        graph = PrecGraph.from_instance(instance)
+        graph = PrecGraph(instance)
         return cls(instance, graph, layered_limits(instance, graph), trace, check)
 
     def solve(self, threshold) -> Schedule | None:
@@ -210,16 +163,10 @@ class PrecedenceSolver:
                 if eval_cost(cost, completion[i]) < threshold:
                     tolerated = i
                 else:
-                    tolerated = None
-                    for k in range(i - 1, 0, -1):
-                        if eval_cost(cost, completion[k]) < threshold:
-                            tolerated = k
-                            break
-                    if tolerated is None:
-                        return None  # not even an empty first slot is tolerable
+                    tolerated = tolerated_slot(cost, completion, i, threshold)
                 target = min(tolerated, self.bounds[j])
                 if target < 1:
-                    return None  # successors force the job out of every slot
+                    return None  # nothing tolerable, or successors force the job out of every slot
                 if target == i:
                     continue
                 self.limits.move(j, target)

@@ -1,6 +1,6 @@
 import pytest
 
-from batchfront.admissible import AdmissibleSlots, MaxHeap
+from batchfront.admissible import AdmissibleSlots
 from batchfront.generate import SplitMix64, gen_random
 from batchfront.model import Instance, Job, Lateness
 
@@ -11,45 +11,6 @@ def _inst(ps):
         setup=1,
         capacity=None,
     )
-
-
-class TestMaxHeap:
-    def test_pop_order_matches_sorted(self):
-        rng = SplitMix64(7)
-        items = [((rng.randint(0, 50), -i), i) for i in range(1, 200)]
-        heap = MaxHeap(items)
-        popped = []
-        while len(heap):
-            popped.append(heap.pop())
-        assert popped == sorted(items, reverse=True)
-
-    def test_remove_arbitrary_items_keeps_order(self):
-        rng = SplitMix64(11)
-        reference = {}
-        heap = MaxHeap()
-        next_id = 1
-        for _ in range(3000):
-            action = rng.randint(0, 2)
-            if action < 2 or not reference:
-                key = (rng.randint(0, 30), -next_id)
-                heap.push(key, next_id)
-                reference[next_id] = key
-                next_id += 1
-            else:
-                victims = sorted(reference)
-                victim = victims[rng.randint(0, len(victims) - 1)]
-                heap.remove(victim)
-                del reference[victim]
-            if reference:
-                top_key, top_item = heap.peek()
-                assert (top_key, top_item) == max((k, i) for i, k in reference.items())
-        assert set(heap) == set(reference)
-
-    def test_push_duplicate_asserts(self):
-        heap = MaxHeap()
-        heap.push((1, -1), 1)
-        with pytest.raises(AssertionError):
-            heap.push((2, -1), 1)
 
 
 class TestAdmissibleSlots:
@@ -83,18 +44,6 @@ class TestAdmissibleSlots:
         assert tight.prefix_capacity_ok(2)
         initial = AdmissibleSlots.unrestricted(inst)
         assert initial.prefix_capacity_ok(1)
-
-    def test_peek_largest_breaks_ties_by_smaller_id(self):
-        inst = _inst([5, 5])
-        slots = AdmissibleSlots.unrestricted(inst)
-        assert slots.peek_largest([2]) == 1
-        assert slots.peek_largest([1]) is None
-
-    def test_peek_largest_across_groups(self):
-        inst = _inst([3, 9, 2])
-        slots = AdmissibleSlots(inst, {1: 1, 2: 2, 3: 3})
-        assert slots.peek_largest([1, 2, 3]) == 2
-        assert slots.peek_largest([1, 3]) == 1
 
     def test_partition_preserved_under_random_moves(self):
         rng = SplitMix64(5)

@@ -125,7 +125,7 @@ def test_greedy_fill_minimizes_every_slot_time():
             start, completion = batch_times(slots, inst)
             nonempty = sum(1 for s in slots[1:] if s)
             for other in others:
-                assert nonempty <= len(other.nonempty())
+                assert nonempty <= len(other.batches())
                 for i in range(1, inst.n + 1):
                     assert start[i] <= other.start[i - 1]
                     assert completion[i] <= other.completion[i - 1]
@@ -189,17 +189,3 @@ def test_spent_solver_state_is_documented_behaviour(two_jobs):
     solver = BoundedSolver.initial(two_jobs)
     solver.solve(UNBOUNDED)
     assert solver.solve(0) is None  # spent; no further use
-
-
-def test_from_limits_matches_reference(two_jobs):
-    limits = AdmissibleSlots(two_jobs, {1: 1, 2: 2})
-    solver = BoundedSolver.from_limits(two_jobs, limits.copy(), check=True)
-    got = solver.solve(UNBOUNDED)
-    want = solve_reference(two_jobs, limits.copy(), UNBOUNDED)
-    assert got == want
-    assert objectives(got, two_jobs) == (8, 0)
-
-    starved = AdmissibleSlots(two_jobs, {1: 1, 2: 1})
-    assert BoundedSolver.from_limits(
-        Instance(jobs=two_jobs.jobs, setup=2, capacity=1), starved
-    ) is None

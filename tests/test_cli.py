@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from batchfront.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 TWO_JOBS_JSON = """{
   "setup": 2,
@@ -48,6 +53,16 @@ def test_trace_goes_to_stderr(tmp_path, capsys):
     assert "move job=1 from=2 to=1 case=1" in err
     assert "step threshold=inf feasible=True" in err
     assert "1: [1(1)]" in err  # admissibility dump after the tightening step
+
+
+@pytest.mark.parametrize("case", ["small-n8-seed3", "prec-n7-seed2"])
+def test_trace_matches_golden(case, capsys):
+    # complete stdout and stderr of `pareto --trace`, captured from the CLI;
+    # pins step order, move order and the admissibility dump byte for byte
+    assert main(["pareto", str(GOLDEN / f"{case}.json"), "--trace"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / f"{case}.csv").read_text(encoding="utf-8")
+    assert captured.err == (GOLDEN / f"{case}.trace").read_text(encoding="utf-8")
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import pytest
 
 from batchfront.bounded import UNBOUNDED
+from batchfront.fileio import parse_instance
 from batchfront.generate import gen_random
 from batchfront.model import Instance, InstanceError, Job, Lateness, objectives, validate
 from batchfront.precedence import PrecedenceSolver, PrecGraph, layered_limits
@@ -18,7 +19,7 @@ def _chain(n, s=1, p=1, due=100):
 
 class TestPrecGraph:
     def test_adjacency_is_stored_both_ways(self, fork):
-        graph = PrecGraph.from_instance(fork)
+        graph = PrecGraph(fork)
         assert graph.succs(1) == [2, 3]
         assert graph.preds(2) == [1]
         assert graph.preds(3) == [1]
@@ -26,32 +27,31 @@ class TestPrecGraph:
         assert graph.edge_count == 2
 
     def test_cycle_rejected(self):
-        with pytest.raises(InstanceError):
-            PrecGraph(2, [(1, 2), (2, 1)])
+        # PrecGraph trusts its Instance; a cyclic edge list read from a file
+        # must already be refused there, before any graph is built
+        text = """{"setup": 1, "capacity": "unbounded",
+          "jobs": [{"id": 1, "p": 1, "cost": {"type": "lateness", "due": 5}},
+                   {"id": 2, "p": 1, "cost": {"type": "lateness", "due": 5}}],
+          "precedence": [[1, 2], [2, 1]]}"""
+        with pytest.raises(InstanceError, match="cycle"):
+            parse_instance(text)
 
     def test_duplicate_edges_collapse(self):
-        graph = PrecGraph(2, [(1, 2), (1, 2)])
-        assert graph.edge_count == 1
-
-    def test_transitive_reduction_drops_shortcuts(self):
         inst = Instance(
-            jobs=tuple(Job(i, 1, Lateness(100)) for i in (1, 2, 3)),
+            jobs=(Job(1, 1, Lateness(5)), Job(2, 1, Lateness(5))),
             setup=1,
             capacity=None,
-            precedence=((1, 2), (2, 3), (1, 3)),
+            precedence=((1, 2), (1, 2)),
         )
-        graph = PrecGraph.from_instance(inst)
-        reduced = graph.transitive_reduction()
-        assert sorted(reduced.edges()) == [(1, 2), (2, 3)]
-        # reduction keeps reachability, so the solver result is unchanged
-        full = PrecedenceSolver(inst, graph, layered_limits(inst, graph))
-        red = PrecedenceSolver(inst, reduced, layered_limits(inst, reduced))
-        assert full.solve(UNBOUNDED) == red.solve(UNBOUNDED)
+        graph = PrecGraph(inst)
+        assert graph.edge_count == 1
+        assert graph.succs(1) == [2]
+        assert graph.preds(2) == [1]
 
 
 class TestLayering:
     def test_fork_layers(self, fork):
-        limits = layered_limits(fork, PrecGraph.from_instance(fork))
+        limits = layered_limits(fork, PrecGraph(fork))
         assert limits.members(1) == []
         assert limits.members(2) == [1]
         assert sorted(limits.members(3)) == [2, 3]
@@ -62,19 +62,19 @@ class TestLayering:
             setup=0,
             capacity=None,
         )
-        limits = layered_limits(inst, PrecGraph.from_instance(inst))
+        limits = layered_limits(inst, PrecGraph(inst))
         assert sorted(limits.members(3)) == [1, 2, 3]
         assert limits.members(1) == limits.members(2) == []
 
     def test_chain_gets_one_group_each(self):
         inst = _chain(3)
-        limits = layered_limits(inst, PrecGraph.from_instance(inst))
+        limits = layered_limits(inst, PrecGraph(inst))
         assert [limits.members(i) for i in (1, 2, 3)] == [[1], [2], [3]]
 
     def test_every_edge_crosses_groups_leftward(self):
         for seed in range(50):
             inst = gen_random(7, seed=seed, profile="prec")
-            graph = PrecGraph.from_instance(inst)
+            graph = PrecGraph(inst)
             limits = layered_limits(inst, graph)
             for pred, succ in inst.precedence:
                 assert limits.limit(pred) < limits.limit(succ)
