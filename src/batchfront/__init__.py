@@ -23,6 +23,7 @@ from .model import (
     CostSpec,
     Instance,
     InstanceError,
+    InvariantError,
     Job,
     Lateness,
     Schedule,
@@ -48,6 +49,7 @@ __all__ = [
     "EnumerationLimits",
     "Instance",
     "InstanceError",
+    "InvariantError",
     "Job",
     "Lateness",
     "OracleFrontier",

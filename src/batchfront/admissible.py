@@ -6,7 +6,7 @@ indices move strictly leftward over a solver run, so every job passes
 through at most n - 1 groups and a full frontier sweep performs at most
 n*(n-1) relocations in total.
 
-Each group is a plain set of job ids next to a job -> group map.  No solver
+Each group is a plain set of job ids next to a job -> group table.  No solver
 needs the members in any order: selections that depend on order rank jobs
 by ``Instance.sort_key``, whose (processing time, -id) order is strict,
 which keeps every selection deterministic.
@@ -33,9 +33,10 @@ class AdmissibleSlots:
             if not 1 <= i <= n:
                 raise ValueError(f"job {j}: group index {i} out of range")
         self._instance = instance
-        self._limit = dict(limits)
+        self._limit = [0] * (n + 1)
         self._groups: list[set[int]] = [set() for _ in range(n + 1)]
         for j, i in limits.items():
+            self._limit[j] = i
             self._groups[i].add(j)
         self.relocations = 0
 
@@ -50,6 +51,13 @@ class AdmissibleSlots:
 
     def limit(self, job_id: int) -> int:
         return self._limit[job_id]
+
+    @property
+    def table(self) -> list[int]:
+        """The limits as one list indexed by job id (entry 0 unused), for
+        hot loops.  It is the live table that ``move`` updates in place;
+        read it, never write it."""
+        return self._limit
 
     def move(self, job_id: int, to: int) -> None:
         """Relocate a job to a strictly lower group."""
@@ -79,7 +87,7 @@ class AdmissibleSlots:
     def copy(self) -> "AdmissibleSlots":
         clone = AdmissibleSlots.__new__(AdmissibleSlots)
         clone._instance = self._instance
-        clone._limit = dict(self._limit)
+        clone._limit = list(self._limit)
         clone._groups = [set(g) for g in self._groups]
         clone.relocations = self.relocations
         return clone

@@ -11,6 +11,12 @@ one standing schedule and repairs it in place after each limit change; the
 standing schedule is maintained to be exactly what ``form_batches`` would
 build from the current limits, which is what lets a frontier sweep reuse
 all prior work as the cost cap shrinks.
+
+One repair (an adjustment) expels a job from slot i and is local: a hoist
+and carry walk over slots e..i, e being the rightmost slot left of i with
+room, then a retime of slots e..i-1 from the per-slot loads.  Slots i..n
+keep their completion times, except that all of them shift by one setup
+when the carry opens a new batch in an empty slot e.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import heapq
 from typing import Callable
 
 from .admissible import AdmissibleSlots
-from .model import CostSpec, Instance, Schedule, eval_cost, timetable
+from .model import Instance, InvariantError, Schedule, eval_cost, timetable
 
 Trace = Callable[[str], None]
 
@@ -45,12 +51,13 @@ def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[set[int]] 
     """
     n = instance.n
     cap = instance.effective_capacity
+    p = instance.p
     slots: list[set[int]] = [set() for _ in range(n + 1)]
     pool: list[tuple[int, int]] = []  # (-p, id): pops give largest (p, -id) first
     assigned = 0
     for i in range(n, 0, -1):
         for j in limits.members(i):
-            heapq.heappush(pool, (-instance.job(j).p, j))
+            heapq.heappush(pool, (-p[j], j))
         take = min(cap, len(pool))
         for _ in range(take):
             slots[i].add(heapq.heappop(pool)[1])
@@ -65,13 +72,14 @@ def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[set[int]] 
 def batch_times(slots: list[set[int]], instance: Instance) -> tuple[list[int], list[int]]:
     """No-idle start/completion times for 1-based slot sets."""
     n = instance.n
+    p = instance.p
     start = [0] * (n + 1)
     completion = [0] * (n + 1)
     t = 0
     for i in range(1, n + 1):
         if slots[i]:
             start[i] = t + instance.setup
-            t = start[i] + sum(instance.job(j).p for j in slots[i])
+            t = start[i] + sum(p[j] for j in slots[i])
         else:
             start[i] = t
         completion[i] = t
@@ -82,15 +90,15 @@ def _snapshot(slots: list[set[int]], instance: Instance) -> Schedule:
     return timetable(slots[1:], instance)
 
 
-def tolerated_slot(cost: CostSpec, completion: list[int], i: int, threshold) -> int:
-    """Rightmost slot below i whose completion the cost tolerates (strictly
-    below the threshold), or 0 when none does.
+def tolerated_slot(value: Callable[[int], int], completion: list[int], i: int, threshold) -> int:
+    """Rightmost slot below i whose completion the cost function ``value``
+    tolerates (strictly below the threshold), or 0 when none does.
 
     Completion times never decrease with the slot index, so the first
     tolerable slot scanning downward is the rightmost one.
     """
     for k in range(i - 1, 0, -1):
-        if eval_cost(cost, completion[k]) < threshold:
+        if value(completion[k]) < threshold:
             return k
     return 0
 
@@ -119,7 +127,7 @@ def solve_reference(instance: Instance, limits: AdmissibleSlots, threshold) -> S
                 cost = instance.job(j).cost
                 if eval_cost(cost, completion[i]) < threshold:
                     continue
-                target = tolerated_slot(cost, completion, i, threshold)
+                target = tolerated_slot(cost.value, completion, i, threshold)
                 if target == 0:
                     return None
                 lim.move(j, target)
@@ -133,16 +141,26 @@ def solve_reference(instance: Instance, limits: AdmissibleSlots, threshold) -> S
 class BoundedSolver:
     """Warm-startable minimum-makespan solver for one bounded instance.
 
-    Holds the admissibility limits and the standing schedule together.
-    ``solve`` may be called repeatedly with strictly smaller thresholds;
-    every call continues from the adjusted state the previous one left
-    behind.  After an infeasible result the state is spent and the solver
-    must not be reused.
+    Holds the admissibility limits and the standing schedule together, with
+    the per-slot loads (``load[i]``, the processing time in slot i) and
+    completion times kept current in place.  ``solve`` may be called
+    repeatedly with strictly smaller thresholds; every call continues from
+    the adjusted state the previous one left behind.  After an infeasible
+    result the state is spent and the solver must not be reused.
+
+    An adjustment that expels a job from slot i works on slots e..i only,
+    e being the rightmost slot left of i with room: a hoist scan and a
+    carry walk over those slots, then a retime of slots e..i-1 from their
+    loads.  Slots i..n keep their times unless the carry opens a new batch
+    in an empty slot e, which shifts all of them by one setup.
 
     With ``check=True`` the solver verifies its own invariants after every
-    adjustment (standing schedule equals the greedy rebuild of the current
-    limits; per-slot completion times never decrease).  That costs O(n) to
-    O(n log n) per adjustment and is meant for the verification harness.
+    adjustment and raises InvariantError on a breach: the hoisted job came
+    from the rightmost slot with room, the carry's slot is within capacity,
+    the incrementally kept completion times equal a full retime, no
+    completion moved earlier, and the standing schedule equals the greedy
+    rebuild of the current limits.  That costs O(n log n) per adjustment and
+    is meant for the verification harness.
     """
 
     def __init__(
@@ -156,7 +174,9 @@ class BoundedSolver:
         self.instance = instance
         self.limits = limits
         self.slots = slots
-        self.start, self.completion = batch_times(slots, instance)
+        p = instance.p
+        self.load = [sum(p[j] for j in batch) for batch in slots]
+        _, self.completion = batch_times(slots, instance)
         self.trace = trace
         self.check = check
         self.adjustments = 0
@@ -186,19 +206,32 @@ class BoundedSolver:
         return _snapshot(self.slots, self.instance)
 
     def _adjust_pass(self, threshold) -> bool | None:
-        """One descending sweep over all slots.
+        """One descending sweep over the nonempty slots.
 
         Returns True if any job was relocated, False for a clean sweep, and
         None when the threshold is unattainable.  Times are refreshed after
         every adjustment, so jobs later in the sweep are judged against
         current completions; a job hoisted into an already-swept slot is
-        caught by the next sweep.
+        caught by the next sweep.  Empty slots form a prefix, so the sweep
+        ends at the first one.
         """
         changed = False
-        n = self.instance.n
-        for i in range(n, 0, -1):
-            for j in sorted(self.slots[i], key=self.instance.sort_key, reverse=True):
-                if eval_cost(self.instance.job(j).cost, self.completion[i]) < threshold:
+        slots = self.slots
+        completion = self.completion  # updated in place by _adjust
+        value = self.instance.cost_value
+        by_key = self.instance.keys.__getitem__
+        for i in range(self.instance.n, 0, -1):
+            batch = slots[i]
+            if not batch:
+                break
+            at = completion[i]
+            for j in batch:
+                if value[j](at) >= threshold:
+                    break
+            else:
+                continue  # a clean slot needs no ordering
+            for j in sorted(batch, key=by_key, reverse=True):
+                if value[j](completion[i]) < threshold:
                     continue
                 if i == 1:
                     return None  # nothing further left exists
@@ -210,41 +243,56 @@ class BoundedSolver:
     def _adjust(self, j: int, i: int) -> bool:
         """Expel job j from slot i and repair the schedule; False = infeasible.
 
-        The job's limit drops one group.  The repair reproduces, in O(n),
-        what the greedy fill would now build: if some earlier-slot job is
-        still admissible at slot i, the largest such job is hoisted in to
-        replace j; either way j is pushed leftward through the (necessarily
-        full) intervening batches, each handing its shortest job further
-        left, until the rightmost non-full batch absorbs the carry.
+        The job's limit drops one group.  The repair reproduces what the
+        greedy fill would now build: if some earlier-slot job is still
+        admissible at slot i, the largest such job is hoisted in to replace
+        j; either way j is pushed leftward through the (necessarily full)
+        intervening batches, each handing its shortest job further left,
+        until the rightmost non-full batch e absorbs the carry.
         """
         instance = self.instance
         slots = self.slots
+        load = self.load
+        completion = self.completion
+        p = instance.p
+        keys = instance.keys
+        limit = self.limits.table
         cap = instance.effective_capacity
-        key_of = instance.sort_key
         self.limits.move(j, i - 1)
         slots[i].discard(j)
+        load[i] -= p[j]
         self.adjustments += 1
 
-        hoist = None  # (key, job, slot) of the best earlier-slot job admissible at i
-        for e in range(1, i):
-            for j2 in slots[e]:
-                if self.limits.limit(j2) >= i:
-                    key = key_of(j2)
-                    if hoist is None or key > hoist[0]:
-                        hoist = (key, j2, e)
+        # The greedy fill passed over each candidate (a job left of i still
+        # admissible at i) in favour of larger jobs at every slot between it
+        # and i, so those slots are full and candidates shrink from right to
+        # left.  Scanning down from i - 1, the first slot holding a
+        # candidate holds the best one, and no candidate lies left of the
+        # first slot with room, which is e, where the carry ends.
+        hoist = None
+        e = 0
+        for c in range(i - 1, 0, -1):
+            batch = slots[c]
+            for x in batch:
+                if limit[x] >= i and (hoist is None or keys[x] > keys[hoist]):
+                    hoist = x
+            if hoist is not None or len(batch) < cap:
+                e = c
+                break
 
+        opened = not slots[e]  # the carry opens a batch in e (never in case 2: e holds the hoist)
         if hoist is not None:
-            _, x, e = hoist
-            slots[e].remove(x)
-            slots[i].add(x)
+            slots[e].remove(hoist)
+            slots[i].add(hoist)
+            load[e] -= p[hoist]
+            load[i] += p[hoist]
             case = 2
-            if self.check:
-                assert self._last_nonfull(i) == e, "hoisted job's slot is not the rightmost non-full"
+            if self.check and self._last_nonfull(i) != e:
+                raise InvariantError("hoisted job's slot is not the rightmost non-full")
         else:
             if not slots[i]:
                 return False  # slot emptied while jobs remain further left
-            e = self._last_nonfull(i)
-            if e is None:
+            if e == 0:
                 return False  # every earlier slot is full
             case = 1
 
@@ -253,24 +301,46 @@ class BoundedSolver:
 
         carry = j
         for c in range(i - 1, e, -1):
-            shortest = min(slots[c], key=key_of)
-            if key_of(carry) > key_of(shortest):
-                slots[c].add(carry)
-                slots[c].remove(shortest)
+            batch = slots[c]
+            shortest = min(batch, key=keys.__getitem__)
+            if keys[carry] > keys[shortest]:
+                batch.remove(shortest)
+                batch.add(carry)
+                load[c] += p[carry] - p[shortest]
                 carry = shortest
             # else the carry is the shortest itself: batch unchanged, keep carrying
         slots[e].add(carry)
-        assert len(slots[e]) <= cap
+        load[e] += p[carry]
 
-        old_completion = self.completion
-        self.start, self.completion = batch_times(slots, instance)
+        # Jobs changed slots only within e..i and slot i stays nonempty, so
+        # completions from i on move only if slot e was empty before.
+        before = completion[:] if self.check else None
+        setup = instance.setup
+        t = completion[e - 1]
+        for c in range(e, i):
+            t += setup + load[c]
+            completion[c] = t
+        if opened:
+            for c in range(i, instance.n + 1):
+                completion[c] += setup
         if self.check:
-            assert all(
-                self.completion[g] >= old_completion[g] for g in range(1, instance.n + 1)
-            ), "a batch completion moved earlier"
-            rebuilt = form_batches(instance, self.limits)
-            assert rebuilt is not None and rebuilt == slots, "standing schedule diverged from rebuild"
+            self._check_state(e, before)
         return True
+
+    def _check_state(self, e: int, before: list[int]) -> None:
+        """Check mode: the state after an adjustment whose carry ended in
+        slot e, against the completion times it started from."""
+        instance = self.instance
+        if len(self.slots[e]) > instance.effective_capacity:
+            raise InvariantError(f"slot {e} exceeds capacity")
+        _, full = batch_times(self.slots, instance)
+        if full != self.completion:
+            raise InvariantError("incrementally retimed completions differ from a full retime")
+        if any(now < then for now, then in zip(self.completion, before)):
+            raise InvariantError("a batch completion moved earlier")
+        rebuilt = form_batches(instance, self.limits)
+        if rebuilt is None or rebuilt != self.slots:
+            raise InvariantError("standing schedule diverged from rebuild")
 
     def _last_nonfull(self, i: int) -> int | None:
         """Largest slot index < i with room left, or None."""

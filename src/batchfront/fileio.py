@@ -14,8 +14,11 @@ Layout::
 
 Cost objects by type: lateness/tardiness take ``due``, weighted_completion
 takes ``w``, affine takes ``a`` and ``c``, step takes ``breakpoints`` (a
-list of [time, value] pairs).  Parse errors carry the source name and, for
-syntax errors, line and column.  ``parse_instance(emit_instance(x)) == x``.
+list of [time, value] pairs).  Every number must be a JSON integer: floats,
+numeric strings and booleans are refused, never truncated.  Parse errors
+carry the source name and either the line and column of a syntax error or
+the offending field, such as ``jobs[3].p``.
+``parse_instance(emit_instance(x)) == x``.
 """
 
 from __future__ import annotations
@@ -35,29 +38,52 @@ from .model import (
     WeightedCompletion,
 )
 
-_COST_TYPES = ("lateness", "tardiness", "weighted_completion", "affine", "step")
+_COST_FIELDS = {
+    "lateness": (Lateness, ("due",)),
+    "tardiness": (Tardiness, ("due",)),
+    "weighted_completion": (WeightedCompletion, ("w",)),
+    "affine": (Affine, ("a", "c")),
+    "step": (StepTable, ("breakpoints",)),
+}
+
+
+def _int(value, where: str) -> int:
+    """``value`` when it is a JSON integer; anything else is refused."""
+    if type(value) is not int:
+        raise InstanceError(f"{where} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _breakpoints(value, where: str) -> tuple[tuple[int, int], ...]:
+    if not isinstance(value, list):
+        raise InstanceError(f"{where} must be an array of [time, value] pairs")
+    points = []
+    for k, pair in enumerate(value):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise InstanceError(f"{where}[{k}] must be a [time, value] pair")
+        points.append((_int(pair[0], f"{where}[{k}][0]"), _int(pair[1], f"{where}[{k}][1]")))
+    return tuple(points)
 
 
 def _cost_from_obj(obj, where: str) -> CostSpec:
+    """The cost object at ``where`` (e.g. ``src: jobs[3].cost``)."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InstanceError(f"{where}: cost must be an object with a \"type\" key")
     kind = obj["type"]
+    if not isinstance(kind, str) or kind not in _COST_FIELDS:
+        raise InstanceError(f"{where}: unknown cost type {kind!r}, expected one of {tuple(_COST_FIELDS)}")
+    cls, names = _COST_FIELDS[kind]
+    for name in names:
+        if name not in obj:
+            raise InstanceError(f"{where}: cost type {kind!r} is missing field {name!r}")
+    if kind == "step":
+        args = [_breakpoints(obj["breakpoints"], f"{where}.breakpoints")]
+    else:
+        args = [_int(obj[name], f"{where}.{name}") for name in names]
     try:
-        if kind == "lateness":
-            return Lateness(due=int(obj["due"]))
-        if kind == "tardiness":
-            return Tardiness(due=int(obj["due"]))
-        if kind == "weighted_completion":
-            return WeightedCompletion(w=int(obj["w"]))
-        if kind == "affine":
-            return Affine(a=int(obj["a"]), c=int(obj["c"]))
-        if kind == "step":
-            return StepTable(breakpoints=tuple((int(t), int(v)) for t, v in obj["breakpoints"]))
-    except KeyError as missing:
-        raise InstanceError(f"{where}: cost type {kind!r} is missing field {missing}") from None
-    except (TypeError, ValueError) as bad:
-        raise InstanceError(f"{where}: {bad}") from None
-    raise InstanceError(f"{where}: unknown cost type {kind!r}, expected one of {_COST_TYPES}")
+        return cls(*args)
+    except InstanceError as err:
+        raise InstanceError(f"{where}: {err}") from None
 
 
 def _cost_to_obj(cost: CostSpec) -> dict:
@@ -105,14 +131,14 @@ def parse_instance(text: str, source: str = "<string>") -> Instance:
         where = f"{source}: jobs[{idx}]"
         if not isinstance(row, dict):
             raise InstanceError(f"{where}: must be an object")
-        try:
-            jobs.append(Job(id=int(row["id"]), p=int(row["p"]), cost=_cost_from_obj(row.get("cost"), where)))
-        except KeyError as missing:
-            raise InstanceError(f"{where}: missing field {missing}") from None
-        except (TypeError, ValueError) as bad:
-            if isinstance(bad, InstanceError):
-                raise
-            raise InstanceError(f"{where}: {bad}") from None
+        for name in ("id", "p"):
+            if name not in row:
+                raise InstanceError(f"{where}: missing field {name!r}")
+        jobs.append(Job(
+            id=_int(row["id"], f"{where}.id"),
+            p=_int(row["p"], f"{where}.p"),
+            cost=_cost_from_obj(row.get("cost"), f"{where}.cost"),
+        ))
 
     edges = doc.get("precedence", [])
     if not isinstance(edges, list):
@@ -121,12 +147,16 @@ def parse_instance(text: str, source: str = "<string>") -> Instance:
     for idx, pair in enumerate(edges):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InstanceError(f"{source}: precedence[{idx}] must be a [pred, succ] pair")
-        parsed_edges.append((int(pair[0]), int(pair[1])))
+        a, b = pair
+        if type(a) is not int or type(b) is not int:
+            raise InstanceError(f"{source}: precedence[{idx}] endpoints must be integers, got {json.dumps(pair)}")
+        parsed_edges.append((a, b))
 
+    setup = _int(doc["setup"], f"{source}: setup")
     try:
         return Instance(
             jobs=tuple(jobs),
-            setup=int(doc["setup"]),
+            setup=setup,
             capacity=capacity,
             precedence=tuple(parsed_edges),
         )

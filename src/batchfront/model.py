@@ -26,6 +26,14 @@ class ScheduleError(ValueError):
     """Raised when slot contents cannot form a valid schedule."""
 
 
+class InvariantError(RuntimeError):
+    """Raised by a solver's check mode when its own state is inconsistent.
+
+    An explicit exception rather than ``assert``, so the checks that
+    verification relies on still run under ``python -O``.
+    """
+
+
 @dataclass(frozen=True)
 class Lateness:
     """Completion time minus due date; may be negative."""
@@ -128,6 +136,12 @@ class Instance:
     Precedence edges (pred id, succ id) are only allowed on unbounded
     instances and must form a DAG; both are checked at construction.
     Jobs are stored sorted by id, and ids must be exactly 1..n.
+
+    Per-job tables, indexed by job id (entry 0 unused), are the one home
+    the solvers' loops read job data from: ``p[j]`` is the processing time,
+    ``cost_value[j](t)`` the cost of completing at t (the bound ``value``
+    method of the job's cost spec) and ``keys[j]`` the priority key that
+    ``sort_key`` returns.
     """
 
     jobs: tuple[Job, ...]
@@ -160,8 +174,9 @@ class Instance:
                 raise InstanceError(f"bad precedence edge ({a}, {b})")
         if edges:
             self._check_acyclic(n, edges)
-        # sort_key answers from this table, indexed by job id (entry 0 unused)
-        object.__setattr__(self, "_keys", (None, *((j.p, -j.id) for j in jobs)))
+        object.__setattr__(self, "keys", (None, *((j.p, -j.id) for j in jobs)))
+        object.__setattr__(self, "p", (0, *(j.p for j in jobs)))
+        object.__setattr__(self, "cost_value", (None, *(j.cost.value for j in jobs)))
 
     @staticmethod
     def _check_acyclic(n: int, edges) -> None:
@@ -199,11 +214,11 @@ class Instance:
         return self.jobs[job_id - 1]
 
     def total_processing(self) -> int:
-        return sum(j.p for j in self.jobs)
+        return sum(self.p)
 
     def sort_key(self, job_id: int) -> tuple[int, int]:
         """Priority key (p, -id): longer jobs rank higher, ties to smaller id."""
-        return self._keys[job_id]
+        return self.keys[job_id]
 
 
 @dataclass(frozen=True)
@@ -260,13 +275,14 @@ def timetable(slots: Iterable[Iterable[int]], instance: Instance) -> Schedule:
     if total != n or frozenset().union(*filled) != frozenset(range(1, n + 1)):
         raise ScheduleError("slots must partition the job set 1..n")
 
+    p = instance.p
     start = []
     completion = []
     t = 0
     for batch in filled:
         if batch:
             s = t + instance.setup
-            t = s + sum(instance.job(j).p for j in batch)
+            t = s + sum(p[j] for j in batch)
         else:
             s = t
         start.append(s)
@@ -276,8 +292,9 @@ def timetable(slots: Iterable[Iterable[int]], instance: Instance) -> Schedule:
 
 def objectives(schedule: Schedule, instance: Instance) -> tuple[int, int]:
     """(makespan, max cost): every job is scored at its batch's completion."""
+    value = instance.cost_value
     worst = max(
-        eval_cost(instance.job(j).cost, c)
+        value[j](c)
         for batch, c in zip(schedule.slots, schedule.completion)
         if batch
         for j in batch

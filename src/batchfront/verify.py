@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .bounded import form_batches, solve_reference
 from .frontier import ParetoFront, pareto_bounded, pareto_precedence
 from .generate import SplitMix64, gen_random
-from .model import Instance, objectives, validate
+from .model import Instance, InvariantError, objectives, validate
 from .oracle import EnumerationLimits, oracle_pareto
 
 # How often each size is drawn, relative to the others: enumeration cost
@@ -114,7 +114,7 @@ def check_bounded(instance: Instance, limits: EnumerationLimits = EnumerationLim
 
     try:
         front = pareto_bounded(instance, on_step=differential, check=True)
-    except AssertionError as err:
+    except (InvariantError, AssertionError) as err:
         return issues + [f"internal invariant failed: {err}"]
     issues += _check_frontier_shape(front, instance)
     issues += _check_against_oracle(front, instance, limits)
@@ -125,7 +125,7 @@ def check_precedence(instance: Instance, limits: EnumerationLimits = Enumeration
     """All precedence-path checks for one instance."""
     try:
         front = pareto_precedence(instance, check=True)
-    except AssertionError as err:
+    except (InvariantError, AssertionError) as err:
         return [f"internal invariant failed: {err}"]
     issues = _check_frontier_shape(front, instance)
     issues += _check_against_oracle(front, instance, limits)

@@ -1,3 +1,11 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
 from batchfront.admissible import AdmissibleSlots
 from batchfront.bounded import (
     UNBOUNDED,
@@ -6,9 +14,9 @@ from batchfront.bounded import (
     form_batches,
     solve_reference,
 )
-from batchfront.frontier import pareto_bounded
+from batchfront.frontier import pareto_bounded, pareto_bounded_naive
 from batchfront.generate import SplitMix64, gen_random
-from batchfront.model import Instance, Job, Lateness, objectives
+from batchfront.model import Instance, Job, Lateness, objectives, validate
 from batchfront.oracle import enumerate_feasible
 from batchfront.verify import check_bounded
 
@@ -189,3 +197,75 @@ def test_spent_solver_state_is_documented_behaviour(two_jobs):
     solver = BoundedSolver.initial(two_jobs)
     solver.solve(UNBOUNDED)
     assert solver.solve(0) is None  # spent; no further use
+
+
+def test_incremental_times_match_a_full_retime(two_jobs):
+    solver = BoundedSolver.initial(two_jobs)
+    solver.solve(UNBOUNDED)
+    solver.solve(3)  # opens a batch in the empty slot 1
+    slots = solver.schedule().slots
+    assert solver.completion == [0, 3, 8]
+    assert solver.load == [0, 1, 3]
+    assert solver.completion == batch_times([set()] + [set(s) for s in slots], two_jobs)[1]
+
+
+_CORRUPTED_LOAD = textwrap.dedent(
+    """
+    from batchfront import BoundedSolver, Instance, InvariantError, Job, Lateness, UNBOUNDED
+    from batchfront.verify import check_bounded
+
+    if __debug__:
+        raise SystemExit("expected to run under python -O")
+    inst = Instance(jobs=(Job(1, 1, Lateness(3)), Job(2, 3, Lateness(20))), setup=2, capacity=2)
+
+    # slot 1 is empty until solve(3) carries job 1 into it and retimes it
+    solver = BoundedSolver.initial(inst, check=True)
+    solver.solve(UNBOUNDED)
+    solver.load[1] += 1
+    try:
+        solver.solve(3)
+        print("solver: no error")
+    except InvariantError as err:
+        print(f"solver: {err}")
+
+    build = BoundedSolver.__init__
+
+    def corrupted(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        self.load[1] += 1
+
+    BoundedSolver.__init__ = corrupted
+    print(f"verify: {check_bounded(inst)}")
+    """
+)
+
+
+def test_check_mode_survives_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_LOAD], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    message = "incrementally retimed completions differ from a full retime"
+    assert done.stdout.splitlines() == [
+        f"solver: {message}",
+        f"verify: ['internal invariant failed: {message}']",
+    ]
+
+
+@pytest.mark.parametrize("profile", ["small", "paper"])
+@pytest.mark.parametrize("n", [60, 120, 200])
+def test_warm_sweep_matches_restarting_baseline_beyond_the_oracle(n, profile):
+    # sizes the oracle cannot reach; check=True runs every kernel invariant
+    # (incremental retime, hoist slot, rebuild equality) on each adjustment
+    for b in (2, n // 5):
+        inst = gen_random(n, seed=70_000 + n + b, profile=profile, capacity=b)
+        warm = pareto_bounded(inst, check=True)
+        naive = pareto_bounded_naive(inst)
+        assert warm.pairs() == naive.pairs()
+        assert [pt.schedule for pt in warm.points] == [pt.schedule for pt in naive.points]
+        assert warm.relocations <= n * (n - 1)
+        for pt in warm.points:
+            assert validate(pt.schedule, inst) == []
+            assert objectives(pt.schedule, inst) == (pt.makespan, pt.max_cost)

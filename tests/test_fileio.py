@@ -100,3 +100,53 @@ def test_load_error_carries_path(tmp_path):
     path.write_text("{", encoding="utf-8")
     with pytest.raises(InstanceError, match="broken.json:1:2"):
         load_instance(path)
+
+
+def _two_job_text(setup="2", capacity="2", second_id="2", second_p="3",
+                  second_cost='{"type": "lateness", "due": 20}', extra=""):
+    return (
+        f'{{"setup": {setup}, "capacity": {capacity}, "jobs": ['
+        '{"id": 1, "p": 1, "cost": {"type": "lateness", "due": 3}}, '
+        f'{{"id": {second_id}, "p": {second_p}, "cost": {second_cost}}}]{extra}}}'
+    )
+
+
+def test_integer_fields_parse_exactly(two_jobs):
+    assert parse_instance(_two_job_text()) == two_jobs
+
+
+@pytest.mark.parametrize(
+    "fields, location",
+    [
+        pytest.param({"setup": "2.9"}, "setup", id="setup-float"),
+        pytest.param({"second_id": "1.7"}, r"jobs\[1\]\.id", id="id-float"),
+        pytest.param({"second_p": '"3"'}, r"jobs\[1\]\.p", id="p-string"),
+        pytest.param({"second_p": "true"}, r"jobs\[1\]\.p", id="p-bool"),
+        pytest.param({"second_cost": '{"type": "lateness", "due": 20.0}'}, r"jobs\[1\]\.cost\.due", id="due-float"),
+        pytest.param({"second_cost": '{"type": "weighted_completion", "w": false}'}, r"jobs\[1\]\.cost\.w", id="w-bool"),
+        pytest.param({"second_cost": '{"type": "affine", "a": 1, "c": "-4"}'}, r"jobs\[1\]\.cost\.c", id="c-string"),
+        pytest.param(
+            {"second_cost": '{"type": "step", "breakpoints": [[0, 1], [5.5, 2]]}'},
+            r"jobs\[1\]\.cost\.breakpoints\[1\]\[0\]",
+            id="breakpoint-time-float",
+        ),
+        pytest.param(
+            {"second_cost": '{"type": "step", "breakpoints": [[0, true]]}'},
+            r"jobs\[1\]\.cost\.breakpoints\[0\]\[1\]",
+            id="breakpoint-value-bool",
+        ),
+        pytest.param(
+            {"capacity": '"unbounded"', "extra": ', "precedence": [[1, 2.0]]'}, r"precedence\[0\]", id="edge-float"
+        ),
+        pytest.param(
+            {"capacity": '"unbounded"', "extra": ', "precedence": [["1", 2]]'}, r"precedence\[0\]", id="edge-string"
+        ),
+        pytest.param(
+            {"capacity": '"unbounded"', "extra": ', "precedence": [[1, true]]'}, r"precedence\[0\]", id="edge-bool"
+        ),
+    ],
+)
+def test_non_integer_numbers_are_refused_with_their_location(fields, location):
+    # these used to be truncated silently: 2.9 -> 2, 1.7 -> 1, "3" -> 3, true -> 1
+    with pytest.raises(InstanceError, match=rf"<string>: {location}.* must be .*integer"):
+        parse_instance(_two_job_text(**fields))
