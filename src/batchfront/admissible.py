@@ -14,7 +14,7 @@ which keeps every selection deterministic.
 
 from __future__ import annotations
 
-from .model import Instance
+from .model import Instance, InvariantError
 
 
 class AdmissibleSlots:
@@ -62,7 +62,8 @@ class AdmissibleSlots:
     def move(self, job_id: int, to: int) -> None:
         """Relocate a job to a strictly lower group."""
         origin = self._limit[job_id]
-        assert 1 <= to < origin, f"job {job_id}: move {origin} -> {to} is not strictly left"
+        if not 1 <= to < origin:
+            raise InvariantError(f"job {job_id}: move {origin} -> {to} is not strictly left")
         self._groups[origin].remove(job_id)
         self._groups[to].add(job_id)
         self._limit[job_id] = to

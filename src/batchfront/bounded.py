@@ -187,7 +187,8 @@ class BoundedSolver:
         """Solver over unrestricted limits; the greedy fill never fails there."""
         limits = AdmissibleSlots.unrestricted(instance)
         slots = form_batches(instance, limits)
-        assert slots is not None
+        if slots is None:
+            raise InvariantError("the greedy fill failed on unrestricted limits")
         return cls(instance, limits, slots, trace, check)
 
     def solve(self, threshold) -> Schedule | None:

@@ -76,6 +76,9 @@ def _cost_from_obj(obj, where: str) -> CostSpec:
     for name in names:
         if name not in obj:
             raise InstanceError(f"{where}: cost type {kind!r} is missing field {name!r}")
+    unknown = set(obj) - {"type", *names}
+    if unknown:
+        raise InstanceError(f"{where}: cost type {kind!r} has unknown fields {sorted(unknown)}")
     if kind == "step":
         args = [_breakpoints(obj["breakpoints"], f"{where}.breakpoints")]
     else:
@@ -134,23 +137,21 @@ def parse_instance(text: str, source: str = "<string>") -> Instance:
         for name in ("id", "p"):
             if name not in row:
                 raise InstanceError(f"{where}: missing field {name!r}")
-        jobs.append(Job(
-            id=_int(row["id"], f"{where}.id"),
-            p=_int(row["p"], f"{where}.p"),
-            cost=_cost_from_obj(row.get("cost"), f"{where}.cost"),
-        ))
+        job_id = _int(row["id"], f"{where}.id")
+        p = _int(row["p"], f"{where}.p")
+        cost = _cost_from_obj(row.get("cost"), f"{where}.cost")
+        try:
+            jobs.append(Job(job_id, p, cost))
+        except InstanceError as err:
+            raise InstanceError(f"{where}.p: {err}") from None
 
     edges = doc.get("precedence", [])
-    if not isinstance(edges, list):
-        raise InstanceError(f"{source}: \"precedence\" must be an array of [pred, succ] pairs")
-    parsed_edges = []
-    for idx, pair in enumerate(edges):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise InstanceError(f"{source}: precedence[{idx}] must be a [pred, succ] pair")
-        a, b = pair
-        if type(a) is not int or type(b) is not int:
-            raise InstanceError(f"{source}: precedence[{idx}] endpoints must be integers, got {json.dumps(pair)}")
-        parsed_edges.append((a, b))
+    if not (isinstance(edges, list) and set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}):
+        if not isinstance(edges, list):
+            raise InstanceError(f"{source}: \"precedence\" must be an array of [pred, succ] pairs")
+        for idx, pair in enumerate(edges):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise InstanceError(f"{source}: precedence[{idx}] must be a [pred, succ] pair")
 
     setup = _int(doc["setup"], f"{source}: setup")
     try:
@@ -158,7 +159,7 @@ def parse_instance(text: str, source: str = "<string>") -> Instance:
             jobs=tuple(jobs),
             setup=setup,
             capacity=capacity,
-            precedence=tuple(parsed_edges),
+            precedence=edges,
         )
     except InstanceError as err:
         raise InstanceError(f"{source}: {err}") from None

@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 
 from .admissible import AdmissibleSlots
 from .bounded import UNBOUNDED, BoundedSolver, Trace, solve_reference
-from .model import Instance, InstanceError, Schedule, objectives
+from .model import Instance, InstanceError, InvariantError, Schedule, objectives
 from .precedence import PrecedenceSolver
 
 # on_step(limits before the call, threshold, result or None, limits after):
@@ -80,8 +80,11 @@ def _sweep(instance: Instance, solver, on_step: StepHook | None) -> ParetoFront:
         if on_step:
             on_step(before, threshold, schedule, solver.limits)
         if schedule is None:
-            assert prev is not None, "the uncapped solve cannot fail on a valid instance"
+            if prev is None:
+                raise InvariantError("the uncapped solve failed on a valid instance")
             points.append(prev)
+            if len(points) > instance.n:
+                raise InvariantError(f"{len(points)} frontier points for {instance.n} jobs")
             return ParetoFront(
                 points=tuple(points),
                 min_cost_schedule=prev.schedule,
@@ -89,7 +92,8 @@ def _sweep(instance: Instance, solver, on_step: StepHook | None) -> ParetoFront:
                 threshold_steps=steps,
             )
         makespan, max_cost = objectives(schedule, instance)
-        assert max_cost < threshold
+        if not max_cost < threshold:
+            raise InvariantError(f"max cost {max_cost} is not below the threshold {threshold}")
         if prev is not None and makespan > prev.makespan:
             points.append(prev)
         prev = ParetoPoint(makespan, max_cost, schedule)
@@ -106,9 +110,7 @@ def pareto_bounded(
     if not instance.bounded:
         raise InstanceError("bounded frontier requires an instance with integer capacity")
     solver = BoundedSolver.initial(instance, trace=trace, check=check)
-    front = _sweep(instance, solver, on_step)
-    assert len(front.points) <= instance.n
-    return front
+    return _sweep(instance, solver, on_step)
 
 
 def pareto_bounded_naive(instance: Instance) -> ParetoFront:
@@ -131,9 +133,7 @@ def pareto_bounded_naive(instance: Instance) -> ParetoFront:
             self.limits.relocations += fresh.relocations
             return result
 
-    front = _sweep(instance, _Restarting(), None)
-    assert len(front.points) <= instance.n
-    return front
+    return _sweep(instance, _Restarting(), None)
 
 
 def pareto_precedence(
@@ -146,9 +146,7 @@ def pareto_precedence(
     if instance.bounded:
         raise InstanceError("precedence frontier requires unbounded capacity")
     solver = PrecedenceSolver.initial(instance, trace=trace, check=check)
-    front = _sweep(instance, solver, on_step)
-    assert len(front.points) <= instance.n
-    return front
+    return _sweep(instance, solver, on_step)
 
 
 def pareto_front(

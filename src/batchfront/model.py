@@ -13,8 +13,10 @@ against strict thresholds, so floating point is never used here.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Union
 
 
@@ -86,18 +88,24 @@ class StepTable:
     """Piecewise-constant cost given by (time, value) breakpoints.
 
     The value at t is the value of the last breakpoint whose time is <= t;
-    below the first breakpoint the first value applies.  Times must be
-    strictly increasing and values non-decreasing, which keeps evaluation
-    monotone.
+    below the first breakpoint the first value applies.  Times and values
+    must be integers (floats and booleans are refused, never truncated),
+    times strictly increasing and values non-decreasing, which keeps
+    evaluation monotone.
     """
 
     breakpoints: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        bps = tuple((int(t), int(v)) for t, v in self.breakpoints)
+        bps = tuple(map(tuple, self.breakpoints))
         object.__setattr__(self, "breakpoints", bps)
         if not bps:
             raise InstanceError("step cost needs at least one breakpoint")
+        for k, bp in enumerate(bps):
+            if len(bp) != 2 or type(bp[0]) is not int or type(bp[1]) is not int:
+                raise InstanceError(
+                    f"step cost breakpoint {k} must be a (time, value) pair of integers, got {bp!r}"
+                )
         for (t1, v1), (t2, v2) in zip(bps, bps[1:]):
             if t2 <= t1:
                 raise InstanceError("step cost breakpoint times must be strictly increasing")
@@ -128,6 +136,19 @@ class Job:
             raise InstanceError(f"job {self.id}: processing time must be >= 1, got {self.p}")
 
 
+def _edge_pairs(precedence) -> tuple[tuple[int, int], ...]:
+    """The edges as integer pairs, never truncated; the first bad edge is
+    looked for, and named, only when a whole-list test fails."""
+    edges = tuple(map(tuple, precedence))
+    if not (set(map(len, edges)) <= {2} and set(map(type, chain.from_iterable(edges))) <= {int}):
+        for k, edge in enumerate(edges):
+            if len(edge) != 2:
+                raise InstanceError(f"precedence[{k}] must be a [pred, succ] pair")
+            if type(edge[0]) is not int or type(edge[1]) is not int:
+                raise InstanceError(f"precedence[{k}] endpoints must be integers, got {json.dumps(edge, default=repr)}")
+    return edges
+
+
 @dataclass(frozen=True)
 class Instance:
     """A job set plus setup time, capacity mode, and optional precedence.
@@ -141,7 +162,9 @@ class Instance:
     the solvers' loops read job data from: ``p[j]`` is the processing time,
     ``cost_value[j](t)`` the cost of completing at t (the bound ``value``
     method of the job's cost spec) and ``keys[j]`` the priority key that
-    ``sort_key`` returns.
+    ``sort_key`` returns.  ``preds[j]``/``succs[j]`` (read-only lists) hold
+    the distinct edges in input order and ``layer[j]`` the sink layer that
+    ``layered_limits`` starts the job in; without edges these are constants.
     """
 
     jobs: tuple[Job, ...]
@@ -152,7 +175,7 @@ class Instance:
     def __post_init__(self):
         jobs = tuple(sorted(self.jobs, key=lambda j: j.id))
         object.__setattr__(self, "jobs", jobs)
-        edges = tuple((int(a), int(b)) for a, b in self.precedence)
+        edges = _edge_pairs(self.precedence) if self.precedence else ()
         object.__setattr__(self, "precedence", edges)
         n = len(jobs)
         if n == 0:
@@ -169,33 +192,42 @@ class Instance:
                     "precedence edges are not supported with bounded capacity; "
                     "use \"unbounded\" capacity for precedence instances"
                 )
-        for a, b in edges:
-            if not (1 <= a <= n and 1 <= b <= n) or a == b:
-                raise InstanceError(f"bad precedence edge ({a}, {b})")
-        if edges:
-            self._check_acyclic(n, edges)
         object.__setattr__(self, "keys", (None, *((j.p, -j.id) for j in jobs)))
         object.__setattr__(self, "p", (0, *(j.p for j in jobs)))
         object.__setattr__(self, "cost_value", (None, *(j.cost.value for j in jobs)))
-
-    @staticmethod
-    def _check_acyclic(n: int, edges) -> None:
-        succs: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-        indeg = {v: 0 for v in range(1, n + 1)}
-        for a, b in edges:
+        if not edges:
+            no_edges = ([],) * (n + 1)
+            object.__setattr__(self, "preds", no_edges)
+            object.__setattr__(self, "succs", no_edges)
+            object.__setattr__(self, "layer", (0,) + (n,) * n)
+            return
+        preds: list[list[int]] = [[] for _ in range(n + 1)]
+        succs: list[list[int]] = [[] for _ in range(n + 1)]
+        for a, b in dict.fromkeys(edges):
+            if not (0 < a <= n and 0 < b <= n) or a == b:
+                raise InstanceError(f"bad precedence edge ({a}, {b})")
             succs[a].append(b)
-            indeg[b] += 1
-        ready = [v for v, d in indeg.items() if d == 0]
-        seen = 0
-        while ready:
-            v = ready.pop()
-            seen += 1
-            for w in succs[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-        if seen < n:
+            preds[b].append(a)
+        # peel sink sets: layer n, then n-1, ...; a job never peeled is on a cycle
+        outdeg = list(map(len, succs))
+        layer = [0] * (n + 1)
+        current = [v for v in range(1, n + 1) if not outdeg[v]]
+        depth = n
+        while current:
+            nxt = []
+            for v in current:
+                layer[v] = depth
+                for u in preds[v]:
+                    outdeg[u] -= 1
+                    if not outdeg[u]:
+                        nxt.append(u)
+            depth -= 1
+            current = nxt
+        if not all(layer[1:]):
             raise InstanceError("precedence edges contain a cycle")
+        object.__setattr__(self, "preds", tuple(preds))
+        object.__setattr__(self, "succs", tuple(succs))
+        object.__setattr__(self, "layer", tuple(layer))
 
     @property
     def n(self) -> int:

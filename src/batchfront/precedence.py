@@ -26,25 +26,17 @@ class PrecGraph:
     """Jobs as vertices and strict-precedence edges, stored both ways.
 
     ``preds(j)`` lists direct predecessors (the inverse adjacency, which is
-    what the solver propagates over) and ``succs(j)`` direct successors.
-    Built from an ``Instance``, which has already checked that the edges
-    name real jobs and form a DAG; repeated edges are kept once.  Edges may
-    form any DAG relation, not necessarily the covering relation;
-    propagation over redundant edges is only extra work, never wrong.
+    what the solver propagates over) and ``succs(j)`` direct successors, in
+    input order with repeated edges kept once: a view over the tables the
+    ``Instance`` built when it checked the edges.  Edges may form any DAG
+    relation, not necessarily the covering relation; propagation over
+    redundant edges is only extra work, never wrong.
     """
 
     def __init__(self, instance: Instance):
-        n = instance.n
-        self._succs: list[list[int]] = [[] for _ in range(n + 1)]
-        self._preds: list[list[int]] = [[] for _ in range(n + 1)]
-        seen = set()
-        for a, b in instance.precedence:
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            self._succs[a].append(b)
-            self._preds[b].append(a)
-        self.edge_count = len(seen)
+        self._succs = instance.succs
+        self._preds = instance.preds
+        self.edge_count = sum(map(len, instance.succs))
 
     def preds(self, job_id: int) -> list[int]:
         return self._preds[job_id]
@@ -54,32 +46,15 @@ class PrecGraph:
 
 
 def layered_limits(instance: Instance, graph: PrecGraph) -> AdmissibleSlots:
-    """Initial groups honoring precedence: peel sink sets right to left.
+    """Initial groups honoring precedence: the sink layers of ``Instance``.
 
     Group n takes the sinks of the DAG, group n-1 the sinks of what remains,
     and so on; lower groups stay empty once every job is placed.  Every
     predecessor ends up in a strictly lower group than each of its
-    successors, and the nonempty groups form a suffix.
+    successors, and the nonempty groups form a suffix.  The layering is
+    the instance's own; ``graph`` is not read.
     """
-    n = instance.n
-    outdeg = [0] * (n + 1)
-    for v in range(1, n + 1):
-        outdeg[v] = len(graph.succs(v))
-    current = [v for v in range(1, n + 1) if outdeg[v] == 0]
-    limits: dict[int, int] = {}
-    group = n
-    while current:
-        nxt = []
-        for v in current:
-            limits[v] = group
-            for p in graph.preds(v):
-                outdeg[p] -= 1
-                if outdeg[p] == 0:
-                    nxt.append(p)
-        group -= 1
-        current = nxt
-    assert len(limits) == n  # acyclic, so peeling reaches every job
-    return AdmissibleSlots(instance, limits)
+    return AdmissibleSlots(instance, dict(enumerate(instance.layer[1:], start=1)))
 
 
 class PrecedenceSolver:

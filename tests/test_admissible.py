@@ -2,7 +2,7 @@ import pytest
 
 from batchfront.admissible import AdmissibleSlots
 from batchfront.generate import SplitMix64, gen_random
-from batchfront.model import Instance, Job, Lateness
+from batchfront.model import Instance, InvariantError, Job, Lateness
 
 
 def _inst(ps):
@@ -29,9 +29,9 @@ class TestAdmissibleSlots:
         slots.move(1, 1)
         assert slots.limit(1) == 1
         assert slots.relocations == 1
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError):
             slots.move(2, 3)  # same index
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError):
             slots.move(1, 2)  # rightward
         slots.move(2, 2)
         slots.move(2, 1)

@@ -150,3 +150,23 @@ def test_non_integer_numbers_are_refused_with_their_location(fields, location):
     # these used to be truncated silently: 2.9 -> 2, 1.7 -> 1, "3" -> 3, true -> 1
     with pytest.raises(InstanceError, match=rf"<string>: {location}.* must be .*integer"):
         parse_instance(_two_job_text(**fields))
+
+
+def test_job_construction_errors_name_the_field():
+    # used to read "job 2: processing time must be >= 1, got 0", with no source or field
+    with pytest.raises(InstanceError, match=r"^input\.json: jobs\[1\]\.p: .*processing time must be >= 1, got 0$"):
+        parse_instance(_two_job_text(second_p="0"), source="input.json")
+
+
+@pytest.mark.parametrize(
+    "cost, field",
+    [
+        pytest.param('{"type": "lateness", "due": 5, "dew": 3}', "dew", id="lateness-typo"),
+        pytest.param('{"type": "affine", "a": 1, "c": 2, "w": 3}', "w", id="affine-extra"),
+        pytest.param('{"type": "step", "breakpoints": [[0, 1]], "due": 4}', "due", id="step-extra"),
+    ],
+)
+def test_unknown_cost_fields_are_refused(cost, field):
+    # these used to parse, silently dropping the field
+    with pytest.raises(InstanceError, match=rf"<string>: jobs\[1\]\.cost: .*unknown fields \['{field}'\]"):
+        parse_instance(_two_job_text(second_cost=cost))

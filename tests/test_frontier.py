@@ -1,13 +1,24 @@
 import pytest
 
+from batchfront.admissible import AdmissibleSlots
 from batchfront.frontier import (
+    _sweep,
     pareto_bounded,
     pareto_bounded_naive,
     pareto_front,
     pareto_precedence,
 )
 from batchfront.generate import gen_random
-from batchfront.model import Instance, InstanceError, Job, Lateness, objectives, validate
+from batchfront.model import (
+    Instance,
+    InstanceError,
+    InvariantError,
+    Job,
+    Lateness,
+    objectives,
+    timetable,
+    validate,
+)
 from batchfront.oracle import oracle_pareto
 
 
@@ -105,3 +116,23 @@ def test_naive_restart_matches_warm_sweep():
     for seed in range(40):
         inst = gen_random(2 + seed % 6, seed=70_000 + seed, profile="small")
         assert pareto_bounded(inst).pairs() == pareto_bounded_naive(inst).pairs()
+
+
+class _StubSolver:
+    """Answers every threshold with the same fixed result."""
+
+    def __init__(self, instance, result):
+        self.limits = AdmissibleSlots.unrestricted(instance)
+        self.result = result
+
+    def solve(self, threshold):
+        return self.result
+
+
+def test_sweep_invariants_are_not_asserts(two_jobs):
+    # plain asserts, which python -O strips, guarded these two before
+    with pytest.raises(InvariantError, match="uncapped solve failed"):
+        _sweep(two_jobs, _StubSolver(two_jobs, None), None)
+    same_schedule = timetable([(), (1, 2)], two_jobs)  # max cost 3 at every threshold
+    with pytest.raises(InvariantError, match="max cost 3 is not below the threshold 3"):
+        _sweep(two_jobs, _StubSolver(two_jobs, same_schedule), None)

@@ -48,6 +48,21 @@ def test_cost_spec_validation():
         StepTable(breakpoints=())
 
 
+
+@pytest.mark.parametrize(
+    "breakpoints",
+    [
+        pytest.param(((1.9, 2.5),), id="floats"),
+        pytest.param(((0, 1), (5, 2.0)), id="float-value"),
+        pytest.param(((True, 1),), id="bool-time"),
+        pytest.param(((0, 1, 2),), id="triple"),
+    ],
+)
+def test_step_breakpoints_must_be_integer_pairs(breakpoints):
+    # (1.9, 2.5) used to be truncated to (1, 2)
+    with pytest.raises(InstanceError, match="breakpoint .* must be a .time, value. pair of integers"):
+        StepTable(breakpoints=breakpoints)
+
 def _step_from(deltas):
     t, v, bps = 0, -5, []
     for dt, dv in deltas:

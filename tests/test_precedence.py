@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from batchfront.bounded import UNBOUNDED
-from batchfront.fileio import parse_instance
+from batchfront.fileio import emit_instance, parse_instance
 from batchfront.generate import gen_random
 from batchfront.model import Instance, InstanceError, Job, Lateness, objectives, validate
 from batchfront.precedence import PrecedenceSolver, PrecGraph, layered_limits
@@ -15,6 +17,75 @@ def _chain(n, s=1, p=1, due=100):
         capacity=None,
         precedence=tuple((i, i + 1) for i in range(1, n)),
     )
+
+
+def _three_jobs(edges):
+    return Instance(
+        jobs=tuple(Job(i, 1, Lateness(5)) for i in (1, 2, 3)),
+        setup=1,
+        capacity=None,
+        precedence=edges,
+    )
+
+
+def _three_jobs_text(edges):
+    doc = json.loads(emit_instance(_three_jobs(())))
+    doc["precedence"] = edges
+    return json.dumps(doc)
+
+
+# One row per malformed edge list: the edges as JSON would give them, and
+# the InstanceError text both Instance(...) and parse_instance must report.
+EDGE_ERRORS = [
+    pytest.param([[1, 2.0]], r"precedence\[0\] endpoints must be integers, got \[1, 2\.0\]", id="float"),
+    pytest.param([[1, 2], [True, 3]], r"precedence\[1\] endpoints must be integers, got \[true, 3\]", id="bool"),
+    pytest.param([[1, 2], [1, 2, 3]], r"precedence\[1\] must be a \[pred, succ\] pair", id="triple"),
+    pytest.param([[1, 2], [3, 3]], r"bad precedence edge \(3, 3\)", id="self-loop"),
+    pytest.param([[1, 2], [0, 1]], r"bad precedence edge \(0, 1\)", id="id-zero"),
+    pytest.param([[1, 4], [-1, 2]], r"bad precedence edge \(1, 4\)", id="id-too-large-first"),
+    pytest.param([[1, 2], [2, 3], [3, 1]], r"precedence edges contain a cycle", id="cycle"),
+    pytest.param([[1, 2], [1, 2], [2, 1]], r"precedence edges contain a cycle", id="cycle-with-repeat"),
+]
+
+
+@pytest.mark.parametrize("edges, message", EDGE_ERRORS)
+def test_bad_edges_are_refused_by_instance(edges, message):
+    with pytest.raises(InstanceError, match=rf"^{message}$"):
+        _three_jobs(edges)
+
+
+@pytest.mark.parametrize("edges, message", EDGE_ERRORS)
+def test_bad_edges_are_refused_by_the_parser(edges, message):
+    with pytest.raises(InstanceError, match=rf"^<string>: {message}$"):
+        parse_instance(_three_jobs_text(edges))
+
+
+def _reference_layers(n, edges):
+    """Sink layers by the definition: repeatedly strip the jobs that have no
+    successor left, numbering the strips n, n-1, ..."""
+    left = set(range(1, n + 1))
+    layer = {}
+    depth = n
+    while left:
+        sinks = {v for v in left if not any(a == v and b in left for a, b in edges)}
+        assert sinks, "cyclic input"
+        for v in sinks:
+            layer[v] = depth
+        left -= sinks
+        depth -= 1
+    return [0] + [layer[v] for v in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 17, 33, 60])
+def test_layers_match_a_reference_sink_peel(n):
+    for seed in range(6):
+        base = gen_random(n, seed=seed, profile="prec")
+        edges = base.precedence + base.precedence[::3]  # every third edge repeated
+        inst = Instance(jobs=base.jobs, setup=base.setup, capacity=None, precedence=edges)
+        want = _reference_layers(n, edges)
+        assert list(inst.layer) == want
+        limits = layered_limits(inst, PrecGraph(inst))
+        assert [0] + [limits.limit(j) for j in range(1, n + 1)] == want
 
 
 class TestPrecGraph:
@@ -47,6 +118,20 @@ class TestPrecGraph:
         assert graph.edge_count == 1
         assert graph.succs(1) == [2]
         assert graph.preds(2) == [1]
+
+    def test_input_order_kept_and_repeats_dropped(self):
+        inst = Instance(
+            jobs=tuple(Job(i, 1, Lateness(5)) for i in (1, 2, 3, 4)),
+            setup=1,
+            capacity=None,
+            precedence=((1, 4), (1, 3), (2, 4), (1, 4), (1, 2), (1, 3), (3, 4)),
+        )
+        graph = PrecGraph(inst)
+        assert graph.edge_count == 5
+        assert graph.succs(1) == [4, 3, 2]
+        assert graph.preds(4) == [1, 2, 3]
+        assert graph.succs(4) == [] and graph.preds(1) == []
+        assert inst.precedence[3] == (1, 4)  # the instance keeps its edges as given
 
 
 class TestLayering:
