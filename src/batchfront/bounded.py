@@ -25,7 +25,7 @@ import heapq
 from typing import Callable
 
 from .admissible import AdmissibleSlots
-from .model import Instance, InvariantError, Schedule, eval_cost, timetable
+from .model import Instance, InvariantError, Schedule, batch_times, eval_cost, timetable
 
 Trace = Callable[[str], None]
 
@@ -67,27 +67,6 @@ def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[set[int]] 
     if pool:
         return None  # prefix groups exceed prefix capacity
     return slots
-
-
-def batch_times(slots: list[set[int]], instance: Instance) -> tuple[list[int], list[int]]:
-    """No-idle start/completion times for 1-based slot sets."""
-    n = instance.n
-    p = instance.p
-    start = [0] * (n + 1)
-    completion = [0] * (n + 1)
-    t = 0
-    for i in range(1, n + 1):
-        if slots[i]:
-            start[i] = t + instance.setup
-            t = start[i] + sum(p[j] for j in slots[i])
-        else:
-            start[i] = t
-        completion[i] = t
-    return start, completion
-
-
-def _snapshot(slots: list[set[int]], instance: Instance) -> Schedule:
-    return timetable(slots[1:], instance)
 
 
 def tolerated_slot(value: Callable[[int], int], completion: list[int], i: int, threshold) -> int:
@@ -133,7 +112,7 @@ def solve_reference(instance: Instance, limits: AdmissibleSlots, threshold) -> S
                 lim.move(j, target)
                 moved = True
         if not moved:
-            return _snapshot(slots, instance)
+            return timetable(slots[1:], instance)
         if not lim.prefix_capacity_ok(cap):
             return None
 
@@ -160,7 +139,8 @@ class BoundedSolver:
     the incrementally kept completion times equal a full retime, no
     completion moved earlier, and the standing schedule equals the greedy
     rebuild of the current limits.  That costs O(n log n) per adjustment and
-    is meant for the verification harness.
+    is meant for the verification harness.  Every snapshot it returns is
+    also checked against a ``timetable`` of its own slots.
     """
 
     def __init__(
@@ -200,11 +180,18 @@ class BoundedSolver:
             if outcome is None:
                 return None
             if not outcome:
-                return _snapshot(self.slots, self.instance)
+                return self.schedule()
 
     def schedule(self) -> Schedule:
-        """The standing schedule as an immutable snapshot."""
-        return _snapshot(self.slots, self.instance)
+        """The standing schedule as an immutable snapshot, timed from the
+        held completions: a nonempty slot starts one setup after its
+        predecessor completes, an empty one when it completes itself."""
+        slots, completion, setup = self.slots, self.completion, self.instance.setup
+        start = (completion[i - 1] + setup if slots[i] else completion[i] for i in range(1, len(slots)))
+        snapshot = Schedule(tuple(map(frozenset, slots[1:])), tuple(start), tuple(completion[1:]))
+        if self.check and snapshot != timetable(slots[1:], self.instance):
+            raise InvariantError("snapshot differs from a timetable of its slots")
+        return snapshot
 
     def _adjust_pass(self, threshold) -> bool | None:
         """One descending sweep over the nonempty slots.

@@ -281,45 +281,73 @@ class Schedule:
         return [tuple(sorted(batch)) for batch in self.slots if batch]
 
 
+def batch_times(slots, instance: Instance) -> tuple[list[int], list[int]]:
+    """No-idle start/completion times for 1-based slot sets (index 0 unused)."""
+    n = instance.n
+    p = instance.p
+    start = [0] * (n + 1)
+    completion = [0] * (n + 1)
+    t = 0
+    for i in range(1, n + 1):
+        if slots[i]:
+            start[i] = t + instance.setup
+            t = start[i] + sum(p[j] for j in slots[i])
+        else:
+            start[i] = t
+        completion[i] = t
+    return start, completion
+
+
+def _shape_problems(slots, instance: Instance) -> list[str]:
+    """The capacity, empty-prefix and partition problems of slot sets
+    (slot i at index i - 1), in the order ``validate`` reports them; []
+    when they lay out the job set 1..n as a schedule."""
+    n = instance.n
+    if len(slots) != n:
+        return [f"expected {n} slots, got {len(slots)}"]
+    problems: list[str] = []
+    cap = instance.effective_capacity
+    seen_nonempty = False
+    total = 0
+    for i, batch in enumerate(slots, start=1):
+        if batch:
+            seen_nonempty = True
+            if len(batch) > cap:
+                problems.append(f"slot {i}: {len(batch)} jobs exceed capacity {cap}")
+            total += len(batch)
+        elif seen_nonempty:
+            problems.append(f"slot {i}: empty slot after a nonempty one")
+    jobs = set(range(1, n + 1))
+    if total == n and jobs.issubset(chain.from_iterable(slots)):
+        return problems
+    placed: dict[int, int] = {}
+    for i, batch in enumerate(slots, start=1):
+        for j in batch:
+            if j in placed:
+                problems.append(f"job {j}: appears in slots {placed[j]} and {i}")
+            placed[j] = i
+    if missing := sorted(jobs - placed.keys()):
+        problems.append(f"jobs missing from the schedule: {missing}")
+    if extra := sorted(placed.keys() - jobs):
+        problems.append(f"unknown job ids in the schedule: {extra}")
+    return problems
+
+
 def timetable(slots: Iterable[Iterable[int]], instance: Instance) -> Schedule:
     """Attach start/completion times to slot contents.
 
     Expects exactly n slots partitioning the job set, all empty slots first
     and at most ``effective_capacity`` jobs per slot; anything else raises
-    ScheduleError.  Retimetabling a schedule's own slots reproduces its
-    times exactly (the operation is idempotent).
+    ScheduleError with the first problem ``validate`` would report.
+    Retimetabling a schedule's own slots reproduces its times exactly (the
+    operation is idempotent).
     """
     filled = tuple(frozenset(batch) for batch in slots)
-    n = instance.n
-    if len(filled) != n:
-        raise ScheduleError(f"expected {n} slots, got {len(filled)}")
-    cap = instance.effective_capacity
-    seen_nonempty = False
-    total = 0
-    for i, batch in enumerate(filled, start=1):
-        if batch:
-            seen_nonempty = True
-            if len(batch) > cap:
-                raise ScheduleError(f"slot {i} holds {len(batch)} jobs, capacity is {cap}")
-            total += len(batch)
-        elif seen_nonempty:
-            raise ScheduleError(f"empty slot {i} after a nonempty slot")
-    if total != n or frozenset().union(*filled) != frozenset(range(1, n + 1)):
-        raise ScheduleError("slots must partition the job set 1..n")
-
-    p = instance.p
-    start = []
-    completion = []
-    t = 0
-    for batch in filled:
-        if batch:
-            s = t + instance.setup
-            t = s + sum(p[j] for j in batch)
-        else:
-            s = t
-        start.append(s)
-        completion.append(t)
-    return Schedule(filled, tuple(start), tuple(completion))
+    problems = _shape_problems(filled, instance)
+    if problems:
+        raise ScheduleError(problems[0])
+    start, completion = batch_times((frozenset(), *filled), instance)
+    return Schedule(filled, tuple(start[1:]), tuple(completion[1:]))
 
 
 def objectives(schedule: Schedule, instance: Instance) -> tuple[int, int]:
@@ -343,35 +371,10 @@ def validate(schedule: Schedule, instance: Instance) -> list[str]:
     successor starts is the same as its slot index being strictly smaller,
     so precedence is checked on slot indices.
     """
-    problems: list[str] = []
-    n = instance.n
-    if len(schedule.slots) != n:
-        return [f"expected {n} slots, got {len(schedule.slots)}"]
-
-    cap = instance.effective_capacity
-    seen_nonempty = False
-    for i, batch in enumerate(schedule.slots, start=1):
-        if batch:
-            seen_nonempty = True
-            if len(batch) > cap:
-                problems.append(f"slot {i}: {len(batch)} jobs exceed capacity {cap}")
-        elif seen_nonempty:
-            problems.append(f"slot {i}: empty slot after a nonempty one")
-
-    placed: dict[int, int] = {}
-    for i, batch in enumerate(schedule.slots, start=1):
-        for j in batch:
-            if j in placed:
-                problems.append(f"job {j}: appears in slots {placed[j]} and {i}")
-            placed[j] = i
-    missing = set(range(1, n + 1)) - placed.keys()
-    extra = placed.keys() - set(range(1, n + 1))
-    if missing:
-        problems.append(f"jobs missing from the schedule: {sorted(missing)}")
-    if extra:
-        problems.append(f"unknown job ids in the schedule: {sorted(extra)}")
-
-    if not missing and not extra:
+    slots = schedule.slots
+    problems = _shape_problems(slots, instance)
+    placed = {j: i for i, batch in enumerate(slots, start=1) for j in batch}
+    if len(slots) == instance.n and placed.keys() == set(range(1, instance.n + 1)):
         for pred, succ in instance.precedence:
             if placed[pred] >= placed[succ]:
                 problems.append(

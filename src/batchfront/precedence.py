@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Callable
 
 from .admissible import AdmissibleSlots
-from .bounded import batch_times, tolerated_slot
-from .model import Instance, InvariantError, Schedule, timetable
+from .bounded import tolerated_slot
+from .model import Instance, InvariantError, Schedule, batch_times, timetable
 from .model import eval_cost  # noqa: F401 - unused here; perfbench/tracer.py counts calls through this name
 
 Trace = Callable[[str], None]
@@ -65,7 +65,9 @@ class PrecedenceSolver:
     ``bounds`` records where propagation says each job must eventually go;
     it re-syncs with group membership at every entry (the two provably
     coincide whenever a solve converges) and dips below it only while
-    successors' moves are still being worked off.
+    successors' moves are still being worked off.  With ``check=True`` it
+    raises InvariantError when a batch completion moves earlier between
+    passes or a snapshot differs from a ``timetable`` of its slots.
     """
 
     def __init__(
@@ -100,15 +102,14 @@ class PrecedenceSolver:
         strict cost cap, or None when none exists."""
         instance = self.instance
         n = instance.n
-        for j in range(1, n + 1):
-            self.bounds[j] = self.limits.limit(j)
+        self.bounds[:] = self.limits.table
         last_completion: list[int] | None = None
         while True:
             # Batches are exactly the groups; an empty group between
             # nonempty ones would make the layout invalid, but moves only
             # ever land on occupied slots or directly under the occupied
             # suffix, so the structure stays a suffix throughout.
-            slots = [set(self.limits.members(i)) for i in range(n + 1)]
+            slots = [self.limits.members(i) for i in range(n + 1)]
             self.passes += 1
             start, completion = batch_times(slots, instance)
             if self.check and last_completion is not None:
@@ -120,9 +121,12 @@ class PrecedenceSolver:
             if outcome is None:
                 return None
             if not outcome:
-                return timetable(slots[1:], instance)
+                snapshot = Schedule(tuple(map(frozenset, slots[1:])), tuple(start[1:]), tuple(completion[1:]))
+                if self.check and snapshot != timetable(slots[1:], instance):
+                    raise InvariantError("snapshot differs from a timetable of its slots")
+                return snapshot
 
-    def _sweep(self, slots: list[set[int]], completion: list[int], threshold) -> bool | None:
+    def _sweep(self, slots: list[list[int]], completion: list[int], threshold) -> bool | None:
         """One descending pass over the formed batches.
 
         Jobs are judged against this pass's times; group membership changes

@@ -16,7 +16,7 @@ from batchfront.bounded import (
 )
 from batchfront.frontier import pareto_bounded, pareto_bounded_naive
 from batchfront.generate import SplitMix64, gen_random
-from batchfront.model import Instance, Job, Lateness, objectives, validate
+from batchfront.model import Instance, InvariantError, Job, Lateness, objectives, validate
 from batchfront.oracle import enumerate_feasible
 from batchfront.verify import check_bounded
 
@@ -269,3 +269,13 @@ def test_warm_sweep_matches_restarting_baseline_beyond_the_oracle(n, profile):
         for pt in warm.points:
             assert validate(pt.schedule, inst) == []
             assert objectives(pt.schedule, inst) == (pt.makespan, pt.max_cost)
+
+
+def test_check_mode_catches_a_snapshot_off_its_times(two_jobs):
+    solver = BoundedSolver.initial(two_jobs, check=True)
+    solver.completion[2] += 1  # the uncapped solve adjusts nothing, so only the snapshot can notice
+    with pytest.raises(InvariantError, match="^snapshot differs from a timetable of its slots$"):
+        solver.solve(UNBOUNDED)
+    unchecked = BoundedSolver.initial(two_jobs)
+    unchecked.completion[2] += 1
+    assert unchecked.solve(UNBOUNDED).makespan == 7

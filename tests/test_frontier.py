@@ -136,3 +136,26 @@ def test_sweep_invariants_are_not_asserts(two_jobs):
     same_schedule = timetable([(), (1, 2)], two_jobs)  # max cost 3 at every threshold
     with pytest.raises(InvariantError, match="max cost 3 is not below the threshold 3"):
         _sweep(two_jobs, _StubSolver(two_jobs, same_schedule), None)
+
+
+def _sweep_cases(profile, n):
+    for seed in (1, 2, 3):
+        if profile == "prec":
+            yield pareto_precedence, gen_random(n, seed, profile="prec")
+        else:
+            for b in (2, n // 5):
+                yield pareto_bounded, gen_random(n, seed, profile=profile, capacity=b)
+
+
+@pytest.mark.parametrize("n", [5, 9, 17, 33, 60])
+@pytest.mark.parametrize("profile", ["small", "paper", "prec"])
+def test_solver_snapshots_equal_a_timetable_of_their_slots(profile, n):
+    # with check mode off, the solvers time their snapshots from the state
+    # they hold; every threshold step's schedule must still be exactly what
+    # timetable makes of its slots
+    for sweep, inst in _sweep_cases(profile, n):
+        snapshots = []
+        front = sweep(inst, on_step=lambda before, y, sched, after: snapshots.append(sched))
+        assert snapshots[-1] is None and len(snapshots) == front.threshold_steps
+        for sched in snapshots[:-1]:
+            assert sched == timetable(sched.slots, inst)

@@ -8,6 +8,7 @@ from batchfront.model import (
     InstanceError,
     Job,
     Lateness,
+    Schedule,
     ScheduleError,
     StepTable,
     Tardiness,
@@ -219,3 +220,30 @@ def test_validate_reports_violations(fork):
         completion=(2, 2, 5),
     )
     assert any("empty slot" in msg for msg in validate(gap, three))
+
+
+_THREE_CAP_TWO = Instance(
+    jobs=(Job(1, 1, Lateness(1)), Job(2, 1, Lateness(1)), Job(3, 1, Lateness(1))),
+    setup=1,
+    capacity=2,
+)
+
+
+@pytest.mark.parametrize(
+    "slots, first",
+    [
+        ([(), (1, 2, 3)], "expected 3 slots, got 2"),
+        ([(), (), (1, 2, 3)], "slot 3: 3 jobs exceed capacity 2"),
+        ([(1,), (), (2, 3)], "slot 2: empty slot after a nonempty one"),
+        ([(1,), (1, 2), (3,)], "job 1: appears in slots 1 and 2"),
+        ([(), (1,), (2,)], "jobs missing from the schedule: [3]"),
+        ([(), (1, 2), (3, 4)], "unknown job ids in the schedule: [4]"),
+        ([(1, 2, 3), (), (3,)], "slot 1: 3 jobs exceed capacity 2"),
+    ],
+    ids=["count", "capacity", "gap", "repeat", "missing", "unknown-id", "several"],
+)
+def test_timetable_refuses_with_the_first_problem_validate_reports(slots, first):
+    with pytest.raises(ScheduleError) as refused:
+        timetable(slots, _THREE_CAP_TWO)
+    untimed = Schedule(tuple(map(frozenset, slots)), (0,) * len(slots), (0,) * len(slots))
+    assert str(refused.value) == validate(untimed, _THREE_CAP_TWO)[0] == first

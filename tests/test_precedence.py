@@ -5,7 +5,17 @@ import pytest
 from batchfront.bounded import UNBOUNDED
 from batchfront.fileio import emit_instance, parse_instance
 from batchfront.generate import gen_random
-from batchfront.model import Instance, InstanceError, Job, Lateness, objectives, validate
+from batchfront.model import (
+    Instance,
+    InstanceError,
+    InvariantError,
+    Job,
+    Lateness,
+    batch_times,
+    objectives,
+    timetable,
+    validate,
+)
 from batchfront.precedence import PrecedenceSolver, PrecGraph, layered_limits
 from batchfront.verify import check_precedence
 
@@ -243,3 +253,16 @@ class TestPrecedenceSolver:
         front = pareto_precedence(inst, check=True)
         assert len(front.points) == 1
         assert front.pairs() == list(oracle_pareto(inst).points)
+
+
+def test_check_mode_catches_a_snapshot_off_its_times(fork, monkeypatch):
+    def skewed(slots, instance):
+        start, completion = batch_times(slots, instance)
+        start[-1] += 1  # the sweep reads completions only, so only the snapshot can notice
+        return start, completion
+
+    monkeypatch.setattr("batchfront.precedence.batch_times", skewed)
+    with pytest.raises(InvariantError, match="^snapshot differs from a timetable of its slots$"):
+        PrecedenceSolver.initial(fork, check=True).solve(UNBOUNDED)
+    unchecked = PrecedenceSolver.initial(fork).solve(UNBOUNDED)
+    assert unchecked.start[-1] == timetable(unchecked.slots, fork).start[-1] + 1
