@@ -1,8 +1,9 @@
 """Wall-clock scaling harness for the frontier algorithms.
 
-Instances come from the benchmark-scale generator profiles; generation is
-excluded from the timed region and runs are strictly sequential so the
-measurements do not interfere.  Records carry the totals a scaling table
+Instances come from the benchmark-scale generator profiles (each algorithm
+has a default profile, and a caller may name another profile and capacity
+instead); generation is excluded from the timed region and runs are
+strictly sequential so the measurements do not interfere.  Records carry the totals a scaling table
 needs: average and maximum seconds, frontier points, and relocations.
 """
 
@@ -51,19 +52,32 @@ def _runner(algorithm: str):
     raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
 
 
-def run_bench(algorithms, sizes, repetitions: int, seed: int) -> list[BenchRecord]:
+def run_bench(
+    algorithms,
+    sizes,
+    repetitions: int,
+    seed: int,
+    profile: str | None = None,
+    capacity: int | None = None,
+) -> list[BenchRecord]:
     """One record per (algorithm, n), rows sorted the same way.
 
     Repetition r of every (algorithm, n) cell uses seed ``seed + r`` so the
     frontiers of different algorithms at equal n and seed are comparable.
+    ``profile`` replaces every algorithm's default profile and ``capacity``
+    the profile's batch capacity (see ``gen_random``); an algorithm given
+    instances of the wrong capacity mode raises ``InstanceError``.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     records = []
     for algorithm in sorted(algorithms):
-        run, profile = _runner(algorithm)
+        run, default_profile = _runner(algorithm)
         for n in sorted(sizes):
-            instances = [gen_random(n, seed + r, profile=profile) for r in range(repetitions)]
+            instances = [
+                gen_random(n, seed + r, profile=profile or default_profile, capacity=capacity)
+                for r in range(repetitions)
+            ]
             times = []
             points = 0
             moves = 0

@@ -17,6 +17,12 @@ and carry walk over slots e..i, e being the rightmost slot left of i with
 room, then a retime of slots e..i-1 from the per-slot loads.  Slots i..n
 keep their completion times, except that all of them shift by one setup
 when the carry opens a new batch in an empty slot e.
+
+The solver also holds the max cost of each slot it has evaluated, and an
+adjustment marks only the slots it changed (e..i, or e..n after an
+opening) for re-evaluation.  A threshold pass therefore evaluates a slot's
+jobs only when that slot changed since it was last judged, and the max
+cost of a converged schedule is read from the held values.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import heapq
 from typing import Callable
 
 from .admissible import AdmissibleSlots
-from .model import Instance, InvariantError, Schedule, batch_times, eval_cost, timetable
+from .model import Instance, InvariantError, Schedule, batch_times, eval_cost, objectives, timetable
 
 Trace = Callable[[str], None]
 
@@ -133,14 +139,25 @@ class BoundedSolver:
     loads.  Slots i..n keep their times unless the carry opens a new batch
     in an empty slot e, which shifts all of them by one setup.
 
+    ``top[i]`` holds the max cost of slot i's jobs at its current
+    completion, or None when the slot changed since it was last evaluated
+    (every slot starts that way).  An adjustment sets e..i to None, e..n
+    when it opened a batch; a pass evaluates a None slot when it reaches
+    it and skips the slot outright when the held max is below the
+    threshold.  Thresholds only shrink, so a new step's first pass reuses
+    every held value.  After a clean pass every nonempty slot's entry is
+    current, and ``max_cost`` is the max cost of the returned schedule.
+
     With ``check=True`` the solver verifies its own invariants after every
     adjustment and raises InvariantError on a breach: the hoisted job came
     from the rightmost slot with room, the carry's slot is within capacity,
     the incrementally kept completion times equal a full retime, no
-    completion moved earlier, and the standing schedule equals the greedy
-    rebuild of the current limits.  That costs O(n log n) per adjustment and
-    is meant for the verification harness.  Every snapshot it returns is
-    also checked against a ``timetable`` of its own slots.
+    completion moved earlier, every held slot max equals a fresh
+    evaluation, and the standing schedule equals the greedy rebuild of the
+    current limits.  That costs O(n log n) per adjustment and is meant for
+    the verification harness.  Every snapshot it returns is also checked
+    against a ``timetable`` of its own slots, and ``max_cost`` against
+    ``objectives``.
     """
 
     def __init__(
@@ -157,6 +174,8 @@ class BoundedSolver:
         p = instance.p
         self.load = [sum(p[j] for j in batch) for batch in slots]
         _, self.completion = batch_times(slots, instance)
+        self.top: list[int | None] = [None] * len(slots)
+        self.max_cost: int | None = None
         self.trace = trace
         self.check = check
         self.adjustments = 0
@@ -180,7 +199,14 @@ class BoundedSolver:
             if outcome is None:
                 return None
             if not outcome:
-                return self.schedule()
+                # a clean pass left every nonempty slot's entry current, so
+                # the stale entries are exactly slot 0 and the empty prefix
+                top = self.top
+                self.max_cost = max(top[top.count(None) :])
+                snapshot = self.schedule()
+                if self.check and self.max_cost != objectives(snapshot, self.instance)[1]:
+                    raise InvariantError("held max cost differs from objectives")
+                return snapshot
 
     def schedule(self) -> Schedule:
         """The standing schedule as an immutable snapshot, timed from the
@@ -201,22 +227,25 @@ class BoundedSolver:
         every adjustment, so jobs later in the sweep are judged against
         current completions; a job hoisted into an already-swept slot is
         caught by the next sweep.  Empty slots form a prefix, so the sweep
-        ends at the first one.
+        ends at the first one.  A slot's jobs are evaluated only when its
+        held max is stale, and ordered only when that max reaches the
+        threshold.
         """
         changed = False
         slots = self.slots
         completion = self.completion  # updated in place by _adjust
+        top = self.top  # marked stale in place by _adjust
         value = self.instance.cost_value
         by_key = self.instance.keys.__getitem__
         for i in range(self.instance.n, 0, -1):
             batch = slots[i]
             if not batch:
                 break
-            at = completion[i]
-            for j in batch:
-                if value[j](at) >= threshold:
-                    break
-            else:
+            worst = top[i]
+            if worst is None:
+                at = completion[i]
+                worst = top[i] = max([value[j](at) for j in batch])
+            if worst < threshold:
                 continue  # a clean slot needs no ordering
             for j in sorted(batch, key=by_key, reverse=True):
                 if value[j](completion[i]) < threshold:
@@ -311,6 +340,8 @@ class BoundedSolver:
         if opened:
             for c in range(i, instance.n + 1):
                 completion[c] += setup
+        stale = instance.n + 1 if opened else i + 1  # held maxima of e..i, or e..n, are now out of date
+        self.top[e:stale] = [None] * (stale - e)
         if self.check:
             self._check_state(e, before)
         return True
@@ -326,6 +357,11 @@ class BoundedSolver:
             raise InvariantError("incrementally retimed completions differ from a full retime")
         if any(now < then for now, then in zip(self.completion, before)):
             raise InvariantError("a batch completion moved earlier")
+        value = instance.cost_value
+        for c, worst in enumerate(self.top):
+            fresh = max([value[j](self.completion[c]) for j in self.slots[c]], default=None)
+            if worst is not None and worst != fresh:
+                raise InvariantError(f"held max cost of slot {c} differs from a fresh evaluation")
         rebuilt = form_batches(instance, self.limits)
         if rebuilt is None or rebuilt != self.slots:
             raise InvariantError("standing schedule diverged from rebuild")

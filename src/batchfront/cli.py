@@ -88,7 +88,9 @@ def cmd_bench(args) -> int:
     for a in algorithms:
         if a not in bench_mod.ALGORITHMS:
             raise InstanceError(f"unknown algorithm {a!r}, expected one of {bench_mod.ALGORITHMS}")
-    records = bench_mod.run_bench(algorithms, _parse_sizes(args.sizes), args.reps, args.seed)
+    records = bench_mod.run_bench(
+        algorithms, _parse_sizes(args.sizes), args.reps, args.seed, profile=args.profile, capacity=args.capacity
+    )
     _write(bench_mod.to_csv(records), args.out)
     for line in bench_mod.summary_lines(records):
         print(line, file=sys.stderr)
@@ -133,6 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--reps", type=int, default=5)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--algorithms", default="main1", help="comma list from main1,main1_naive,main2")
+    bench.add_argument(
+        "--profile", choices=PROFILES, default=None, help="instance profile (default: paper for main1, prec for main2)"
+    )
+    bench.add_argument("--capacity", type=int, default=None, help="override the profile's batch capacity")
     bench.add_argument("--out", default=None)
     bench.set_defaults(func=cmd_bench)
 

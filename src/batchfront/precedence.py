@@ -16,7 +16,7 @@ from typing import Callable
 
 from .admissible import AdmissibleSlots
 from .bounded import tolerated_slot
-from .model import Instance, InvariantError, Schedule, batch_times, timetable
+from .model import Instance, InvariantError, Schedule, batch_times, objectives, timetable
 from .model import eval_cost  # noqa: F401 - unused here; perfbench/tracer.py counts calls through this name
 
 Trace = Callable[[str], None]
@@ -65,9 +65,14 @@ class PrecedenceSolver:
     ``bounds`` records where propagation says each job must eventually go;
     it re-syncs with group membership at every entry (the two provably
     coincide whenever a solve converges) and dips below it only while
-    successors' moves are still being worked off.  With ``check=True`` it
-    raises InvariantError when a batch completion moves earlier between
-    passes or a snapshot differs from a ``timetable`` of its slots.
+    successors' moves are still being worked off.
+
+    A clean pass judges every job at its batch's completion and moves
+    none, so the largest cost it saw is the returned schedule's max cost;
+    the solver keeps it as ``max_cost``.  With ``check=True`` it raises
+    InvariantError when a batch completion moves earlier between passes, a
+    snapshot differs from a ``timetable`` of its slots, or ``max_cost``
+    differs from ``objectives``.
     """
 
     def __init__(
@@ -82,6 +87,7 @@ class PrecedenceSolver:
         self.graph = graph
         self.limits = limits
         self.bounds = [0] * (instance.n + 1)
+        self.max_cost: int | None = None
         self.trace = trace
         self.check = check
         self.adjustments = 0
@@ -124,6 +130,8 @@ class PrecedenceSolver:
                 snapshot = Schedule(tuple(map(frozenset, slots[1:])), tuple(start[1:]), tuple(completion[1:]))
                 if self.check and snapshot != timetable(slots[1:], instance):
                     raise InvariantError("snapshot differs from a timetable of its slots")
+                if self.check and self.max_cost != objectives(snapshot, instance)[1]:
+                    raise InvariantError("held max cost differs from objectives")
                 return snapshot
 
     def _sweep(self, slots: list[list[int]], completion: list[int], threshold) -> bool | None:
@@ -132,16 +140,21 @@ class PrecedenceSolver:
         Jobs are judged against this pass's times; group membership changes
         mid-sweep do not re-enter the pass (a moved job is re-inspected when
         the next pass reaches its new slot).  Returns True if anything
-        moved, False for a clean pass, None when infeasible.
+        moved, False for a clean pass, None when infeasible.  A clean pass
+        leaves the largest cost it judged in ``max_cost``.
         """
         instance = self.instance
         value = instance.cost_value
         by_key = instance.keys.__getitem__
         changed = False
+        worst = None
         for i in range(instance.n, 0, -1):
             for j in sorted(slots[i], key=by_key, reverse=True):
-                if value[j](completion[i]) < threshold:
+                cost = value[j](completion[i])
+                if cost < threshold:
                     tolerated = i
+                    if worst is None or cost > worst:
+                        worst = cost
                 else:
                     tolerated = tolerated_slot(value[j], completion, i, threshold)
                 target = min(tolerated, self.bounds[j])
@@ -162,4 +175,6 @@ class PrecedenceSolver:
                         self.bounds[p] = target - 1
                         if self.trace:
                             self.trace(f"bound job={p} new={target - 1}")
+        if not changed:
+            self.max_cost = worst
         return changed

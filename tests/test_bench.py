@@ -3,6 +3,9 @@ import math
 import pytest
 
 from batchfront.bench import BenchRecord, CSV_HEADER, loglog_slope, run_bench, summary_lines, to_csv
+from batchfront.frontier import pareto_bounded
+from batchfront.generate import gen_random
+from batchfront.model import InstanceError
 
 
 def test_records_sorted_and_csv_shape():
@@ -50,3 +53,16 @@ def test_summary_names_each_algorithm():
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError):
         run_bench(["main3"], [10], repetitions=1, seed=0)
+
+
+def test_profile_and_capacity_override_the_default_profile():
+    records = run_bench(["main1", "main1_naive"], [12, 20], repetitions=2, seed=5, profile="small", capacity=2)
+    warm, naive = records[:2], records[2:]
+    assert [r.points for r in warm] == [r.points for r in naive]
+    fronts = {n: [pareto_bounded(gen_random(n, 5 + r, "small", capacity=2)) for r in (0, 1)] for n in (12, 20)}
+    assert [r.points for r in warm] == [sum(len(front.points) for front in fronts[n]) for n in (12, 20)]
+
+
+def test_algorithm_and_profile_capacity_modes_must_agree():
+    with pytest.raises(InstanceError, match="^precedence frontier requires unbounded capacity$"):
+        run_bench(["main2"], [10], repetitions=1, seed=0, profile="small")

@@ -16,7 +16,7 @@ from batchfront.bounded import (
 )
 from batchfront.frontier import pareto_bounded, pareto_bounded_naive
 from batchfront.generate import SplitMix64, gen_random
-from batchfront.model import Instance, InvariantError, Job, Lateness, objectives, validate
+from batchfront.model import Affine, Instance, InvariantError, Job, Lateness, Tardiness, objectives, validate
 from batchfront.oracle import enumerate_feasible
 from batchfront.verify import check_bounded
 
@@ -279,3 +279,97 @@ def test_check_mode_catches_a_snapshot_off_its_times(two_jobs):
     unchecked = BoundedSolver.initial(two_jobs)
     unchecked.completion[2] += 1
     assert unchecked.solve(UNBOUNDED).makespan == 7
+
+
+def test_check_mode_catches_a_corrupted_held_slot_max(two_jobs):
+    # capacity 1 fills slots 1..3 with jobs 1, 3, 2; the uncapped solve
+    # holds the slot maxima -4, 26, 6, and the step to threshold 26 makes
+    # one adjustment over slots 1..2, which leaves slot 3's entry in place
+    inst = Instance(
+        jobs=(Job(1, 5, Lateness(13)), Job(2, 8, Tardiness(25)), Job(3, 6, Affine(1, 7))),
+        setup=4,
+        capacity=1,
+    )
+    solver = BoundedSolver.initial(inst, check=True)
+    solver.solve(UNBOUNDED)
+    assert solver.top == [None, -4, 26, 6] and solver.max_cost == 26
+    solver.top[3] += 1
+    with pytest.raises(InvariantError, match="^held max cost of slot 3 differs from a fresh evaluation$"):
+        solver.solve(26)
+
+    # a held max below the truth lets a pass come out clean, so only the
+    # comparison of max_cost with objectives can notice
+    solver = BoundedSolver.initial(two_jobs, check=True)
+    solver.solve(UNBOUNDED)
+    solver.top[2] -= 1
+    with pytest.raises(InvariantError, match="^held max cost differs from objectives$"):
+        solver.solve(3)
+
+
+class _IgnoresSliceAssignment(list):
+    """A held-maxima list on which marking a range of slots stale does nothing."""
+
+    def __setitem__(self, index, value):
+        if not isinstance(index, slice):
+            super().__setitem__(index, value)
+
+
+def test_check_mode_catches_a_skipped_invalidation_after_an_opening(two_jobs):
+    # solve(3) moves job 1 into the empty slot 1, which shifts slot 2 by a
+    # setup: slots 1..n must be re-evaluated, slot 2 included
+    solver = BoundedSolver.initial(two_jobs, check=True)
+    solver.solve(UNBOUNDED)
+    solver.top = _IgnoresSliceAssignment(solver.top)
+    with pytest.raises(InvariantError, match="^held max cost of slot 2 differs from a fresh evaluation$"):
+        solver.solve(3)
+
+
+def test_an_opening_re_evaluates_the_slots_it_shifts():
+    # the third step moves job 3 from slot 2 into the empty slot 1, so slot
+    # 3, right of the adjustment, completes a setup later: its held max
+    # must be re-evaluated too (-4 at 25, -1 at 28)
+    inst = Instance(
+        jobs=(Job(1, 7, Lateness(4)), Job(2, 8, Lateness(29)), Job(3, 4, Affine(1, 3))),
+        setup=3,
+        capacity=2,
+    )
+    solver = BoundedSolver.initial(inst, check=True)
+    assert solver.solve(UNBOUNDED).completion == (0, 7, 25) and solver.max_cost == 21
+    assert solver.solve(21).completion == (0, 14, 25) and solver.top == [None, None, 17, -4]
+    assert solver.solve(17).completion == (7, 17, 28)
+    assert solver.top == [None, 10, 13, -1] and solver.max_cost == 13
+
+
+def _count_cost_evaluations(instance):
+    """Swap the instance's cost table for counting wrappers; returns the tally."""
+    tally = [0]
+
+    def counting(value):
+        def counted(t):
+            tally[0] += 1
+            return value(t)
+
+        return counted
+
+    object.__setattr__(instance, "cost_value", (None, *map(counting, instance.cost_value[1:])))
+    return tally
+
+
+def test_threshold_steps_do_not_re_evaluate_every_job():
+    # hundreds of threshold steps, each changing a few slots: re-evaluating
+    # every job on each pass (and once more for the step's max cost) made
+    # 234,262 evaluations here, five times steps * n
+    inst = gen_random(150, 1, "small", capacity=2)
+    tally = _count_cost_evaluations(inst)
+    front = pareto_bounded(inst)
+    assert front.threshold_steps == 314
+    assert tally[0] <= front.threshold_steps * inst.n
+
+
+def test_large_batches_evaluate_no_more_than_a_full_rescan():
+    # b = 160: an adjustment here retimes hundreds of jobs, so lazily held
+    # slot maxima must not cost more than re-evaluating every job per pass
+    inst = gen_random(800, 1, "paper")
+    tally = _count_cost_evaluations(inst)
+    pareto_bounded(inst)
+    assert tally[0] <= 148_034

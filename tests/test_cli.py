@@ -142,3 +142,17 @@ def test_out_flag_writes_file(tmp_path):
     inst_path.write_text(TWO_JOBS_JSON, encoding="utf-8")
     assert main(["pareto", str(inst_path), "--out", str(csv_path)]) == 0
     assert csv_path.read_text(encoding="utf-8").startswith("c_max,f_max,batches\n6,3,")
+
+
+def test_bench_profile_and_capacity_give_warm_and_naive_equal_points(capsys):
+    argv = ["bench", "--sizes", "10,16", "--reps", "2", "--seed", "4", "--profile", "small", "--capacity", "2"]
+    assert main(argv + ["--algorithms", "main1,main1_naive"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[1:]]
+    points = {(algorithm, n): int(pts) for algorithm, n, _, _, pts, _ in rows}
+    assert len(points) == 4
+    assert all(points["main1", n] == points["main1_naive", n] for n in ("10", "16"))
+
+
+def test_bench_precedence_algorithm_on_a_bounded_profile_exits_2(capsys):
+    assert main(["bench", "--sizes", "10", "--reps", "1", "--algorithms", "main2", "--profile", "small"]) == 2
+    assert capsys.readouterr().err == "error: precedence frontier requires unbounded capacity\n"

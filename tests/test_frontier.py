@@ -1,6 +1,7 @@
 import pytest
 
 from batchfront.admissible import AdmissibleSlots
+from batchfront.bounded import UNBOUNDED, BoundedSolver
 from batchfront.frontier import (
     _sweep,
     pareto_bounded,
@@ -20,6 +21,7 @@ from batchfront.model import (
     validate,
 )
 from batchfront.oracle import oracle_pareto
+from batchfront.precedence import PrecedenceSolver
 
 
 def test_two_job_frontier(two_jobs):
@@ -159,3 +161,22 @@ def test_solver_snapshots_equal_a_timetable_of_their_slots(profile, n):
         assert snapshots[-1] is None and len(snapshots) == front.threshold_steps
         for sched in snapshots[:-1]:
             assert sched == timetable(sched.slots, inst)
+
+
+@pytest.mark.parametrize("n", [5, 9, 17, 33, 60])
+@pytest.mark.parametrize("profile", ["small", "paper", "prec"])
+def test_solver_max_cost_equals_objectives_at_every_step(profile, n):
+    # with check mode off, each warm solver reports the max cost of the
+    # schedule it returns from the values it already holds; driving the
+    # next threshold from that report must give the full evaluation's value
+    # at every feasible step, and the sweep's step count
+    solvers = {pareto_bounded: BoundedSolver, pareto_precedence: PrecedenceSolver}
+    for sweep, inst in _sweep_cases(profile, n):
+        solver = solvers[sweep].initial(inst)
+        threshold = UNBOUNDED
+        steps = 0
+        while (sched := solver.solve(threshold)) is not None:
+            steps += 1
+            assert solver.max_cost == objectives(sched, inst)[1]
+            threshold = solver.max_cost
+        assert steps + 1 == sweep(inst).threshold_steps

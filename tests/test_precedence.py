@@ -266,3 +266,19 @@ def test_check_mode_catches_a_snapshot_off_its_times(fork, monkeypatch):
         PrecedenceSolver.initial(fork, check=True).solve(UNBOUNDED)
     unchecked = PrecedenceSolver.initial(fork).solve(UNBOUNDED)
     assert unchecked.start[-1] == timetable(unchecked.slots, fork).start[-1] + 1
+
+
+def test_check_mode_catches_a_max_cost_off_the_schedule(fork, monkeypatch):
+    sweep = PrecedenceSolver._sweep
+
+    def understated(self, slots, completion, threshold):
+        outcome = sweep(self, slots, completion, threshold)
+        if outcome is False:
+            self.max_cost -= 1  # a clean pass that misjudged its largest cost
+        return outcome
+
+    monkeypatch.setattr(PrecedenceSolver, "_sweep", understated)
+    with pytest.raises(InvariantError, match="^held max cost differs from objectives$"):
+        PrecedenceSolver.initial(fork, check=True).solve(UNBOUNDED)
+    unchecked = PrecedenceSolver.initial(fork)
+    assert objectives(unchecked.solve(UNBOUNDED), fork) == (6, unchecked.max_cost + 1)
