@@ -32,8 +32,10 @@ class BenchRecord:
     moves: int
 
     def __post_init__(self):
-        assert self.repetitions >= 1
-        assert self.avg_seconds <= self.max_seconds + 1e-12
+        if self.repetitions < 1:
+            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.avg_seconds > self.max_seconds + 1e-12:
+            raise ValueError(f"average {self.avg_seconds} s exceeds the maximum {self.max_seconds} s")
 
     def csv_row(self) -> str:
         return (
@@ -68,11 +70,12 @@ def run_bench(
     the profile's batch capacity (see ``gen_random``); an algorithm given
     instances of the wrong capacity mode raises ``InstanceError``.
     """
+    runners = {algorithm: _runner(algorithm) for algorithm in algorithms}  # checks every name before any run
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     records = []
     for algorithm in sorted(algorithms):
-        run, default_profile = _runner(algorithm)
+        run, default_profile = runners[algorithm]
         for n in sorted(sizes):
             instances = [
                 gen_random(n, seed + r, profile=profile or default_profile, capacity=capacity)

@@ -105,7 +105,7 @@ def solve_reference(instance: Instance, limits: AdmissibleSlots, threshold) -> S
         slots = form_batches(instance, lim)
         if slots is None:
             return None
-        _, completion = batch_times(slots, instance)
+        completion = batch_times(slots, instance)
         moved = False
         for i in range(n, 0, -1):
             for j in sorted(slots[i], key=instance.sort_key, reverse=True):
@@ -173,7 +173,7 @@ class BoundedSolver:
         self.slots = slots
         p = instance.p
         self.load = [sum(p[j] for j in batch) for batch in slots]
-        _, self.completion = batch_times(slots, instance)
+        self.completion = batch_times(slots, instance)
         self.top: list[int | None] = [None] * len(slots)
         self.max_cost: int | None = None
         self.trace = trace
@@ -209,13 +209,10 @@ class BoundedSolver:
                 return snapshot
 
     def schedule(self) -> Schedule:
-        """The standing schedule as an immutable snapshot, timed from the
-        held completions: a nonempty slot starts one setup after its
-        predecessor completes, an empty one when it completes itself."""
-        slots, completion, setup = self.slots, self.completion, self.instance.setup
-        start = (completion[i - 1] + setup if slots[i] else completion[i] for i in range(1, len(slots)))
-        snapshot = Schedule(tuple(map(frozenset, slots[1:])), tuple(start), tuple(completion[1:]))
-        if self.check and snapshot != timetable(slots[1:], self.instance):
+        """The standing schedule as an immutable snapshot of the held slots
+        and completions; its start times are derived by ``Schedule``."""
+        snapshot = Schedule(tuple(map(frozenset, self.slots[1:])), tuple(self.completion[1:]), self.instance.setup)
+        if self.check and snapshot != timetable(self.slots[1:], self.instance):
             raise InvariantError("snapshot differs from a timetable of its slots")
         return snapshot
 
@@ -352,7 +349,7 @@ class BoundedSolver:
         instance = self.instance
         if len(self.slots[e]) > instance.effective_capacity:
             raise InvariantError(f"slot {e} exceeds capacity")
-        _, full = batch_times(self.slots, instance)
+        full = batch_times(self.slots, instance)
         if full != self.completion:
             raise InvariantError("incrementally retimed completions differ from a full retime")
         if any(now < then for now, then in zip(self.completion, before)):

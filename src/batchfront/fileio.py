@@ -90,16 +90,13 @@ def _cost_from_obj(obj, where: str) -> CostSpec:
 
 
 def _cost_to_obj(cost: CostSpec) -> dict:
-    if isinstance(cost, Lateness):
-        return {"type": "lateness", "due": cost.due}
-    if isinstance(cost, Tardiness):
-        return {"type": "tardiness", "due": cost.due}
-    if isinstance(cost, WeightedCompletion):
-        return {"type": "weighted_completion", "w": cost.w}
-    if isinstance(cost, Affine):
-        return {"type": "affine", "a": cost.a, "c": cost.c}
-    if isinstance(cost, StepTable):
-        return {"type": "step", "breakpoints": [[t, v] for t, v in cost.breakpoints]}
+    for kind, (cls, names) in _COST_FIELDS.items():
+        if isinstance(cost, cls):
+            obj = {"type": kind}
+            for name in names:
+                value = getattr(cost, name)
+                obj[name] = [list(bp) for bp in value] if name == "breakpoints" else value
+            return obj
     raise TypeError(f"unknown cost spec {cost!r}")
 
 

@@ -69,10 +69,9 @@ def frontier_csv(rows: Iterable[tuple[int, int, Schedule]]) -> str:
 
 
 def _sweep(instance: Instance, solver, on_step: StepHook | None) -> ParetoFront:
-    """Run the threshold sweep on a solver that has ``limits`` and
-    ``solve(threshold)``.  The warm solvers report the max cost of the
-    schedule they return as ``max_cost``; for any other solver the sweep
-    evaluates it with ``objectives``."""
+    """Run the threshold sweep on a solver that has ``limits``,
+    ``solve(threshold)`` and ``max_cost``, the max cost of the schedule its
+    last solve returned."""
     points: list[ParetoPoint] = []
     threshold = UNBOUNDED
     prev: ParetoPoint | None = None
@@ -95,9 +94,7 @@ def _sweep(instance: Instance, solver, on_step: StepHook | None) -> ParetoFront:
                 relocations=solver.limits.relocations,
                 threshold_steps=steps,
             )
-        makespan, max_cost = schedule.makespan, getattr(solver, "max_cost", None)
-        if max_cost is None:  # a solver that holds no max cost, like the restarting baseline
-            max_cost = objectives(schedule, instance)[1]
+        makespan, max_cost = schedule.makespan, solver.max_cost
         if not max_cost < threshold:
             raise InvariantError(f"max cost {max_cost} is not below the threshold {threshold}")
         if prev is not None and makespan > prev.makespan:
@@ -123,9 +120,9 @@ def pareto_bounded_naive(instance: Instance) -> ParetoFront:
     """Same frontier as pareto_bounded but restarting from scratch per step.
 
     Every threshold step runs the reference solver against the unrestricted
-    limits, repeating all earlier adjustment work, and the sweep evaluates
-    each step's max cost in full; kept as the benchmark baseline the
-    warm-started sweep is measured against.
+    limits, repeating all earlier adjustment work, and evaluates each
+    step's max cost in full with ``objectives``; kept as the benchmark
+    baseline the warm-started sweep is measured against.
     """
     if not instance.bounded:
         raise InstanceError("bounded frontier requires an instance with integer capacity")
@@ -138,6 +135,7 @@ def pareto_bounded_naive(instance: Instance) -> ParetoFront:
             fresh = AdmissibleSlots.unrestricted(instance)
             result = solve_reference(instance, fresh, threshold)
             self.limits.relocations += fresh.relocations
+            self.max_cost = None if result is None else objectives(result, instance)[1]
             return result
 
     return _sweep(instance, _Restarting(), None)

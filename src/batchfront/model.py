@@ -255,15 +255,25 @@ class Instance:
 
 @dataclass(frozen=True)
 class Schedule:
-    """n batch slots with their start and completion times.
+    """n batch slots with their completion times and the setup time.
 
     ``slots[i - 1]`` holds batch i (slot indices are 1-based throughout the
-    solvers).  Empty slots form a prefix with start = completion = 0.
+    solvers).  Empty slots form a prefix completing at 0.  Start times are
+    not stored: ``start`` derives them from the completions and the setup.
     """
 
     slots: tuple[frozenset[int], ...]
-    start: tuple[int, ...]
     completion: tuple[int, ...]
+    setup: int
+
+    @property
+    def start(self) -> tuple[int, ...]:
+        """Start time of every slot, by the no-idle rule (its only home): a
+        nonempty slot starts one setup after its predecessor completes (slot
+        1 after time 0), an empty slot when it completes itself."""
+        setup = self.setup
+        before = (0, *self.completion[:-1])
+        return tuple(t + setup if batch else c for batch, t, c in zip(self.slots, before, self.completion))
 
     @property
     def makespan(self) -> int:
@@ -281,21 +291,17 @@ class Schedule:
         return [tuple(sorted(batch)) for batch in self.slots if batch]
 
 
-def batch_times(slots, instance: Instance) -> tuple[list[int], list[int]]:
-    """No-idle start/completion times for 1-based slot sets (index 0 unused)."""
+def batch_times(slots, instance: Instance) -> list[int]:
+    """No-idle completion times for 1-based slot sets (index 0 unused)."""
     n = instance.n
     p = instance.p
-    start = [0] * (n + 1)
     completion = [0] * (n + 1)
     t = 0
     for i in range(1, n + 1):
         if slots[i]:
-            start[i] = t + instance.setup
-            t = start[i] + sum(p[j] for j in slots[i])
-        else:
-            start[i] = t
+            t += instance.setup + sum(p[j] for j in slots[i])
         completion[i] = t
-    return start, completion
+    return completion
 
 
 def _shape_problems(slots, instance: Instance) -> list[str]:
@@ -334,7 +340,7 @@ def _shape_problems(slots, instance: Instance) -> list[str]:
 
 
 def timetable(slots: Iterable[Iterable[int]], instance: Instance) -> Schedule:
-    """Attach start/completion times to slot contents.
+    """Attach completion times to slot contents.
 
     Expects exactly n slots partitioning the job set, all empty slots first
     and at most ``effective_capacity`` jobs per slot; anything else raises
@@ -346,8 +352,8 @@ def timetable(slots: Iterable[Iterable[int]], instance: Instance) -> Schedule:
     problems = _shape_problems(filled, instance)
     if problems:
         raise ScheduleError(problems[0])
-    start, completion = batch_times((frozenset(), *filled), instance)
-    return Schedule(filled, tuple(start[1:]), tuple(completion[1:]))
+    completion = batch_times((frozenset(), *filled), instance)
+    return Schedule(filled, tuple(completion[1:]), instance.setup)
 
 
 def objectives(schedule: Schedule, instance: Instance) -> tuple[int, int]:

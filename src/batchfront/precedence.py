@@ -12,14 +12,10 @@ its slot.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .admissible import AdmissibleSlots
-from .bounded import tolerated_slot
+from .bounded import Trace, tolerated_slot
 from .model import Instance, InvariantError, Schedule, batch_times, objectives, timetable
 from .model import eval_cost  # noqa: F401 - unused here; perfbench/tracer.py counts calls through this name
-
-Trace = Callable[[str], None]
 
 
 class PrecGraph:
@@ -69,10 +65,11 @@ class PrecedenceSolver:
 
     A clean pass judges every job at its batch's completion and moves
     none, so the largest cost it saw is the returned schedule's max cost;
-    the solver keeps it as ``max_cost``.  With ``check=True`` it raises
-    InvariantError when a batch completion moves earlier between passes, a
-    snapshot differs from a ``timetable`` of its slots, or ``max_cost``
-    differs from ``objectives``.
+    the solver keeps it as ``max_cost``.  The returned schedule holds that
+    pass's groups and completion times.  With ``check=True`` the solver
+    raises InvariantError when a batch completion moves earlier between
+    passes, a snapshot differs from a ``timetable`` of its slots, or
+    ``max_cost`` differs from ``objectives``.
     """
 
     def __init__(
@@ -117,7 +114,7 @@ class PrecedenceSolver:
             # suffix, so the structure stays a suffix throughout.
             slots = [self.limits.members(i) for i in range(n + 1)]
             self.passes += 1
-            start, completion = batch_times(slots, instance)
+            completion = batch_times(slots, instance)
             if self.check and last_completion is not None:
                 if any(completion[g] < last_completion[g] for g in range(1, n + 1)):
                     raise InvariantError("a batch completion moved earlier")
@@ -127,7 +124,7 @@ class PrecedenceSolver:
             if outcome is None:
                 return None
             if not outcome:
-                snapshot = Schedule(tuple(map(frozenset, slots[1:])), tuple(start[1:]), tuple(completion[1:]))
+                snapshot = Schedule(tuple(map(frozenset, slots[1:])), tuple(completion[1:]), instance.setup)
                 if self.check and snapshot != timetable(slots[1:], instance):
                     raise InvariantError("snapshot differs from a timetable of its slots")
                 if self.check and self.max_cost != objectives(snapshot, instance)[1]:

@@ -16,12 +16,16 @@ from .bounded import form_batches, solve_reference
 from .frontier import ParetoFront, pareto_bounded, pareto_precedence
 from .generate import SplitMix64, gen_random
 from .model import Instance, InvariantError, objectives, validate
-from .oracle import EnumerationLimits, oracle_pareto
+from .oracle import DEFAULT_LIMITS, oracle_pareto
 
 # How often each size is drawn, relative to the others: enumeration cost
 # grows like the ordered-set-partition counts (3, 13, 75, 541, 4683, 47293,
 # 545835 for n = 2..8), so large sizes appear sparingly.
 _SIZE_WEIGHTS = {2: 30, 3: 26, 4: 22, 5: 14, 6: 8, 7: 3, 8: 1}
+
+# The largest job count the oracle enumerates, per variant.
+SIZE_CAPS = {"bounded": DEFAULT_LIMITS.max_jobs_bounded, "prec": DEFAULT_LIMITS.max_jobs_precedence}
+_MAX_FAILURES_KEPT = 10
 
 
 @dataclass
@@ -30,7 +34,6 @@ class VerifyReport:
     attempted: int = 0
     passed: int = 0
     failures: list[tuple[int, str]] = field(default_factory=list)
-    max_failures_kept: int = 10
 
     @property
     def ok(self) -> bool:
@@ -39,7 +42,7 @@ class VerifyReport:
     def record(self, seed: int, issues: list[str]) -> None:
         self.attempted += 1
         if issues:
-            if len(self.failures) < self.max_failures_kept:
+            if len(self.failures) < _MAX_FAILURES_KEPT:
                 self.failures.append((seed, "; ".join(issues)))
         else:
             self.passed += 1
@@ -75,9 +78,9 @@ def _check_frontier_shape(front: ParetoFront, instance: Instance) -> list[str]:
     return issues
 
 
-def _check_against_oracle(front: ParetoFront, instance: Instance, limits) -> list[str]:
+def _check_against_oracle(front: ParetoFront, instance: Instance) -> list[str]:
     issues = []
-    reference = oracle_pareto(instance, limits)
+    reference = oracle_pareto(instance)
     got = [(pt.makespan, pt.max_cost) for pt in front.points]
     want = list(reference.points)
     if got != want:
@@ -90,7 +93,7 @@ def _check_against_oracle(front: ParetoFront, instance: Instance, limits) -> lis
     return issues
 
 
-def check_bounded(instance: Instance, limits: EnumerationLimits = EnumerationLimits()) -> list[str]:
+def check_bounded(instance: Instance) -> list[str]:
     """All bounded-path checks for one instance; [] means everything agreed."""
     issues: list[str] = []
 
@@ -117,18 +120,18 @@ def check_bounded(instance: Instance, limits: EnumerationLimits = EnumerationLim
     except InvariantError as err:
         return issues + [f"internal invariant failed: {err}"]
     issues += _check_frontier_shape(front, instance)
-    issues += _check_against_oracle(front, instance, limits)
+    issues += _check_against_oracle(front, instance)
     return issues
 
 
-def check_precedence(instance: Instance, limits: EnumerationLimits = EnumerationLimits()) -> list[str]:
+def check_precedence(instance: Instance) -> list[str]:
     """All precedence-path checks for one instance."""
     try:
         front = pareto_precedence(instance, check=True)
     except InvariantError as err:
         return [f"internal invariant failed: {err}"]
     issues = _check_frontier_shape(front, instance)
-    issues += _check_against_oracle(front, instance, limits)
+    issues += _check_against_oracle(front, instance)
     return issues
 
 
@@ -149,18 +152,18 @@ def run_verification(
     n_lo: int,
     n_hi: int,
     seed: int,
-    limits: EnumerationLimits = EnumerationLimits(),
 ) -> VerifyReport:
     """Generate ``count`` seeded instances and check every one.
 
     ``variant`` is "bounded" (small profile vs main1 and the reference
     solver) or "prec" (prec profile vs main2).  Instance i uses seed
     ``seed + i``; sizes are drawn from [n_lo, n_hi] weighted toward the
-    cheap end.  A count of zero passes trivially.
+    cheap end, up to the variant's ``SIZE_CAPS`` entry.  A count of zero
+    passes trivially.
     """
-    if variant not in ("bounded", "prec"):
+    if variant not in SIZE_CAPS:
         raise ValueError(f"unknown variant {variant!r}")
-    cap = limits.max_jobs_precedence if variant == "prec" else limits.max_jobs_bounded
+    cap = SIZE_CAPS[variant]
     if not 1 <= n_lo <= n_hi <= cap:
         raise ValueError(f"sizes must satisfy 1 <= lo <= hi <= {cap}")
     report = VerifyReport(variant=variant)
@@ -170,8 +173,8 @@ def run_verification(
         n = _draw_size(size_rng, n_lo, n_hi)
         if variant == "bounded":
             instance = gen_random(max(2, n), inst_seed, profile="small")
-            report.record(inst_seed, check_bounded(instance, limits))
+            report.record(inst_seed, check_bounded(instance))
         else:
             instance = gen_random(n, inst_seed, profile="prec")
-            report.record(inst_seed, check_precedence(instance, limits))
+            report.record(inst_seed, check_precedence(instance))
     return report

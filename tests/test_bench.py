@@ -34,7 +34,7 @@ def test_identical_frontiers_between_warm_and_naive():
 
 
 def test_average_never_exceeds_max():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="exceeds the maximum"):
         BenchRecord("main1", 5, 2, avg_seconds=2.0, max_seconds=1.0, points=1, moves=0)
 
 

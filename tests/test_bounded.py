@@ -16,7 +16,7 @@ from batchfront.bounded import (
 )
 from batchfront.frontier import pareto_bounded, pareto_bounded_naive
 from batchfront.generate import SplitMix64, gen_random
-from batchfront.model import Affine, Instance, InvariantError, Job, Lateness, Tardiness, objectives, validate
+from batchfront.model import Affine, Instance, InvariantError, Job, Lateness, Tardiness, objectives, timetable, validate
 from batchfront.oracle import enumerate_feasible
 from batchfront.verify import check_bounded
 
@@ -130,13 +130,13 @@ def test_greedy_fill_minimizes_every_slot_time():
                 continue
             assert others, "greedy built a schedule but enumeration found none"
             states_checked += 1
-            start, completion = batch_times(slots, inst)
+            greedy = timetable(slots[1:], inst)
             nonempty = sum(1 for s in slots[1:] if s)
             for other in others:
                 assert nonempty <= len(other.batches())
-                for i in range(1, inst.n + 1):
-                    assert start[i] <= other.start[i - 1]
-                    assert completion[i] <= other.completion[i - 1]
+                for i in range(inst.n):
+                    assert greedy.start[i] <= other.start[i]
+                    assert greedy.completion[i] <= other.completion[i]
     assert states_checked >= 25
 
 
@@ -206,7 +206,7 @@ def test_incremental_times_match_a_full_retime(two_jobs):
     slots = solver.schedule().slots
     assert solver.completion == [0, 3, 8]
     assert solver.load == [0, 1, 3]
-    assert solver.completion == batch_times([set()] + [set(s) for s in slots], two_jobs)[1]
+    assert solver.completion == batch_times([set()] + [set(s) for s in slots], two_jobs)
 
 
 _CORRUPTED_LOAD = textwrap.dedent(

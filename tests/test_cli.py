@@ -123,6 +123,11 @@ def test_verify_small_batch(capsys):
     assert "15/15" in capsys.readouterr().out
 
 
+def test_verify_without_sizes_stops_at_the_variant_oracle_cap(capsys):
+    assert main(["verify", "--count", "5", "--variant", "prec"]) == 0
+    assert capsys.readouterr().out.startswith("prec: 5/5 instances passed")
+
+
 def test_bench_csv_to_stdout_summary_to_stderr(capsys):
     assert main(["bench", "--sizes", "10,20", "--reps", "1", "--seed", "2", "--algorithms", "main1"]) == 0
     captured = capsys.readouterr()
@@ -134,6 +139,14 @@ def test_bench_csv_to_stdout_summary_to_stderr(capsys):
 
 def test_bench_rejects_unknown_algorithm(capsys):
     assert main(["bench", "--sizes", "10", "--algorithms", "main9"]) == 2
+
+
+def test_bench_checks_every_algorithm_before_running_any(capsys, monkeypatch):
+    monkeypatch.setattr("batchfront.bench.gen_random", lambda *args, **kwargs: pytest.fail("main1 ran"))
+    assert main(["bench", "--sizes", "10", "--reps", "1", "--algorithms", "main1,main9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown algorithm 'main9', expected one of ('main1', 'main1_naive', 'main2')\n"
 
 
 def test_out_flag_writes_file(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from batchfront.admissible import AdmissibleSlots
@@ -16,6 +18,7 @@ from batchfront.model import (
     InvariantError,
     Job,
     Lateness,
+    Schedule,
     objectives,
     timetable,
     validate,
@@ -126,6 +129,7 @@ class _StubSolver:
     def __init__(self, instance, result):
         self.limits = AdmissibleSlots.unrestricted(instance)
         self.result = result
+        self.max_cost = None if result is None else objectives(result, instance)[1]
 
     def solve(self, threshold):
         return self.result
@@ -140,8 +144,8 @@ def test_sweep_invariants_are_not_asserts(two_jobs):
         _sweep(two_jobs, _StubSolver(two_jobs, same_schedule), None)
 
 
-def _sweep_cases(profile, n):
-    for seed in (1, 2, 3):
+def _sweep_cases(profile, n, seeds=(1, 2, 3)):
+    for seed in seeds:
         if profile == "prec":
             yield pareto_precedence, gen_random(n, seed, profile="prec")
         else:
@@ -161,6 +165,25 @@ def test_solver_snapshots_equal_a_timetable_of_their_slots(profile, n):
         assert snapshots[-1] is None and len(snapshots) == front.threshold_steps
         for sched in snapshots[:-1]:
             assert sched == timetable(sched.slots, inst)
+
+
+@pytest.mark.parametrize("n", [5, 17, 60])
+@pytest.mark.parametrize("profile", ["small", "paper", "prec"])
+def test_derived_starts_follow_the_processing_times(profile, n):
+    # a schedule stores no starts; whether it comes from timetable or from a
+    # solver's held completions, a nonempty slot must start exactly its
+    # processing time before it completes, and the empty prefix at 0
+    assert [f.name for f in dataclasses.fields(Schedule)] == ["slots", "completion", "setup"]
+    for sweep, inst in _sweep_cases(profile, n, seeds=(1, 2)):
+        snapshots = []
+        sweep(inst, on_step=lambda before, y, sched, after: snapshots.append(sched))
+        for sched in snapshots[:-1]:
+            for timed in (sched, timetable(sched.slots, inst)):
+                for batch, start, completion in zip(timed.slots, timed.start, timed.completion):
+                    if batch:
+                        assert start == completion - sum(inst.p[j] for j in batch)
+                    else:
+                        assert start == completion == 0
 
 
 @pytest.mark.parametrize("n", [5, 9, 17, 33, 60])

@@ -209,15 +209,15 @@ def test_validate_reports_violations(fork):
 
     overfull = Schedule(
         slots=(frozenset(), frozenset(), frozenset({1, 2, 3})),
-        start=(0, 0, 1),
         completion=(0, 0, 4),
+        setup=1,
     )
     assert any("capacity" in msg for msg in validate(overfull, three))
 
     gap = Schedule(
         slots=(frozenset({1}), frozenset(), frozenset({2, 3})),
-        start=(1, 2, 3),
         completion=(2, 2, 5),
+        setup=1,
     )
     assert any("empty slot" in msg for msg in validate(gap, three))
 
@@ -245,5 +245,5 @@ _THREE_CAP_TWO = Instance(
 def test_timetable_refuses_with_the_first_problem_validate_reports(slots, first):
     with pytest.raises(ScheduleError) as refused:
         timetable(slots, _THREE_CAP_TWO)
-    untimed = Schedule(tuple(map(frozenset, slots)), (0,) * len(slots), (0,) * len(slots))
+    untimed = Schedule(tuple(map(frozenset, slots)), (0,) * len(slots), setup=1)
     assert str(refused.value) == validate(untimed, _THREE_CAP_TWO)[0] == first

@@ -257,15 +257,15 @@ class TestPrecedenceSolver:
 
 def test_check_mode_catches_a_snapshot_off_its_times(fork, monkeypatch):
     def skewed(slots, instance):
-        start, completion = batch_times(slots, instance)
-        start[-1] += 1  # the sweep reads completions only, so only the snapshot can notice
-        return start, completion
+        completion = batch_times(slots, instance)
+        completion[-1] += 1  # an uncapped pass tolerates any completion, so only the snapshot can notice
+        return completion
 
     monkeypatch.setattr("batchfront.precedence.batch_times", skewed)
     with pytest.raises(InvariantError, match="^snapshot differs from a timetable of its slots$"):
         PrecedenceSolver.initial(fork, check=True).solve(UNBOUNDED)
     unchecked = PrecedenceSolver.initial(fork).solve(UNBOUNDED)
-    assert unchecked.start[-1] == timetable(unchecked.slots, fork).start[-1] + 1
+    assert unchecked.makespan == timetable(unchecked.slots, fork).makespan + 1
 
 
 def test_check_mode_catches_a_max_cost_off_the_schedule(fork, monkeypatch):
