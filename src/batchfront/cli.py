@@ -35,13 +35,15 @@ def _read_instance(path: str):
 
 def _parse_sizes(text: str) -> list[int]:
     """"10,20,30" or a "2-8" range."""
-    if "-" in text and "," not in text:
-        lo, hi = text.split("-", 1)
-        lo, hi = int(lo), int(hi)
-        if lo > hi:
-            raise ValueError(f"empty size range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",") if part]
+    try:
+        if "-" not in text or "," in text:
+            return [int(part) for part in text.split(",") if part]
+        lo, hi = map(int, text.split("-", 1))
+        if lo <= hi:
+            return list(range(lo, hi + 1))
+    except ValueError:
+        pass
+    raise ValueError(f"--sizes must be a list such as 10,20,30 or a range such as 2-8, got {text!r}")
 
 
 def cmd_gen(args) -> int:
@@ -148,7 +150,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, OracleSizeError, FileNotFoundError, ValueError) as err:
+    except (InstanceError, OracleSizeError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

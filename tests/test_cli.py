@@ -85,6 +85,26 @@ def test_missing_file_exits_2(capsys):
     assert main(["pareto", "nope.json"]) == 2
 
 
+@pytest.mark.parametrize("command", ["pareto", "oracle"])
+def test_directory_exits_2(command, tmp_path, capsys):
+    # used to end in an IsADirectoryError traceback and exit 1
+    assert main([command, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+@pytest.mark.parametrize("command", ["pareto", "oracle"])
+def test_non_utf8_file_exits_2_naming_the_file(command, tmp_path, capsys):
+    # used to print only the codec's message, without the file
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"setup": 1, "note": "caf\xe9"}')
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_gen_pareto_pipeline(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     assert main(["gen", "--n", "6", "--seed", "3", "--profile", "small", "--out", str(inst_path)]) == 0
@@ -169,3 +189,23 @@ def test_bench_profile_and_capacity_give_warm_and_naive_equal_points(capsys):
 def test_bench_precedence_algorithm_on_a_bounded_profile_exits_2(capsys):
     assert main(["bench", "--sizes", "10", "--reps", "1", "--algorithms", "main2", "--profile", "small"]) == 2
     assert capsys.readouterr().err == "error: precedence frontier requires unbounded capacity\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["bench", "--sizes", "-5"], id="bench-no-lower-end"),
+        pytest.param(["bench", "--sizes", "10,x"], id="bench-list-word"),
+        pytest.param(["bench", "--sizes", "8-2"], id="bench-empty-range"),
+        pytest.param(["verify", "--sizes", "3-x"], id="verify-range-word"),
+        pytest.param(["verify", "--sizes", "2-8-9"], id="verify-three-ends"),
+    ],
+)
+def test_bad_sizes_exit_2_naming_the_flag_and_its_forms(argv, capsys):
+    # used to print "invalid literal for int() with base 10: ''"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --sizes must be a list such as 10,20,30 or a range such as 2-8, got {argv[-1]!r}\n"
+    )

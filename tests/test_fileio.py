@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from batchfront.fileio import emit_instance, load_instance, parse_instance, save_instance
@@ -170,3 +172,67 @@ def test_unknown_cost_fields_are_refused(cost, field):
     # these used to parse, silently dropping the field
     with pytest.raises(InstanceError, match=rf"<string>: jobs\[1\]\.cost: .*unknown fields \['{field}'\]"):
         parse_instance(_two_job_text(second_cost=cost))
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the cyclic collector back the way the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        pytest.param(_two_job_text(), None, id="success"),
+        pytest.param("{ not json", r"<string>:1:3: Expecting property name", id="json-syntax"),
+        pytest.param(_two_job_text(second_p='"3"'), r"jobs\[1\]\.p must be an integer", id="bad-job-field"),
+        pytest.param(
+            _two_job_text(capacity='"unbounded"', extra=', "precedence": [[1, 2], [2, 1]]'),
+            "precedence edges contain a cycle",
+            id="cyclic-edges",
+        ),
+    ],
+)
+def test_parse_leaves_the_collector_as_it_found_it(collector_state, enabled, text, error):
+    # parse_instance pauses the collector; on every exit it must restore the
+    # caller's state, and never switch on a collector the caller turned off
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if error is None:
+        parse_instance(text)
+    else:
+        with pytest.raises(InstanceError, match=error):
+            parse_instance(text)
+    assert gc.isenabled() is enabled
+
+
+def test_parse_runs_no_collection(collector_state):
+    # about 6k decoded edge lists: enough allocations for several collections
+    # if the collector ran during the parse
+    text = emit_instance(gen_random(200, 1, "prec"))
+    gc.enable()
+    gc.collect()  # resets the allocation count, so reading the stats cannot trigger one
+    before = gc.get_stats()
+    parse_instance(text)
+    after = gc.get_stats()
+    assert [gen["collections"] for gen in after] == [gen["collections"] for gen in before]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("profile", ["prec", "small", "paper"])
+def test_parse_leaves_no_cyclic_garbage(profile):
+    # the premise of the pause: nothing a parse decodes or builds forms a
+    # reference cycle, so reference counting frees all of it
+    text = emit_instance(gen_random(200, 1, profile))
+    gc.collect()
+    instance = parse_instance(text)
+    del instance
+    assert gc.collect() == 0
