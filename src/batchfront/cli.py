@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .bounded import UNBOUNDED
-from .fileio import emit_instance, load_instance, parse_instance
+from .fileio import emit_instance, load_instance, parse_instance_bytes
 from .frontier import frontier_csv, pareto_front
 from .generate import PROFILES, gen_random
 from .model import InstanceError
@@ -29,7 +29,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _read_instance(path: str):
     if path == "-":
-        return parse_instance(sys.stdin.read(), source="<stdin>")
+        return parse_instance_bytes(sys.stdin.buffer.read(), "<stdin>")
     return load_instance(path)
 
 
@@ -37,10 +37,12 @@ def _parse_sizes(text: str) -> list[int]:
     """"10,20,30" or a "2-8" range."""
     try:
         if "-" not in text or "," in text:
-            return [int(part) for part in text.split(",") if part]
-        lo, hi = map(int, text.split("-", 1))
-        if lo <= hi:
-            return list(range(lo, hi + 1))
+            sizes = [int(part) for part in text.split(",") if part]
+        else:
+            lo, hi = map(int, text.split("-", 1))
+            sizes = list(range(lo, hi + 1))
+        if sizes:
+            return sizes
     except ValueError:
         pass
     raise ValueError(f"--sizes must be a list such as 10,20,30 or a range such as 2-8, got {text!r}")
@@ -78,7 +80,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sizes = _parse_sizes(args.sizes) if args.sizes else [2, SIZE_CAPS[args.variant]]
+    sizes = _parse_sizes(args.sizes) if args.sizes is not None else [2, SIZE_CAPS[args.variant]]
     report = run_verification(args.variant, args.count, min(sizes), max(sizes), args.seed)
     for line in report.summary_lines():
         print(line)

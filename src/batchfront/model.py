@@ -8,7 +8,8 @@ prefix, so times follow the no-idle recurrence (each nonempty batch starts
 one setup after its predecessor completes).
 
 All times and costs are exact integers; the frontier sweep compares them
-against strict thresholds, so floating point is never used here.
+against strict thresholds, so floating point is never used here, and the
+constructors below refuse any value that is not one (``_int``).
 """
 
 from __future__ import annotations
@@ -36,11 +37,23 @@ class InvariantError(RuntimeError):
     """
 
 
+def _int(value, subject: str, rule: str = "must be an integer", shown=None) -> int:
+    """``value`` if it is an exact integer, the one home of that rule; anything
+    else raises InstanceError ``"{subject} {rule}, got {shown}"``, with
+    ``shown`` (``value`` unless given) rendered as JSON."""
+    if type(value) is not int:
+        raise InstanceError(f"{subject} {rule}, got {json.dumps(value if shown is None else shown, default=repr)}")
+    return value
+
+
 @dataclass(frozen=True)
 class Lateness:
     """Completion time minus due date; may be negative."""
 
     due: int
+
+    def __post_init__(self):
+        _int(self.due, "due")
 
     def value(self, t: int) -> int:
         return t - self.due
@@ -52,6 +65,9 @@ class Tardiness:
 
     due: int
 
+    def __post_init__(self):
+        _int(self.due, "due")
+
     def value(self, t: int) -> int:
         return max(0, t - self.due)
 
@@ -61,8 +77,8 @@ class WeightedCompletion:
     w: int
 
     def __post_init__(self):
-        if self.w < 0:
-            raise InstanceError(f"weighted_completion weight must be >= 0, got {self.w}")
+        if _int(self.w, "w") < 0:
+            raise InstanceError(f"w: weighted_completion weight must be >= 0, got {self.w}")
 
     def value(self, t: int) -> int:
         return self.w * t
@@ -76,8 +92,9 @@ class Affine:
     c: int
 
     def __post_init__(self):
-        if self.a < 0:
-            raise InstanceError(f"affine slope must be >= 0, got {self.a}")
+        if _int(self.a, "a") < 0:
+            raise InstanceError(f"a: affine slope must be >= 0, got {self.a}")
+        _int(self.c, "c")
 
     def value(self, t: int) -> int:
         return self.a * t + self.c
@@ -97,20 +114,23 @@ class StepTable:
     breakpoints: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not (isinstance(self.breakpoints, (list, tuple)) and self.breakpoints):
+            shown = json.dumps(self.breakpoints, default=repr)
+            raise InstanceError(f"breakpoints must be a non-empty sequence of (time, value) pairs, got {shown}")
+        rule = "must be a (time, value) pair of integers"
+        for k, bp in enumerate(self.breakpoints):
+            if not (isinstance(bp, (list, tuple)) and len(bp) == 2):
+                shown = json.dumps(bp, default=repr)
+                raise InstanceError(f"breakpoints[{k}]: step cost breakpoint {k} {rule}, got {shown}")
+            for i, x in enumerate(bp):
+                _int(x, f"breakpoints[{k}][{i}]: step cost breakpoint {k}", rule, bp)
         bps = tuple(map(tuple, self.breakpoints))
         object.__setattr__(self, "breakpoints", bps)
-        if not bps:
-            raise InstanceError("step cost needs at least one breakpoint")
-        for k, bp in enumerate(bps):
-            if len(bp) != 2 or type(bp[0]) is not int or type(bp[1]) is not int:
-                raise InstanceError(
-                    f"step cost breakpoint {k} must be a (time, value) pair of integers, got {bp!r}"
-                )
         for (t1, v1), (t2, v2) in zip(bps, bps[1:]):
             if t2 <= t1:
-                raise InstanceError("step cost breakpoint times must be strictly increasing")
+                raise InstanceError("breakpoints: step cost breakpoint times must be strictly increasing")
             if v2 < v1:
-                raise InstanceError("step cost values must be non-decreasing")
+                raise InstanceError("breakpoints: step cost values must be non-decreasing")
 
     def value(self, t: int) -> int:
         idx = bisect_right(self.breakpoints, t, key=lambda bp: bp[0])
@@ -132,20 +152,28 @@ class Job:
     cost: CostSpec
 
     def __post_init__(self):
-        if self.p < 1:
-            raise InstanceError(f"job {self.id}: processing time must be >= 1, got {self.p}")
+        _int(self.id, "id")
+        if _int(self.p, "p") < 1:
+            raise InstanceError(f"p: job {self.id}: processing time must be >= 1, got {self.p}")
 
 
 def _edge_pairs(precedence) -> tuple[tuple[int, int], ...]:
     """The edges as integer pairs, never truncated; the first bad edge is
     looked for, and named, only when a whole-list test fails."""
-    edges = tuple(map(tuple, precedence))
-    if not (set(map(len, edges)) <= {2} and set(map(type, chain.from_iterable(edges))) <= {int}):
-        for k, edge in enumerate(edges):
-            if len(edge) != 2:
-                raise InstanceError(f"precedence[{k}] must be a [pred, succ] pair")
-            if type(edge[0]) is not int or type(edge[1]) is not int:
-                raise InstanceError(f"precedence[{k}] endpoints must be integers, got {json.dumps(edge, default=repr)}")
+    if not isinstance(precedence, (list, tuple)):
+        shown = json.dumps(precedence, default=repr)
+        raise InstanceError(f"precedence must be a sequence of [pred, succ] pairs, got {shown}")
+    try:
+        edges = tuple(map(tuple, precedence))
+    except TypeError:  # an entry that is not iterable, located below
+        edges = ()
+    if edges and set(map(len, edges)) <= {2} and set(map(type, chain.from_iterable(edges))) <= {int}:
+        return edges
+    for k, edge in enumerate(precedence):
+        if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
+            raise InstanceError(f"precedence[{k}] must be a [pred, succ] pair")
+        for end in edge:
+            _int(end, f"precedence[{k}]", "endpoints must be integers", edge)
     return edges
 
 
@@ -182,10 +210,10 @@ class Instance:
             raise InstanceError("instance needs at least one job")
         if [j.id for j in jobs] != list(range(1, n + 1)):
             raise InstanceError("job ids must be exactly 1..n with no repeats")
-        if self.setup < 0:
+        if _int(self.setup, "setup") < 0:
             raise InstanceError(f"setup time must be >= 0, got {self.setup}")
         if self.capacity is not None:
-            if not 1 <= self.capacity <= n:
+            if not 1 <= _int(self.capacity, "capacity") <= n:
                 raise InstanceError(f"capacity must be in [1, {n}], got {self.capacity}")
             if edges:
                 raise InstanceError(

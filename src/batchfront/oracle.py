@@ -68,15 +68,9 @@ def _partitions(
     n = instance.n
     cap = instance.effective_capacity
     setup = instance.setup
-    proc = [0] * (n + 1)
-    costf = [None] * (n + 1)
-    for job in instance.jobs:
-        proc[job.id] = job.p
-        costf[job.id] = job.cost.value
-
-    pred_mask = [0] * (n + 1)
-    for a, b in instance.precedence:
-        pred_mask[b] |= 1 << a
+    proc = instance.p
+    costf = instance.cost_value
+    pred_mask = [sum(1 << a for a in preds) for preds in instance.preds]
     has_prec = bool(instance.precedence)
 
     seen = 0

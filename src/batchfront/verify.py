@@ -163,6 +163,8 @@ def run_verification(
     """
     if variant not in SIZE_CAPS:
         raise ValueError(f"unknown variant {variant!r}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     cap = SIZE_CAPS[variant]
     if not 1 <= n_lo <= n_hi <= cap:
         raise ValueError(f"sizes must satisfy 1 <= lo <= hi <= {cap}")

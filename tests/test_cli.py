@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,6 +107,43 @@ def test_non_utf8_file_exits_2_naming_the_file(command, tmp_path, capsys):
     assert captured.err.startswith(f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
 
 
+def _stdin_bytes(monkeypatch, data: bytes) -> None:
+    # the text layer's own codec accepts every byte: only a UTF-8 decode of
+    # the raw bytes underneath can refuse them
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+
+
+def test_stdin_is_parsed_like_a_file(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "two.json"
+    path.write_text(TWO_JOBS_JSON, encoding="utf-8")
+    assert main(["pareto", str(path)]) == 0
+    from_file = capsys.readouterr().out
+    _stdin_bytes(monkeypatch, TWO_JOBS_JSON.encode("utf-8"))
+    assert main(["pareto", "-"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
+def test_non_utf8_stdin_exits_2_naming_stdin(monkeypatch, capsys):
+    # used to be decoded with the locale's codec and reported as a JSON
+    # syntax error: "<stdin>:1:1: Expecting value"
+    _stdin_bytes(monkeypatch, b"\xff{}")
+    assert main(["pareto", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: <stdin>: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("command", ["pareto", "oracle"])
+def test_deeply_nested_file_exits_2_naming_the_file(command, tmp_path, capsys):
+    # used to end in a RecursionError traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: arrays or objects nested too deeply to decode\n"
+
+
 def test_gen_pareto_pipeline(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     assert main(["gen", "--n", "6", "--seed", "3", "--profile", "small", "--out", str(inst_path)]) == 0
@@ -134,6 +173,14 @@ def test_oracle_agrees_with_pareto(tmp_path, capsys):
 def test_verify_zero_count_passes(capsys):
     assert main(["verify", "--count", "0", "--sizes", "2-6", "--seed", "1"]) == 0
     assert "0/0" in capsys.readouterr().out
+
+
+def test_verify_negative_count_exits_2(capsys):
+    # used to print "bounded: 0/0 instances passed" and exit 0
+    assert main(["verify", "--count", "-3", "--sizes", "2-6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: count must be >= 0, got -3\n"
 
 
 def test_verify_small_batch(capsys):
@@ -199,6 +246,9 @@ def test_bench_precedence_algorithm_on_a_bounded_profile_exits_2(capsys):
         pytest.param(["bench", "--sizes", "8-2"], id="bench-empty-range"),
         pytest.param(["verify", "--sizes", "3-x"], id="verify-range-word"),
         pytest.param(["verify", "--sizes", "2-8-9"], id="verify-three-ends"),
+        pytest.param(["bench", "--sizes", ""], id="bench-empty"),
+        pytest.param(["bench", "--sizes", ","], id="bench-only-commas"),
+        pytest.param(["verify", "--sizes", ""], id="verify-empty"),
     ],
 )
 def test_bad_sizes_exit_2_naming_the_flag_and_its_forms(argv, capsys):

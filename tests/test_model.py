@@ -1,6 +1,11 @@
+import copy
+import json
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from batchfront.fileio import parse_instance
 from batchfront.generate import SplitMix64, gen_random
 from batchfront.model import (
     Affine,
@@ -63,6 +68,94 @@ def test_step_breakpoints_must_be_integer_pairs(breakpoints):
     # (1.9, 2.5) used to be truncated to (1, 2)
     with pytest.raises(InstanceError, match="breakpoint .* must be a .time, value. pair of integers"):
         StepTable(breakpoints=breakpoints)
+
+
+# A valid instance file with every cost type; each row below puts one
+# malformed value into it.
+GOOD_DOC = {
+    "setup": 1,
+    "capacity": 2,
+    "jobs": [
+        {"id": 1, "p": 2, "cost": {"type": "lateness", "due": 5}},
+        {"id": 2, "p": 1, "cost": {"type": "tardiness", "due": 4}},
+        {"id": 3, "p": 1, "cost": {"type": "weighted_completion", "w": 2}},
+        {"id": 4, "p": 3, "cost": {"type": "affine", "a": 1, "c": 0}},
+        {"id": 5, "p": 1, "cost": {"type": "step", "breakpoints": [[0, 1], [5, 2]]}},
+    ],
+}
+GOOD_JOBS = (Job(1, 2, Lateness(5)), Job(2, 1, Lateness(4)))
+
+# One row per numeric field: a name for the row, the field, the constructor
+# call that takes the value, the value's place in GOOD_DOC, and the location
+# the parser puts in front of the constructor's message.
+NUMERIC_FIELDS = [
+    ("setup", "setup", lambda v: Instance(GOOD_JOBS, v), ("setup",), ""),
+    ("capacity", "capacity", lambda v: Instance(GOOD_JOBS, 1, capacity=v), ("capacity",), ""),
+    ("id", "id", lambda v: Job(v, 2, Lateness(5)), ("jobs", 0, "id"), "jobs[0]."),
+    ("p", "p", lambda v: Job(1, v, Lateness(5)), ("jobs", 0, "p"), "jobs[0]."),
+    ("lateness-due", "due", Lateness, ("jobs", 0, "cost", "due"), "jobs[0].cost."),
+    ("tardiness-due", "due", Tardiness, ("jobs", 1, "cost", "due"), "jobs[1].cost."),
+    ("w", "w", WeightedCompletion, ("jobs", 2, "cost", "w"), "jobs[2].cost."),
+    ("a", "a", lambda v: Affine(v, 0), ("jobs", 3, "cost", "a"), "jobs[3].cost."),
+    ("c", "c", lambda v: Affine(1, v), ("jobs", 3, "cost", "c"), "jobs[3].cost."),
+    (
+        "breakpoint-time",
+        "breakpoints[1][0]",
+        lambda v: StepTable(((0, 1), (v, 2))),
+        ("jobs", 4, "cost", "breakpoints", 1, 0),
+        "jobs[4].cost.",
+    ),
+    (
+        "breakpoint-value",
+        "breakpoints[1][1]",
+        lambda v: StepTable(((0, 1), (5, v))),
+        ("jobs", 4, "cost", "breakpoints", 1, 1),
+        "jobs[4].cost.",
+    ),
+]
+BREAKPOINTS = ("jobs", 4, "cost", "breakpoints")
+MALFORMED_VALUES = [
+    *(
+        pytest.param(field, make, path, where, value, id=f"{name}-{kind}")
+        for name, field, make, path, where in NUMERIC_FIELDS
+        for kind, value in (("float", 2.5), ("bool", True), ("string", "3"))
+    ),
+    pytest.param("breakpoints", StepTable, BREAKPOINTS, "jobs[4].cost.", 5, id="breakpoints-number"),
+    pytest.param("breakpoints", StepTable, BREAKPOINTS, "jobs[4].cost.", {"0": 1}, id="breakpoints-object"),
+    pytest.param("breakpoints[1]", StepTable, BREAKPOINTS, "jobs[4].cost.", [[0, 1], 5], id="breakpoint-number"),
+]
+
+
+def _refusal(call) -> str:
+    with pytest.raises(InstanceError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("field, make, path, where, value", MALFORMED_VALUES)
+def test_malformed_values_are_refused_by_the_constructor_naming_the_field(field, make, path, where, value):
+    # used to be accepted (Job(True, ...) as job 1, Tardiness(2.5) giving a
+    # cost of 0.5) or to end in a TypeError (capacity=1.5, non-sequences)
+    message = _refusal(lambda: make(value))
+    assert re.match(rf"{re.escape(field)}[ :]", message)
+    assert re.search(r" must be .*(integer|sequence).*, got ", message)
+
+
+@pytest.mark.parametrize("field, make, path, where, value", MALFORMED_VALUES)
+def test_malformed_values_are_refused_by_the_parser_naming_the_location(field, make, path, where, value):
+    # the parser says only where: its message is the constructor's, behind
+    # the source and the location
+    doc = copy.deepcopy(GOOD_DOC)
+    place = doc
+    for key in path[:-1]:
+        place = place[key]
+    place[path[-1]] = value
+    assert _refusal(lambda: parse_instance(json.dumps(doc))) == f"<string>: {where}{_refusal(lambda: make(value))}"
+
+
+def test_the_good_document_parses():
+    assert parse_instance(json.dumps(GOOD_DOC)).n == 5
+
 
 def _step_from(deltas):
     t, v, bps = 0, -5, []

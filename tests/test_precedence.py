@@ -50,6 +50,7 @@ EDGE_ERRORS = [
     pytest.param([[1, 2.0]], r"precedence\[0\] endpoints must be integers, got \[1, 2\.0\]", id="float"),
     pytest.param([[1, 2], [True, 3]], r"precedence\[1\] endpoints must be integers, got \[true, 3\]", id="bool"),
     pytest.param([[1, 2], [1, 2, 3]], r"precedence\[1\] must be a \[pred, succ\] pair", id="triple"),
+    pytest.param([[1, 2], 3], r"precedence\[1\] must be a \[pred, succ\] pair", id="number"),
     pytest.param([[1, 2], [3, 3]], r"bad precedence edge \(3, 3\)", id="self-loop"),
     pytest.param([[1, 2], [0, 1]], r"bad precedence edge \(0, 1\)", id="id-zero"),
     pytest.param([[1, 4], [-1, 2]], r"bad precedence edge \(1, 4\)", id="id-too-large-first"),
@@ -68,6 +69,12 @@ def test_bad_edges_are_refused_by_instance(edges, message):
 def test_bad_edges_are_refused_by_the_parser(edges, message):
     with pytest.raises(InstanceError, match=rf"^<string>: {message}$"):
         parse_instance(_three_jobs_text(edges))
+
+
+def test_edges_that_are_not_a_sequence_are_refused_by_instance():
+    # used to end in a TypeError
+    with pytest.raises(InstanceError, match=r"^precedence must be a sequence of \[pred, succ\] pairs, got 5$"):
+        _three_jobs(5)
 
 
 def _reference_layers(n, edges):
