@@ -14,9 +14,9 @@ all prior work as the cost cap shrinks.
 
 One repair (an adjustment) expels a job from slot i and is local: a hoist
 and carry walk over slots e..i, e being the rightmost slot left of i with
-room, then a retime of slots e..i-1 from the per-slot loads.  Slots i..n
-keep their completion times, except that all of them shift by one setup
-when the carry opens a new batch in an empty slot e.
+room, that retimes slots e..i-1 as it passes them.  Slots i..n keep their
+completion times, except that all of them shift by one setup when the
+carry opens a new batch in an empty slot e.
 
 The solver also holds the max cost of each slot it has evaluated, and an
 adjustment marks only the slots it changed (e..i, or e..n after an
@@ -127,17 +127,16 @@ class BoundedSolver:
     """Warm-startable minimum-makespan solver for one bounded instance.
 
     Holds the admissibility limits and the standing schedule together, with
-    the per-slot loads (``load[i]``, the processing time in slot i) and
-    completion times kept current in place.  ``solve`` may be called
+    the completion times kept current in place.  ``solve`` may be called
     repeatedly with strictly smaller thresholds; every call continues from
     the adjusted state the previous one left behind.  After an infeasible
     result the state is spent and the solver must not be reused.
 
     An adjustment that expels a job from slot i works on slots e..i only,
-    e being the rightmost slot left of i with room: a hoist scan and a
-    carry walk over those slots, then a retime of slots e..i-1 from their
-    loads.  Slots i..n keep their times unless the carry opens a new batch
-    in an empty slot e, which shifts all of them by one setup.
+    e being the rightmost slot left of i with room: a hoist scan, then a
+    carry walk over those slots that retimes each slot it passes.  Slots
+    i..n keep their times unless the carry opens a new batch in an empty
+    slot e, which shifts all of them by one setup.
 
     ``top[i]`` holds the max cost of slot i's jobs at its current
     completion, or None when the slot changed since it was last evaluated
@@ -171,8 +170,6 @@ class BoundedSolver:
         self.instance = instance
         self.limits = limits
         self.slots = slots
-        p = instance.p
-        self.load = [sum(p[j] for j in batch) for batch in slots]
         self.completion = batch_times(slots, instance)
         self.top: list[int | None] = [None] * len(slots)
         self.max_cost: int | None = None
@@ -266,7 +263,6 @@ class BoundedSolver:
         """
         instance = self.instance
         slots = self.slots
-        load = self.load
         completion = self.completion
         p = instance.p
         keys = instance.keys
@@ -274,7 +270,6 @@ class BoundedSolver:
         cap = instance.effective_capacity
         self.limits.move(j, i - 1)
         slots[i].discard(j)
-        load[i] -= p[j]
         self.adjustments += 1
 
         # The greedy fill passed over each candidate (a job left of i still
@@ -298,8 +293,6 @@ class BoundedSolver:
         if hoist is not None:
             slots[e].remove(hoist)
             slots[i].add(hoist)
-            load[e] -= p[hoist]
-            load[i] += p[hoist]
             case = 2
             if self.check and self._last_nonfull(i) != e:
                 raise InvariantError("hoisted job's slot is not the rightmost non-full")
@@ -313,27 +306,25 @@ class BoundedSolver:
         if self.trace:
             self.trace(f"move job={j} from={i} to={i - 1} case={case}")
 
+        # Jobs change slots only within e..i, so slot c in e..i-1 completes
+        # later by the time of the job carried into it, less that of the
+        # hoist, which crossed it going right, plus one setup if e opened.
+        # Slot i stays nonempty, so completions from i on move only then.
+        before = completion[:] if self.check else None
+        setup = instance.setup
+        shift = (setup if opened else 0) - (p[hoist] if hoist is not None else 0)
         carry = j
         for c in range(i - 1, e, -1):
+            completion[c] += shift + p[carry]
             batch = slots[c]
             shortest = min(batch, key=keys.__getitem__)
             if keys[carry] > keys[shortest]:
                 batch.remove(shortest)
                 batch.add(carry)
-                load[c] += p[carry] - p[shortest]
                 carry = shortest
             # else the carry is the shortest itself: batch unchanged, keep carrying
+        completion[e] += shift + p[carry]
         slots[e].add(carry)
-        load[e] += p[carry]
-
-        # Jobs changed slots only within e..i and slot i stays nonempty, so
-        # completions from i on move only if slot e was empty before.
-        before = completion[:] if self.check else None
-        setup = instance.setup
-        t = completion[e - 1]
-        for c in range(e, i):
-            t += setup + load[c]
-            completion[c] = t
         if opened:
             for c in range(i, instance.n + 1):
                 completion[c] += setup

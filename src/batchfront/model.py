@@ -155,6 +155,9 @@ class Job:
         _int(self.id, "id")
         if _int(self.p, "p") < 1:
             raise InstanceError(f"p: job {self.id}: processing time must be >= 1, got {self.p}")
+        if not isinstance(self.cost, CostSpec):
+            kinds = "Lateness, Tardiness, WeightedCompletion, Affine or StepTable"
+            raise InstanceError(f"cost must be a {kinds}, got {json.dumps(self.cost, default=repr)}")
 
 
 def _edge_pairs(precedence) -> tuple[tuple[int, int], ...]:
@@ -201,6 +204,11 @@ class Instance:
     precedence: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.jobs, (list, tuple)):
+            raise InstanceError(f"jobs must be a sequence of Job, got {json.dumps(self.jobs, default=repr)}")
+        for k, job in enumerate(self.jobs):
+            if not isinstance(job, Job):
+                raise InstanceError(f"jobs[{k}] must be a Job, got {json.dumps(job, default=repr)}")
         jobs = tuple(sorted(self.jobs, key=lambda j: j.id))
         object.__setattr__(self, "jobs", jobs)
         edges = _edge_pairs(self.precedence) if self.precedence else ()

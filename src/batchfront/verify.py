@@ -174,7 +174,7 @@ def run_verification(
         inst_seed = seed + i
         n = _draw_size(size_rng, n_lo, n_hi)
         if variant == "bounded":
-            instance = gen_random(max(2, n), inst_seed, profile="small")
+            instance = gen_random(n, inst_seed, profile="small")
             report.record(inst_seed, check_bounded(instance))
         else:
             instance = gen_random(n, inst_seed, profile="prec")

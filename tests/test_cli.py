@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -5,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from batchfront import verify
 from batchfront.cli import main
+from batchfront.fileio import save_instance
+from batchfront.generate import gen_random
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,6 +69,31 @@ def test_trace_matches_golden(case, capsys):
     captured = capsys.readouterr()
     assert captured.out == (GOLDEN / f"{case}.csv").read_text(encoding="utf-8")
     assert captured.err == (GOLDEN / f"{case}.trace").read_text(encoding="utf-8")
+
+
+# (profile, n, capacity) drawn for seeds 1-5, beyond the oracle's n <= 8:
+# long carry chains at b=2, hoists, and batch openings at b=n-1
+LONG_CARRY_CORPUS = [("small", 60, 2), ("small", 60, 7), ("small", 120, 2), ("small", 40, 39), ("paper", 100, None)]
+LONG_CARRY_DIGEST = "b7965e0bc0508d21dfdbf4ed1093ddafe0d2300b9a687ef9b4c57de4b7f64c00"
+
+
+def test_trace_beyond_the_oracle_matches_golden_digest(tmp_path, capsys):
+    # one digest over the complete stdout and stderr of `pareto --trace` on
+    # every instance of the corpus, in corpus and seed order
+    digest = hashlib.sha256()
+    moves = hoists = 0
+    for profile, n, capacity in LONG_CARRY_CORPUS:
+        for seed in range(1, 6):
+            path = tmp_path / f"{profile}-n{n}-seed{seed}.json"
+            save_instance(gen_random(n, seed, profile, capacity=capacity), path)
+            assert main(["pareto", str(path), "--trace"]) == 0
+            captured = capsys.readouterr()
+            for text in (captured.out, captured.err):
+                digest.update(text.encode("utf-8") + b"\0")
+            moves += captured.err.count("\nmove ")
+            hoists += captured.err.count(" case=2\n")
+    assert (moves, hoists) == (5426, 4781)
+    assert digest.hexdigest() == LONG_CARRY_DIGEST
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
@@ -193,6 +222,17 @@ def test_verify_small_batch(capsys):
 def test_verify_without_sizes_stops_at_the_variant_oracle_cap(capsys):
     assert main(["verify", "--count", "5", "--variant", "prec"]) == 0
     assert capsys.readouterr().out.startswith("prec: 5/5 instances passed")
+
+
+@pytest.mark.parametrize("variant, check", [("bounded", "check_bounded"), ("prec", "check_precedence")])
+def test_verify_checks_the_sizes_it_reports(variant, check, monkeypatch, capsys):
+    # `--sizes 1-1` used to check 2-job bounded instances
+    checked = []
+    real = getattr(verify, check)
+    monkeypatch.setattr(verify, check, lambda instance: checked.append(instance.n) or real(instance))
+    assert main(["verify", "--count", "6", "--sizes", "1-1", "--seed", "4", "--variant", variant]) == 0
+    assert capsys.readouterr().out.startswith(f"{variant}: 6/6 instances passed")
+    assert checked == [1] * 6
 
 
 def test_bench_csv_to_stdout_summary_to_stderr(capsys):

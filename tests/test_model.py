@@ -153,6 +153,31 @@ def test_malformed_values_are_refused_by_the_parser_naming_the_location(field, m
     assert _refusal(lambda: parse_instance(json.dumps(doc))) == f"<string>: {where}{_refusal(lambda: make(value))}"
 
 
+# Values of the wrong kind for what the parser always builds itself (the
+# job list, its entries and each job's cost): only library callers can pass
+# them, so only the constructor's message is pinned.
+MALFORMED_OBJECTS = [
+    pytest.param("jobs", lambda v: Instance(v, 0), 5, id="jobs-number"),
+    pytest.param("jobs", lambda v: Instance(v, 0), GOOD_JOBS[0], id="jobs-one-job"),
+    pytest.param("jobs", lambda v: Instance(v, 0), (job for job in GOOD_JOBS), id="jobs-generator"),
+    pytest.param("jobs[0]", lambda v: Instance(v, 0), (1,), id="jobs-entry-number"),
+    pytest.param("jobs[1]", lambda v: Instance(v, 0), [GOOD_JOBS[0], Lateness(4)], id="jobs-entry-cost"),
+    pytest.param("cost", lambda v: Job(1, 2, v), 5, id="cost-number"),
+    pytest.param("cost", lambda v: Job(1, 2, v), None, id="cost-none"),
+    pytest.param("cost", lambda v: Job(1, 2, v), {"type": "lateness", "due": 5}, id="cost-object"),
+    pytest.param("cost", lambda v: Job(1, 2, v), GOOD_JOBS[0], id="cost-job"),
+]
+
+
+@pytest.mark.parametrize("field, make, value", MALFORMED_OBJECTS)
+def test_values_of_the_wrong_kind_are_refused_by_the_constructor_naming_the_field(field, make, value):
+    # used to end in an AttributeError or a TypeError, or to be accepted: a
+    # generator of jobs, as a generator of edges no longer is, and a cost of
+    # None, which failed only when the cost was first evaluated
+    message = _refusal(lambda: make(value))
+    assert re.match(rf"{re.escape(field)} must be an? \w.*, got .+", message)
+
+
 def test_the_good_document_parses():
     assert parse_instance(json.dumps(GOOD_DOC)).n == 5
 
