@@ -16,7 +16,11 @@ One repair (an adjustment) expels a job from slot i and is local: a hoist
 and carry walk over slots e..i, e being the rightmost slot left of i with
 room, that retimes slots e..i-1 as it passes them.  Slots i..n keep their
 completion times, except that all of them shift by one setup when the
-carry opens a new batch in an empty slot e.
+carry opens a new batch in an empty slot e.  Every slot is a list in
+ascending ``Instance.keys`` order.  The carry reads a full slot's
+shortest job as its first entry and inserts the job it carries by
+bisection; the hoist scan stops in each slot at the first candidate from
+the long end.
 
 The solver also holds the max cost of each slot it has evaluated, and an
 adjustment marks only the slots it changed (e..i, or e..n after an
@@ -28,6 +32,7 @@ cost of a converged schedule is read from the held values.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from typing import Callable
 
 from .admissible import AdmissibleSlots
@@ -39,13 +44,14 @@ Trace = Callable[[str], None]
 UNBOUNDED = float("inf")
 
 
-def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[set[int]] | None:
+def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[list[int]] | None:
     """Greedy right-to-left batch fill.
 
     Working from slot n down to slot 1, each slot takes the longest
     still-unassigned jobs admissible there (limit >= slot index), up to the
-    capacity.  Returns 1-based slot sets (index 0 unused), or None when some
-    slot comes out empty while lower groups still hold jobs.
+    capacity.  Returns 1-based slot lists (index 0 unused), each in
+    ascending ``Instance.keys`` order, or None when some slot comes out
+    empty while lower groups still hold jobs.
 
     For limit states the solvers produce (a group index records the last
     slot whose completion the job tolerated when it moved), None means no
@@ -58,16 +64,16 @@ def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[set[int]] 
     n = instance.n
     cap = instance.effective_capacity
     p = instance.p
-    slots: list[set[int]] = [set() for _ in range(n + 1)]
+    slots: list[list[int]] = [[] for _ in range(n + 1)]
     pool: list[tuple[int, int]] = []  # (-p, id): pops give largest (p, -id) first
     assigned = 0
     for i in range(n, 0, -1):
         for j in limits.members(i):
             heapq.heappush(pool, (-p[j], j))
         take = min(cap, len(pool))
-        for _ in range(take):
-            slots[i].add(heapq.heappop(pool)[1])
-        if not slots[i] and assigned < n:
+        batch = slots[i] = [heapq.heappop(pool)[1] for _ in range(take)]
+        batch.reverse()  # popped in descending key order
+        if not batch and assigned < n:
             return None  # empty slot with jobs still due further left
         assigned += take
     if pool:
@@ -108,7 +114,7 @@ def solve_reference(instance: Instance, limits: AdmissibleSlots, threshold) -> S
         completion = batch_times(slots, instance)
         moved = False
         for i in range(n, 0, -1):
-            for j in sorted(slots[i], key=instance.sort_key, reverse=True):
+            for j in reversed(slots[i]):
                 cost = instance.job(j).cost
                 if eval_cost(cost, completion[i]) < threshold:
                     continue
@@ -136,7 +142,11 @@ class BoundedSolver:
     e being the rightmost slot left of i with room: a hoist scan, then a
     carry walk over those slots that retimes each slot it passes.  Slots
     i..n keep their times unless the carry opens a new batch in an empty
-    slot e, which shifts all of them by one setup.
+    slot e, which shifts all of them by one setup.  ``slots[c]`` is a list
+    in ascending key order: the hoist scan walks each slot from its
+    longest job down and stops at the first candidate, and the carry
+    swaps a slot's first (shortest) job for the carried one, inserted in
+    order.
 
     ``top[i]`` holds the max cost of slot i's jobs at its current
     completion, or None when the slot changed since it was last evaluated
@@ -153,17 +163,17 @@ class BoundedSolver:
     the incrementally kept completion times equal a full retime, no
     completion moved earlier, every held slot max equals a fresh
     evaluation, and the standing schedule equals the greedy rebuild of the
-    current limits.  That costs O(n log n) per adjustment and is meant for
-    the verification harness.  Every snapshot it returns is also checked
-    against a ``timetable`` of its own slots, and ``max_cost`` against
-    ``objectives``.
+    current limits, slot order included.  That costs O(n log n) per
+    adjustment and is meant for the verification harness.  Every snapshot
+    it returns is also checked against a ``timetable`` of its own slots,
+    and ``max_cost`` against ``objectives``.
     """
 
     def __init__(
         self,
         instance: Instance,
         limits: AdmissibleSlots,
-        slots: list[set[int]],
+        slots: list[list[int]],
         trace: Trace | None = None,
         check: bool = False,
     ):
@@ -222,15 +232,14 @@ class BoundedSolver:
         current completions; a job hoisted into an already-swept slot is
         caught by the next sweep.  Empty slots form a prefix, so the sweep
         ends at the first one.  A slot's jobs are evaluated only when its
-        held max is stale, and ordered only when that max reaches the
-        threshold.
+        held max is stale, and walked longest first (over a reversed copy
+        of the key-ordered slot) only when that max reaches the threshold.
         """
         changed = False
         slots = self.slots
         completion = self.completion  # updated in place by _adjust
         top = self.top  # marked stale in place by _adjust
         value = self.instance.cost_value
-        by_key = self.instance.keys.__getitem__
         for i in range(self.instance.n, 0, -1):
             batch = slots[i]
             if not batch:
@@ -240,8 +249,8 @@ class BoundedSolver:
                 at = completion[i]
                 worst = top[i] = max([value[j](at) for j in batch])
             if worst < threshold:
-                continue  # a clean slot needs no ordering
-            for j in sorted(batch, key=by_key, reverse=True):
+                continue  # a clean slot needs no walk
+            for j in batch[::-1]:
                 if value[j](completion[i]) < threshold:
                     continue
                 if i == 1:
@@ -266,10 +275,11 @@ class BoundedSolver:
         completion = self.completion
         p = instance.p
         keys = instance.keys
+        by_key = keys.__getitem__
         limit = self.limits.table
         cap = instance.effective_capacity
         self.limits.move(j, i - 1)
-        slots[i].discard(j)
+        slots[i].remove(j)
         self.adjustments += 1
 
         # The greedy fill passed over each candidate (a job left of i still
@@ -277,14 +287,17 @@ class BoundedSolver:
         # and i, so those slots are full and candidates shrink from right to
         # left.  Scanning down from i - 1, the first slot holding a
         # candidate holds the best one, and no candidate lies left of the
-        # first slot with room, which is e, where the carry ends.
+        # first slot with room, which is e, where the carry ends.  A slot
+        # is walked from its longest job down, so the first candidate met
+        # is the slot's largest.
         hoist = None
         e = 0
         for c in range(i - 1, 0, -1):
             batch = slots[c]
-            for x in batch:
-                if limit[x] >= i and (hoist is None or keys[x] > keys[hoist]):
+            for x in reversed(batch):
+                if limit[x] >= i:
                     hoist = x
+                    break
             if hoist is not None or len(batch) < cap:
                 e = c
                 break
@@ -292,7 +305,7 @@ class BoundedSolver:
         opened = not slots[e]  # the carry opens a batch in e (never in case 2: e holds the hoist)
         if hoist is not None:
             slots[e].remove(hoist)
-            slots[i].add(hoist)
+            insort(slots[i], hoist, key=by_key)
             case = 2
             if self.check and self._last_nonfull(i) != e:
                 raise InvariantError("hoisted job's slot is not the rightmost non-full")
@@ -317,14 +330,14 @@ class BoundedSolver:
         for c in range(i - 1, e, -1):
             completion[c] += shift + p[carry]
             batch = slots[c]
-            shortest = min(batch, key=keys.__getitem__)
+            shortest = batch[0]
             if keys[carry] > keys[shortest]:
-                batch.remove(shortest)
-                batch.add(carry)
+                del batch[0]
+                insort(batch, carry, key=by_key)
                 carry = shortest
             # else the carry is the shortest itself: batch unchanged, keep carrying
         completion[e] += shift + p[carry]
-        slots[e].add(carry)
+        insort(slots[e], carry, key=by_key)
         if opened:
             for c in range(i, instance.n + 1):
                 completion[c] += setup

@@ -271,6 +271,56 @@ def test_warm_sweep_matches_restarting_baseline_beyond_the_oracle(n, profile):
             assert objectives(pt.schedule, inst) == (pt.makespan, pt.max_cost)
 
 
+def _in_key_order(instance, slots):
+    """Whether every slot lists its jobs strictly increasing in key."""
+    keys = instance.keys
+    return all(keys[a] < keys[b] for batch in slots for a, b in zip(batch, batch[1:]))
+
+
+@pytest.mark.parametrize("profile", ["small", "paper"])
+@pytest.mark.parametrize("n", [7, 40, 150])
+def test_form_batches_lists_every_slot_in_key_order(n, profile):
+    for b in (1, 2, 3, n // 5 or 1, n):
+        inst = gen_random(n, seed=40_000 + n + b, profile=profile, capacity=b)
+        slots = form_batches(inst, AdmissibleSlots.unrestricted(inst))
+        assert slots[0] == []
+        for batch in slots[1:]:
+            assert batch == sorted(batch, key=inst.sort_key)
+
+
+def test_held_slots_stay_in_key_order_through_a_whole_sweep():
+    # hard-b2's first instance: hundreds of steps with long carry chains
+    # through full 2-job batches, each carry and hoist inserting in order
+    inst = gen_random(150, 1, "small", capacity=2)
+    solver = BoundedSolver.initial(inst)
+    assert _in_key_order(inst, solver.slots)
+    threshold, steps = UNBOUNDED, 0
+    while True:
+        schedule = solver.solve(threshold)
+        steps += 1
+        assert _in_key_order(inst, solver.slots), f"step {steps}"
+        if schedule is None:
+            break
+        threshold = solver.max_cost
+    assert steps == 314
+
+
+def test_check_mode_catches_a_slot_out_of_key_order():
+    # capacity 3: the step after the uncapped solve expels job 6 from slot
+    # 15 and carries it through the full slots 14..11 into slot 10; with
+    # slot 14's shortest and longest jobs swapped, the carry takes the
+    # wrong job out of it
+    inst = gen_random(15, 1, "paper")
+    solver = BoundedSolver.initial(inst, check=True)
+    solver.solve(UNBOUNDED)
+    batch = solver.slots[14]
+    assert batch == [15, 14, 12] and batch == sorted(batch, key=inst.sort_key)
+    assert all(len(solver.slots[c]) == 3 for c in range(11, 15)) and len(solver.slots[10]) < 3
+    batch[0], batch[-1] = batch[-1], batch[0]
+    with pytest.raises(InvariantError, match="^standing schedule diverged from rebuild$"):
+        solver.solve(solver.max_cost)
+
+
 def test_check_mode_catches_a_snapshot_off_its_times(two_jobs):
     solver = BoundedSolver.initial(two_jobs, check=True)
     solver.completion[2] += 1  # the uncapped solve adjusts nothing, so only the snapshot can notice
