@@ -62,7 +62,7 @@ def run_bench(
     profile: str | None = None,
     capacity: int | None = None,
 ) -> list[BenchRecord]:
-    """One record per (algorithm, n), rows sorted the same way.
+    """One record per distinct (algorithm, n), rows sorted the same way.
 
     Repetition r of every (algorithm, n) cell uses seed ``seed + r`` so the
     frontiers of different algorithms at equal n and seed are comparable.
@@ -74,9 +74,9 @@ def run_bench(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     records = []
-    for algorithm in sorted(algorithms):
+    for algorithm in sorted(runners):
         run, default_profile = runners[algorithm]
-        for n in sorted(sizes):
+        for n in sorted(set(sizes)):
             instances = [
                 gen_random(n, seed + r, profile=profile or default_profile, capacity=capacity)
                 for r in range(repetitions)
@@ -122,14 +122,15 @@ def loglog_slope(pairs) -> float:
 
 
 def summary_lines(records) -> list[str]:
-    """Fitted log-log slope of average time per algorithm."""
+    """Fitted log-log slope of average time per algorithm, for an
+    algorithm run at two distinct sizes or more."""
     lines = []
     by_algorithm: dict[str, list[tuple[int, float]]] = {}
     for r in records:
         by_algorithm.setdefault(r.algorithm, []).append((r.n, r.avg_seconds))
     for algorithm in sorted(by_algorithm):
         pairs = by_algorithm[algorithm]
-        if len(pairs) >= 2:
+        if len({n for n, _ in pairs}) >= 2:
             lines.append(f"{algorithm}: fitted log-log slope {loglog_slope(pairs):.2f}")
         else:
             lines.append(f"{algorithm}: slope needs at least two sizes")

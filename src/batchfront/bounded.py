@@ -20,7 +20,9 @@ carry opens a new batch in an empty slot e.  Every slot is a list in
 ascending ``Instance.keys`` order.  The carry reads a full slot's
 shortest job as its first entry and inserts the job it carries by
 bisection; the hoist scan stops in each slot at the first candidate from
-the long end.
+the long end.  Each slot also holds a limit reach, an upper bound on its
+jobs' highest limit, so the scan passes a slot that cannot hold a
+candidate without walking it.
 
 The solver also holds the max cost of each slot it has evaluated, and an
 adjustment marks only the slots it changed (e..i, or e..n after an
@@ -36,7 +38,7 @@ from bisect import insort
 from typing import Callable
 
 from .admissible import AdmissibleSlots
-from .model import Instance, InvariantError, Schedule, batch_times, eval_cost, objectives, timetable
+from .model import Instance, InvariantError, Schedule, batch_times, eval_cost, freeze_slots, objectives, timetable
 
 Trace = Callable[[str], None]
 
@@ -148,6 +150,14 @@ class BoundedSolver:
     swaps a slot's first (shortest) job for the carried one, inserted in
     order.
 
+    ``reach[c]`` is an upper bound on the highest limit among slot c's
+    jobs (0 for an empty slot), exact when the solver is built.  It is
+    raised wherever a job enters a slot (the hoist into i, each carry swap
+    and the carry's landing in e) and set to the exact maximum when the
+    hoist scan walks a slot in full without finding a candidate.  Limits
+    only fall, so a job leaving a slot needs no bookkeeping.  The scan
+    passes slot c without walking it when ``reach[c]`` is below i.
+
     ``top[i]`` holds the max cost of slot i's jobs at its current
     completion, or None when the slot changed since it was last evaluated
     (every slot starts that way).  An adjustment sets e..i to None, e..n
@@ -162,11 +172,12 @@ class BoundedSolver:
     from the rightmost slot with room, the carry's slot is within capacity,
     the incrementally kept completion times equal a full retime, no
     completion moved earlier, every held slot max equals a fresh
-    evaluation, and the standing schedule equals the greedy rebuild of the
-    current limits, slot order included.  That costs O(n log n) per
-    adjustment and is meant for the verification harness.  Every snapshot
-    it returns is also checked against a ``timetable`` of its own slots,
-    and ``max_cost`` against ``objectives``.
+    evaluation, no slot holds a limit above its reach, and the standing
+    schedule equals the greedy rebuild of the current limits, slot order
+    included.  That costs O(n log n) per adjustment and is meant for the
+    verification harness.  Every snapshot it returns is also checked
+    against a ``timetable`` of its own slots, and ``max_cost`` against
+    ``objectives``.
     """
 
     def __init__(
@@ -182,6 +193,8 @@ class BoundedSolver:
         self.slots = slots
         self.completion = batch_times(slots, instance)
         self.top: list[int | None] = [None] * len(slots)
+        limit = limits.table
+        self.reach = [max(map(limit.__getitem__, batch), default=0) for batch in slots]
         self.max_cost: int | None = None
         self.trace = trace
         self.check = check
@@ -218,7 +231,7 @@ class BoundedSolver:
     def schedule(self) -> Schedule:
         """The standing schedule as an immutable snapshot of the held slots
         and completions; its start times are derived by ``Schedule``."""
-        snapshot = Schedule(tuple(map(frozenset, self.slots[1:])), tuple(self.completion[1:]), self.instance.setup)
+        snapshot = Schedule(freeze_slots(self.slots[1:]), tuple(self.completion[1:]), self.instance.setup)
         if self.check and snapshot != timetable(self.slots[1:], self.instance):
             raise InvariantError("snapshot differs from a timetable of its slots")
         return snapshot
@@ -268,7 +281,9 @@ class BoundedSolver:
         admissible at slot i, the largest such job is hoisted in to replace
         j; either way j is pushed leftward through the (necessarily full)
         intervening batches, each handing its shortest job further left,
-        until the rightmost non-full batch e absorbs the carry.
+        until the rightmost non-full batch e absorbs the carry.  The scan
+        for the hoist skips every slot whose reach is below i, and raises
+        the reach of every slot a job enters.
         """
         instance = self.instance
         slots = self.slots
@@ -289,15 +304,20 @@ class BoundedSolver:
         # candidate holds the best one, and no candidate lies left of the
         # first slot with room, which is e, where the carry ends.  A slot
         # is walked from its longest job down, so the first candidate met
-        # is the slot's largest.
+        # is the slot's largest; a slot whose reach is below i holds no
+        # candidate and is not walked at all.
         hoist = None
         e = 0
+        reach = self.reach
         for c in range(i - 1, 0, -1):
             batch = slots[c]
-            for x in reversed(batch):
-                if limit[x] >= i:
-                    hoist = x
-                    break
+            if reach[c] >= i:
+                for x in reversed(batch):
+                    if limit[x] >= i:
+                        hoist = x
+                        break
+                else:
+                    reach[c] = max(map(limit.__getitem__, batch))  # walked in full: now exact
             if hoist is not None or len(batch) < cap:
                 e = c
                 break
@@ -306,6 +326,8 @@ class BoundedSolver:
         if hoist is not None:
             slots[e].remove(hoist)
             insort(slots[i], hoist, key=by_key)
+            if limit[hoist] > reach[i]:
+                reach[i] = limit[hoist]
             case = 2
             if self.check and self._last_nonfull(i) != e:
                 raise InvariantError("hoisted job's slot is not the rightmost non-full")
@@ -334,10 +356,14 @@ class BoundedSolver:
             if keys[carry] > keys[shortest]:
                 del batch[0]
                 insort(batch, carry, key=by_key)
+                if limit[carry] > reach[c]:
+                    reach[c] = limit[carry]
                 carry = shortest
             # else the carry is the shortest itself: batch unchanged, keep carrying
         completion[e] += shift + p[carry]
         insort(slots[e], carry, key=by_key)
+        if limit[carry] > reach[e]:
+            reach[e] = limit[carry]
         if opened:
             for c in range(i, instance.n + 1):
                 completion[c] += setup
@@ -363,6 +389,10 @@ class BoundedSolver:
             fresh = max([value[j](self.completion[c]) for j in self.slots[c]], default=None)
             if worst is not None and worst != fresh:
                 raise InvariantError(f"held max cost of slot {c} differs from a fresh evaluation")
+        limit = self.limits.table
+        for c, batch in enumerate(self.slots):
+            if batch and max(map(limit.__getitem__, batch)) > self.reach[c]:
+                raise InvariantError(f"slot {c} holds a limit above its reach")
         rebuilt = form_batches(instance, self.limits)
         if rebuilt is None or rebuilt != self.slots:
             raise InvariantError("standing schedule diverged from rebuild")

@@ -48,6 +48,14 @@ def _parse_sizes(text: str) -> list[int]:
     raise ValueError(f"--sizes must be a list such as 10,20,30 or a range such as 2-8, got {text!r}")
 
 
+def _parse_algorithms(text: str) -> list[str]:
+    """"main1,main2"; each name is checked by ``bench.run_bench``."""
+    algorithms = [part for part in text.split(",") if part]
+    if not algorithms:
+        raise ValueError(f"--algorithms must be a comma list from {','.join(bench_mod.ALGORITHMS)}, got {text!r}")
+    return algorithms
+
+
 def cmd_gen(args) -> int:
     instance = gen_random(args.n, args.seed, profile=args.profile, capacity=args.capacity)
     _write(emit_instance(instance), args.out)
@@ -88,7 +96,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    algorithms = [a for a in args.algorithms.split(",") if a]
+    algorithms = _parse_algorithms(args.algorithms)
     records = bench_mod.run_bench(
         algorithms, _parse_sizes(args.sizes), args.reps, args.seed, profile=args.profile, capacity=args.capacity
     )

@@ -375,6 +375,16 @@ def _shape_problems(slots, instance: Instance) -> list[str]:
     return problems
 
 
+_EMPTY_SLOT: frozenset[int] = frozenset()
+
+
+def freeze_slots(slots: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
+    """Slot contents as a tuple of frozensets, every empty slot being one
+    shared empty set: a snapshot of n slots with few nonempty ones then
+    allocates a set only per batch."""
+    return tuple([frozenset(batch) if batch else _EMPTY_SLOT for batch in slots])
+
+
 def timetable(slots: Iterable[Iterable[int]], instance: Instance) -> Schedule:
     """Attach completion times to slot contents.
 
@@ -384,11 +394,11 @@ def timetable(slots: Iterable[Iterable[int]], instance: Instance) -> Schedule:
     Retimetabling a schedule's own slots reproduces its times exactly (the
     operation is idempotent).
     """
-    filled = tuple(frozenset(batch) for batch in slots)
+    filled = freeze_slots(slots)
     problems = _shape_problems(filled, instance)
     if problems:
         raise ScheduleError(problems[0])
-    completion = batch_times((frozenset(), *filled), instance)
+    completion = batch_times((_EMPTY_SLOT, *filled), instance)
     return Schedule(filled, tuple(completion[1:]), instance.setup)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .admissible import AdmissibleSlots
 from .bounded import Trace, tolerated_slot
-from .model import Instance, InvariantError, Schedule, batch_times, objectives, timetable
+from .model import Instance, InvariantError, Schedule, batch_times, freeze_slots, objectives, timetable
 from .model import eval_cost  # noqa: F401 - unused here; perfbench/tracer.py counts calls through this name
 
 
@@ -124,7 +124,7 @@ class PrecedenceSolver:
             if outcome is None:
                 return None
             if not outcome:
-                snapshot = Schedule(tuple(map(frozenset, slots[1:])), tuple(completion[1:]), instance.setup)
+                snapshot = Schedule(freeze_slots(slots[1:]), tuple(completion[1:]), instance.setup)
                 if self.check and snapshot != timetable(slots[1:], instance):
                     raise InvariantError("snapshot differs from a timetable of its slots")
                 if self.check and self.max_cost != objectives(snapshot, instance)[1]:

@@ -50,6 +50,20 @@ def test_summary_names_each_algorithm():
     assert lines[0].startswith("main1: fitted log-log slope ")
 
 
+def test_repeated_algorithms_and_sizes_run_once():
+    records = run_bench(["main1", "main1_naive", "main1"], [12, 10, 12, 10], repetitions=1, seed=3)
+    keys = [(r.algorithm, r.n) for r in records]
+    assert keys == [("main1", 10), ("main1", 12), ("main1_naive", 10), ("main1_naive", 12)]
+
+
+def test_summary_needs_two_distinct_sizes():
+    # records repeating one size used to be fitted as a slope of 0.00
+    twice = [BenchRecord("main1", 10, 1, 0.5, 0.5, 1, 0), BenchRecord("main1", 10, 1, 0.25, 0.25, 1, 0)]
+    assert summary_lines(twice) == ["main1: slope needs at least two sizes"]
+    apart = [twice[0], BenchRecord("main1", 20, 1, 2.0, 2.0, 1, 0)]
+    assert summary_lines(apart) == ["main1: fitted log-log slope 2.00"]
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError):
         run_bench(["main3"], [10], repetitions=1, seed=0)

@@ -305,6 +305,44 @@ def test_held_slots_stay_in_key_order_through_a_whole_sweep():
     assert steps == 314
 
 
+def _reach_misses(solver):
+    """Nonempty slots holding a limit above their reach."""
+    limit = solver.limits.table
+    return [c for c, batch in enumerate(solver.slots) if batch and max(limit[x] for x in batch) > solver.reach[c]]
+
+
+def test_reach_stays_an_upper_bound_through_a_whole_sweep():
+    # hard-b2's first instance: every hoist, carry swap and landing raises
+    # a reach, and every candidate-free walk tightens one
+    inst = gen_random(150, 1, "small", capacity=2)
+    solver = BoundedSolver.initial(inst)
+    limit = solver.limits.table
+    assert solver.reach == [max((limit[x] for x in batch), default=0) for batch in solver.slots]
+    threshold, steps = UNBOUNDED, 0
+    while True:
+        schedule = solver.solve(threshold)
+        steps += 1
+        assert _reach_misses(solver) == [], f"step {steps}"
+        if schedule is None:
+            break
+        threshold = solver.max_cost
+    assert steps == 314
+
+
+def test_check_mode_catches_a_reach_below_a_held_limit():
+    # capacity 3: the step after the uncapped solve expels job 6 from slot
+    # 15 and hoists job 12 from slot 14, whose first job walked is a
+    # candidate; slot 11 is never scanned, so a reach lowered there by
+    # hand changes no move and only check mode can notice it
+    inst = gen_random(15, 1, "paper")
+    solver = BoundedSolver.initial(inst, check=True)
+    solver.solve(UNBOUNDED)
+    assert solver.reach[11:] == [15] * 5 and solver.slots[11] == [3, 4, 5]
+    solver.reach[11] = 14
+    with pytest.raises(InvariantError, match="^slot 11 holds a limit above its reach$"):
+        solver.solve(solver.max_cost)
+
+
 def test_check_mode_catches_a_slot_out_of_key_order():
     # capacity 3: the step after the uncapped solve expels job 6 from slot
     # 15 and carries it through the full slots 14..11 into slot 10; with

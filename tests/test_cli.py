@@ -256,6 +256,26 @@ def test_bench_checks_every_algorithm_before_running_any(capsys, monkeypatch):
     assert captured.err == "error: unknown algorithm 'main9', expected one of ('main1', 'main1_naive', 'main2')\n"
 
 
+@pytest.mark.parametrize("text", ["", ","])
+def test_bench_refuses_an_empty_algorithm_list_naming_the_flag(text, capsys):
+    # used to print a header-only CSV and exit 0
+    assert main(["bench", "--sizes", "10", "--reps", "1", "--algorithms", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --algorithms must be a comma list from main1,main1_naive,main2, got {text!r}\n"
+
+
+def test_bench_runs_each_distinct_algorithm_and_size_once(capsys):
+    # a repeated name or size used to give duplicate rows, and one size
+    # listed twice a fitted slope of 0.00
+    argv = ["bench", "--sizes", "10,10", "--reps", "1", "--seed", "2", "--algorithms", "main1,main1"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    rows = captured.out.strip().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["main1", "10"]]
+    assert captured.err == "main1: slope needs at least two sizes\n"
+
+
 def test_out_flag_writes_file(tmp_path):
     inst_path = tmp_path / "inst.json"
     csv_path = tmp_path / "front.csv"

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from batchfront.bounded import UNBOUNDED, BoundedSolver
 from batchfront.fileio import parse_instance
 from batchfront.generate import SplitMix64, gen_random
 from batchfront.model import (
@@ -23,6 +24,7 @@ from batchfront.model import (
     timetable,
     validate,
 )
+from batchfront.precedence import PrecedenceSolver
 
 
 def test_eval_cost_definitions():
@@ -283,6 +285,22 @@ def test_timetable_is_idempotent(two_jobs):
     sched = timetable([(1,), (2,)], two_jobs)
     again = timetable(sched.slots, two_jobs)
     assert again == sched
+
+
+@pytest.mark.parametrize("solver_class, profile", [(BoundedSolver, "paper"), (PrecedenceSolver, "prec")])
+def test_snapshots_share_one_empty_slot_and_equal_a_timetable_of_their_slots(solver_class, profile):
+    # n = 60 leaves dozens of empty slots in every snapshot of either solver
+    inst = gen_random(60, 3, profile)
+    solver = solver_class.initial(inst)
+    threshold, snapshots = UNBOUNDED, []
+    while (schedule := solver.solve(threshold)) is not None:
+        snapshots.append(schedule)
+        threshold = solver.max_cost
+    retimed = [timetable(schedule.slots, inst) for schedule in snapshots]
+    assert retimed == snapshots
+    empties = [batch for schedule in snapshots + retimed for batch in schedule.slots if not batch]
+    assert len(empties) >= 2 * 30 * len(snapshots)
+    assert all(batch is empties[0] for batch in empties)
 
 
 def test_objectives_worked_examples(two_jobs):
