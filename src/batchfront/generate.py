@@ -9,11 +9,13 @@ exactly uniform.
 
 from __future__ import annotations
 
-from .model import Affine, CostSpec, Instance, Job, Lateness, Tardiness
+from itertools import accumulate
+
+from .model import Affine, CostSpec, Instance, Job, Lateness, Tardiness, WeightedCompletion
 
 _MASK = (1 << 64) - 1
 
-PROFILES = ("paper", "small", "prec")
+PROFILES = ("paper", "small", "prec", "geo", "staged", "geo-prec")
 
 
 class SplitMix64:
@@ -68,7 +70,18 @@ def gen_random(n: int, seed: int, profile: str = "paper", capacity: int | None =
       i < j, becoming an edge independently with probability 3/10 (acyclic
       by construction).
 
-    ``capacity`` overrides the profile's batch capacity (ignored by prec).
+    * ``geo`` - step-heavy bounded: p in [1, 3], setup 10, job k weighted
+      completion with w = (n - k + 1)^2, capacity 2.  Threshold steps grow
+      about as n^2 / 10 while the frontier stays small.
+    * ``staged`` - relocation-heavy bounded: p in [1, 3], setup 10, job k
+      lateness with due date the sum of (setup + p) over jobs 1..k,
+      capacity max(1, n - 1).  Relocations are n(n - 1) / 2.
+    * ``geo-prec`` - step-heavy precedence: geo's jobs, unbounded, and each
+      job j > 1 gets up to two direct predecessors drawn uniformly from
+      1..j - 1 (repeats dropped), so edges stay under 2n.
+
+    ``capacity`` overrides the profile's batch capacity (ignored by the
+    unbounded profiles).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -92,6 +105,24 @@ def gen_random(n: int, seed: int, profile: str = "paper", capacity: int | None =
             Job(id=j, p=rng.randint(1, 9), cost=_mixed_cost(rng)) for j in range(1, n + 1)
         )
         return Instance(jobs=jobs, setup=setup, capacity=b)
+
+    if profile in ("geo", "staged", "geo-prec"):
+        p = [rng.randint(1, 3) for _ in range(n)]
+        setup = 10
+        if profile == "staged":
+            dues = list(accumulate(setup + x for x in p))
+            jobs = tuple(Job(id=j, p=p[j - 1], cost=Lateness(due=dues[j - 1])) for j in range(1, n + 1))
+            b = capacity if capacity is not None else max(1, n - 1)
+            return Instance(jobs=jobs, setup=setup, capacity=b)
+        jobs = tuple(
+            Job(id=j, p=p[j - 1], cost=WeightedCompletion(w=(n - j + 1) ** 2)) for j in range(1, n + 1)
+        )
+        if profile == "geo":
+            return Instance(jobs=jobs, setup=setup, capacity=capacity if capacity is not None else min(n, 2))
+        edges = tuple(dict.fromkeys(
+            (rng.randint(1, j - 1), j) for j in range(2, n + 1) for _ in range(rng.randint(0, 2))
+        ))
+        return Instance(jobs=jobs, setup=setup, capacity=None, precedence=edges)
 
     setup = rng.randint(0, 5)
     jobs = tuple(

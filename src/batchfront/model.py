@@ -160,24 +160,58 @@ class Job:
             raise InstanceError(f"cost must be a {kinds}, got {json.dumps(self.cost, default=repr)}")
 
 
-def _edge_pairs(precedence) -> tuple[tuple[int, int], ...]:
-    """The edges as integer pairs, never truncated; the first bad edge is
-    looked for, and named, only when a whole-list test fails."""
+def _edge_tuples(precedence) -> tuple[tuple, ...]:
+    """The edges as tuples, each to be checked by the adjacency walk; a
+    precedence that is not a sequence, or an entry that is not iterable, is
+    refused here."""
     if not isinstance(precedence, (list, tuple)):
         shown = json.dumps(precedence, default=repr)
         raise InstanceError(f"precedence must be a sequence of [pred, succ] pairs, got {shown}")
     try:
-        edges = tuple(map(tuple, precedence))
-    except TypeError:  # an entry that is not iterable, located below
-        edges = ()
-    if edges and set(map(len, edges)) <= {2} and set(map(type, chain.from_iterable(edges))) <= {int}:
-        return edges
+        return tuple(map(tuple, precedence))
+    except TypeError:  # an entry that is not iterable
+        _locate_bad_edge(precedence)
+        raise
+
+
+def _locate_bad_edge(precedence) -> None:
+    """Raise InstanceError naming the first edge, in input order, that is not
+    a pair of integers; return when every edge is one.  The adjacency walk
+    calls it only when it, or the dedup before it, reports a problem."""
     for k, edge in enumerate(precedence):
         if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
             raise InstanceError(f"precedence[{k}] must be a [pred, succ] pair")
         for end in edge:
             _int(end, f"precedence[{k}]", "endpoints must be integers", edge)
-    return edges
+
+
+def _edge_tables(precedence, edges: tuple[tuple, ...], n: int) -> tuple[list[list[int]], list[list[int]], str | None]:
+    """``(preds, succs, range_problem)`` from one walk over the distinct edges.
+
+    The walk tests each edge's shape, endpoint types, range and self-loop
+    as it fills the adjacency.  Any problem, or the dedup merging an edge
+    into an equal one (``[true, 2]`` after ``[1, 2]``), sends the whole
+    list through ``_locate_bad_edge``, so a shape or type problem anywhere
+    is raised first.  A range or self-loop problem is returned instead, for
+    ``Instance`` to raise after its job, setup and capacity checks."""
+    preds: list[list[int]] = [[] for _ in range(n + 1)]
+    succs: list[list[int]] = [[] for _ in range(n + 1)]
+    problem = None
+    try:
+        distinct = dict.fromkeys(edges)
+        for a, b in distinct:
+            if type(a) is int is type(b) and 0 < a <= n and 0 < b <= n and a != b:
+                succs[a].append(b)
+                preds[b].append(a)
+            else:
+                problem = f"bad precedence edge ({a}, {b})"  # unless _locate_bad_edge finds worse
+                break
+        merged = len(distinct) < len(edges)
+    except (TypeError, ValueError):  # an unhashable endpoint, or not a pair
+        merged = True
+    if problem or merged:
+        _locate_bad_edge(precedence)
+    return preds, succs, problem
 
 
 @dataclass(frozen=True)
@@ -194,8 +228,17 @@ class Instance:
     ``cost_value[j](t)`` the cost of completing at t (the bound ``value``
     method of the job's cost spec) and ``keys[j]`` the priority key that
     ``sort_key`` returns.  ``preds[j]``/``succs[j]`` (read-only lists) hold
-    the distinct edges in input order and ``layer[j]`` the sink layer that
-    ``layered_limits`` starts the job in; without edges these are constants.
+    the distinct edges in input order, ``layer[j]`` the sink layer that
+    ``layered_limits`` starts the job in, and ``preds_by_layer[j]`` the
+    predecessors of j in descending layer, the order the sink peel reaches
+    them in; without edges these are constants.
+
+    The edges are checked and the adjacency filled in one walk over the
+    distinct edges (``_edge_tables``); the whole list is searched for the
+    first malformed edge only when that walk or its dedup reports a
+    problem.  Problems are reported in a fixed order: the shape and type of
+    the job list and of the edges, then the job ids, setup and capacity,
+    then an edge out of range or a self-loop, and last a cycle.
     """
 
     jobs: tuple[Job, ...]
@@ -211,9 +254,11 @@ class Instance:
                 raise InstanceError(f"jobs[{k}] must be a Job, got {json.dumps(job, default=repr)}")
         jobs = tuple(sorted(self.jobs, key=lambda j: j.id))
         object.__setattr__(self, "jobs", jobs)
-        edges = _edge_pairs(self.precedence) if self.precedence else ()
-        object.__setattr__(self, "precedence", edges)
         n = len(jobs)
+        edges = _edge_tuples(self.precedence) if self.precedence else ()
+        if edges:
+            preds, succs, edge_problem = _edge_tables(self.precedence, edges, n)
+        object.__setattr__(self, "precedence", edges)
         if n == 0:
             raise InstanceError("instance needs at least one job")
         if [j.id for j in jobs] != list(range(1, n + 1)):
@@ -235,24 +280,25 @@ class Instance:
             no_edges = ([],) * (n + 1)
             object.__setattr__(self, "preds", no_edges)
             object.__setattr__(self, "succs", no_edges)
+            object.__setattr__(self, "preds_by_layer", no_edges)
             object.__setattr__(self, "layer", (0,) + (n,) * n)
             return
-        preds: list[list[int]] = [[] for _ in range(n + 1)]
-        succs: list[list[int]] = [[] for _ in range(n + 1)]
-        for a, b in dict.fromkeys(edges):
-            if not (0 < a <= n and 0 < b <= n) or a == b:
-                raise InstanceError(f"bad precedence edge ({a}, {b})")
-            succs[a].append(b)
-            preds[b].append(a)
-        # peel sink sets: layer n, then n-1, ...; a job never peeled is on a cycle
+        if edge_problem:
+            raise InstanceError(edge_problem)
+        # peel sink sets: layer n, then n-1, ...; a job never peeled is on a
+        # cycle.  Jobs are peeled in descending layer, so appending each one
+        # to its successors' lists orders every job's predecessors that way.
         outdeg = list(map(len, succs))
         layer = [0] * (n + 1)
+        by_layer: list[list[int]] = [[] for _ in range(n + 1)]
         current = [v for v in range(1, n + 1) if not outdeg[v]]
         depth = n
         while current:
             nxt = []
             for v in current:
                 layer[v] = depth
+                for s in succs[v]:
+                    by_layer[s].append(v)
                 for u in preds[v]:
                     outdeg[u] -= 1
                     if not outdeg[u]:
@@ -264,6 +310,7 @@ class Instance:
         object.__setattr__(self, "preds", tuple(preds))
         object.__setattr__(self, "succs", tuple(succs))
         object.__setattr__(self, "layer", tuple(layer))
+        object.__setattr__(self, "preds_by_layer", tuple(by_layer))
 
     @property
     def n(self) -> int:

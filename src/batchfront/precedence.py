@@ -2,15 +2,23 @@
 
 With unlimited batch capacity the batches are simply the admissibility
 groups themselves, so the solver never assembles batches greedily: it
-timetables the groups, sweeps them right to left, and moves every job that
-is either too costly at its completion or capped by a successor's earlier
-move.  Moves propagate: when a job moves left, each of its direct
-predecessors learns it must eventually sit strictly further left still,
-and is physically moved when the sweep (this one or a later one) reaches
-its slot.
+holds the groups with their completion times, sweeps them right to left,
+and moves every job that is either too costly at its completion or capped
+by a successor's earlier move.  Moves propagate: when a job moves left,
+each of its direct predecessors learns it must eventually sit strictly
+further left still, and is physically moved when the sweep (this one or a
+later one) reaches its slot.
+
+Each pass costs what the previous one changed.  The solver holds every
+group's max cost and marks the groups holding a job whose bound fell, so a
+pass walks only changed, marked and costly groups; a move shifts only the
+completion times it changes.  Propagation reads the predecessors in
+descending sink layer and stops where no bound can fall any more.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from .admissible import AdmissibleSlots
 from .bounded import Trace, tolerated_slot
@@ -21,12 +29,14 @@ from .model import eval_cost  # noqa: F401 - unused here; perfbench/tracer.py co
 class PrecGraph:
     """Jobs as vertices and strict-precedence edges, stored both ways.
 
-    ``preds(j)`` lists direct predecessors (the inverse adjacency, which is
-    what the solver propagates over) and ``succs(j)`` direct successors, in
-    input order with repeated edges kept once: a view over the tables the
-    ``Instance`` built when it checked the edges.  Edges may form any DAG
-    relation, not necessarily the covering relation; propagation over
-    redundant edges is only extra work, never wrong.
+    ``preds(j)`` lists direct predecessors (the order ``--trace`` reports
+    bound changes in) and ``succs(j)`` direct successors, in input order
+    with repeated edges kept once: a view over the tables the ``Instance``
+    built when it checked the edges.  The solver propagates over
+    ``Instance.preds_by_layer``, the same predecessors in descending sink
+    layer.  Edges may form any DAG relation, not necessarily the covering
+    relation; propagation over redundant edges is only extra work, never
+    wrong.
     """
 
     def __init__(self, instance: Instance):
@@ -63,27 +73,54 @@ class PrecedenceSolver:
     coincide whenever a solve converges) and dips below it only while
     successors' moves are still being worked off.
 
-    A clean pass judges every job at its batch's completion and moves
-    none, so the largest cost it saw is the returned schedule's max cost;
-    the solver keeps it as ``max_cost``.  The returned schedule holds that
-    pass's groups and completion times.  With ``check=True`` the solver
-    raises InvariantError when a batch completion moves earlier between
-    passes, a snapshot differs from a ``timetable`` of its slots, or
-    ``max_cost`` differs from ``objectives``.
+    The solver holds, as ``BoundedSolver`` does, what a pass would
+    otherwise rebuild: ``groups[i]``, group i's jobs as a list in ascending
+    ``Instance.keys`` order; ``completion[i]``, its batch's completion
+    time; ``top[i]``, the max cost of its jobs at that time, or None when
+    the group changed since it was last judged (every group starts that
+    way); and ``marked[i]``, set when propagation lowers the bound of a
+    job that group i holds.  A pass walks group i only when it is stale,
+    marked, or its held max reaches the threshold; any other group has
+    every job tolerating its completion and no job bounded below it, so
+    the walk would move nothing.  Moves land at pass end: each shifts
+    ``completion`` by the job's processing time on its target..origin-1
+    and, when it opens a group, by one setup from the target on, and marks
+    those groups stale.  Propagation reads ``Instance.preds_by_layer`` and
+    stops at the first predecessor whose sink layer is below the target:
+    a job's limit never exceeds its layer, and its bound never exceeds its
+    limit, so no predecessor past that point needs lowering.
+
+    A clean pass moves nothing and leaves every nonempty group's held max
+    current, so their largest is the returned schedule's max cost; the
+    solver keeps it as ``max_cost``.  The returned schedule holds the
+    held groups and completion times.  With ``check=True`` the solver
+    raises InvariantError when, before a pass, the held groups differ from
+    the sorted ``limits`` members, the held completions from a
+    ``batch_times`` of them, or a held max from a fresh evaluation; when a
+    batch completion moved earlier between passes or a limit exceeds its
+    job's layer; when a skipped group held a job the walk would have
+    moved; when, after a move to slot t, any predecessor (past the
+    propagation cut or not) keeps a bound of t or more; and when a
+    snapshot differs from a ``timetable`` of its slots or ``max_cost``
+    from ``objectives``.
     """
 
     def __init__(
         self,
         instance: Instance,
-        graph: PrecGraph,
         limits: AdmissibleSlots,
         trace: Trace | None = None,
         check: bool = False,
     ):
+        n = instance.n
         self.instance = instance
-        self.graph = graph
         self.limits = limits
-        self.bounds = [0] * (instance.n + 1)
+        self.bounds = [0] * (n + 1)
+        by_key = instance.keys.__getitem__
+        self.groups = [sorted(limits.members(i), key=by_key) for i in range(n + 1)]
+        self.completion = batch_times(self.groups, instance)
+        self.top: list[int | None] = [None] * (n + 1)
+        self.marked = [False] * (n + 1)
         self.max_cost: int | None = None
         self.trace = trace
         self.check = check
@@ -97,14 +134,12 @@ class PrecedenceSolver:
         trace: Trace | None = None,
         check: bool = False,
     ) -> "PrecedenceSolver":
-        graph = PrecGraph(instance)
-        return cls(instance, graph, layered_limits(instance, graph), trace, check)
+        return cls(instance, layered_limits(instance, PrecGraph(instance)), trace, check)
 
     def solve(self, threshold) -> Schedule | None:
         """Minimum-makespan schedule satisfying limits, precedence, and the
         strict cost cap, or None when none exists."""
         instance = self.instance
-        n = instance.n
         self.bounds[:] = self.limits.table
         last_completion: list[int] | None = None
         while True:
@@ -112,66 +147,155 @@ class PrecedenceSolver:
             # nonempty ones would make the layout invalid, but moves only
             # ever land on occupied slots or directly under the occupied
             # suffix, so the structure stays a suffix throughout.
-            slots = [self.limits.members(i) for i in range(n + 1)]
             self.passes += 1
-            completion = batch_times(slots, instance)
-            if self.check and last_completion is not None:
-                if any(completion[g] < last_completion[g] for g in range(1, n + 1)):
-                    raise InvariantError("a batch completion moved earlier")
-            last_completion = completion
-
-            outcome = self._sweep(slots, completion, threshold)
+            if self.check:
+                self._check_state(last_completion)
+                last_completion = self.completion[:]
+            outcome = self._sweep(self.groups, self.completion, threshold)
             if outcome is None:
                 return None
             if not outcome:
-                snapshot = Schedule(freeze_slots(slots[1:]), tuple(completion[1:]), instance.setup)
-                if self.check and snapshot != timetable(slots[1:], instance):
+                groups = self.groups
+                snapshot = Schedule(freeze_slots(groups[1:]), tuple(self.completion[1:]), instance.setup)
+                if self.check and snapshot != timetable(groups[1:], instance):
                     raise InvariantError("snapshot differs from a timetable of its slots")
                 if self.check and self.max_cost != objectives(snapshot, instance)[1]:
                     raise InvariantError("held max cost differs from objectives")
                 return snapshot
 
-    def _sweep(self, slots: list[list[int]], completion: list[int], threshold) -> bool | None:
-        """One descending pass over the formed batches.
+    def _sweep(self, groups: list[list[int]], completion: list[int], threshold) -> bool | None:
+        """One descending pass over the held groups.
 
-        Jobs are judged against this pass's times; group membership changes
-        mid-sweep do not re-enter the pass (a moved job is re-inspected when
-        the next pass reaches its new slot).  Returns True if anything
+        A group is walked, longest job first, only when its held max is
+        stale (evaluated here), reaches the threshold, or the group is
+        marked.  Jobs are judged against this pass's times and membership:
+        moves land at pass end (``_land``), so a moved job is re-inspected
+        when a later pass reaches its new group.  Returns True if anything
         moved, False for a clean pass, None when infeasible.  A clean pass
-        leaves the largest cost it judged in ``max_cost``.
+        leaves the largest held max in ``max_cost``.
         """
         instance = self.instance
         value = instance.cost_value
-        by_key = instance.keys.__getitem__
-        changed = False
-        worst = None
+        layer = instance.layer
+        by_layer = instance.preds_by_layer
+        limits = self.limits
+        limit = limits.table
+        bounds = self.bounds
+        top = self.top
+        marked = self.marked
+        trace = self.trace
+        moves: list[tuple[int, int, int]] = []
         for i in range(instance.n, 0, -1):
-            for j in sorted(slots[i], key=by_key, reverse=True):
-                cost = value[j](completion[i])
-                if cost < threshold:
-                    tolerated = i
-                    if worst is None or cost > worst:
-                        worst = cost
-                else:
+            batch = groups[i]
+            if not batch:
+                break  # the nonempty groups form a suffix
+            at = completion[i]
+            worst = top[i]
+            if worst is None:
+                worst = top[i] = max([value[j](at) for j in batch])
+            if worst < threshold and not marked[i]:
+                if self.check:
+                    self._check_skip(i, threshold)
+                continue  # every job tolerates slot i and none is bounded below it
+            marked[i] = False
+            left = len(batch)
+            for j in batch[::-1]:
+                target = bounds[j]  # at most i, the job's limit
+                if value[j](at) >= threshold:
                     tolerated = tolerated_slot(value[j], completion, i, threshold)
-                target = min(tolerated, self.bounds[j])
+                    if tolerated < target:
+                        target = tolerated
+                elif target == i:
+                    continue
                 if target < 1:
                     return None  # nothing tolerable, or successors force the job out of every slot
-                if target == i:
-                    continue
-                self.limits.move(j, target)
-                self.bounds[j] = target
+                limits.move(j, target)
+                bounds[j] = target
                 self.adjustments += 1
-                changed = True
-                if self.trace:
-                    self.trace(f"move job={j} from={i} to={target}")
-                if self.limits.group_size(i) == 0:
+                moves.append((j, i, target))
+                if trace:
+                    trace(f"move job={j} from={i} to={target}")
+                left -= 1
+                if not left and limits.group_size(i) == 0:
                     return None  # group drained with jobs still due further left
-                for p in self.graph.preds(j):
-                    if target - 1 < self.bounds[p]:
-                        self.bounds[p] = target - 1
-                        if self.trace:
-                            self.trace(f"bound job={p} new={target - 1}")
-        if not changed:
-            self.max_cost = worst
-        return changed
+                lowered = []
+                for q in by_layer[j]:
+                    if layer[q] < target:
+                        break  # predecessors from here on are bounded below target already
+                    if target - 1 < bounds[q]:
+                        bounds[q] = target - 1
+                        marked[limit[q]] = True
+                        lowered.append(q)
+                if self.check:
+                    self._check_cut(j, target)
+                if trace and lowered:
+                    for q in instance.preds[j]:
+                        if q in lowered:
+                            trace(f"bound job={q} new={target - 1}")
+            if left < len(batch):
+                top[i] = None  # jobs left the group; _land removes them
+        if not moves:
+            # every nonempty group's held max is current; None marks the empty prefix
+            self.max_cost = max(top[top.count(None) :])
+            return False
+        self._land(moves)
+        return True
+
+    def _land(self, moves: list[tuple[int, int, int]]) -> None:
+        """Land a pass's moves, in order: each job leaves its origin's held
+        list for its target's, slots target..origin-1 complete later by its
+        processing time, and every slot from the target on by one setup
+        when the move opened the target.  The held maxima of the slots
+        whose times or members changed go stale."""
+        instance = self.instance
+        n = instance.n
+        p = instance.p
+        setup = instance.setup
+        by_key = instance.keys.__getitem__
+        groups = self.groups
+        completion = self.completion
+        top = self.top
+        for j, i, target in moves:
+            groups[i].remove(j)
+            opened = not groups[target]  # no earlier move left it, so it was empty all pass
+            insort(groups[target], j, key=by_key)
+            pj = p[j]
+            for c in range(target, i):
+                completion[c] += pj
+                top[c] = None
+            if opened:
+                for c in range(target, n + 1):
+                    completion[c] += setup
+                    top[c] = None
+
+    def _check_state(self, last_completion: list[int] | None) -> None:
+        """Check mode: the held state before a pass against a rebuild."""
+        instance = self.instance
+        n = instance.n
+        by_key = instance.keys.__getitem__
+        if self.groups != [sorted(self.limits.members(i), key=by_key) for i in range(n + 1)]:
+            raise InvariantError("held groups differ from the sorted limits members")
+        completion = self.completion
+        if completion != batch_times(self.groups, instance):
+            raise InvariantError("held completions differ from batch_times")
+        if last_completion is not None and any(now < then for now, then in zip(completion, last_completion)):
+            raise InvariantError("a batch completion moved earlier")
+        value = instance.cost_value
+        for i, worst in enumerate(self.top):
+            if worst is not None and worst != max([value[j](completion[i]) for j in self.groups[i]], default=None):
+                raise InvariantError(f"held max cost of group {i} differs from a fresh evaluation")
+        if any(map(int.__gt__, self.limits.table, instance.layer)):
+            raise InvariantError("a limit exceeds its job's sink layer")
+
+    def _check_skip(self, i: int, threshold) -> None:
+        """Check mode: a group the pass skips holds no job it would move."""
+        value = self.instance.cost_value
+        at = self.completion[i]
+        if any(value[j](at) >= threshold or self.bounds[j] < i for j in self.groups[i]):
+            raise InvariantError(f"skipped group {i} needed a walk")
+
+    def _check_cut(self, j: int, target: int) -> None:
+        """Check mode: after propagating job j's move, every predecessor,
+        those past the layer cut included, is bounded below target."""
+        if any(self.bounds[q] > target - 1 for q in self.instance.preds[j]):
+            raise InvariantError(f"a predecessor of job {j} past the propagation cut is bounded above {target - 1}")

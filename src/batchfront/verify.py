@@ -1,11 +1,12 @@
 """Differential verification of the solvers against the exhaustive oracle.
 
 For each generated instance the frontier sweep runs with internal checks
-on, every threshold step is replayed by the from-scratch reference solver
-on a copy of the pre-step limits, the returned schedule is compared
-slot-for-slot against a greedy rebuild of the post-step limits, and the
-resulting frontier is compared against the brute-force oracle.  Any
-discrepancy is reported with the seed that produced it.
+on, and every threshold step is replayed on a copy of the pre-step
+limits: by the from-scratch reference solver on the bounded path, with
+the returned schedule compared slot-for-slot against a greedy rebuild of
+the post-step limits, and by a fresh precedence solver on the precedence
+path.  The resulting frontier is compared against the brute-force oracle.
+Any discrepancy is reported with the seed that produced it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .frontier import ParetoFront, pareto_bounded, pareto_precedence
 from .generate import SplitMix64, gen_random
 from .model import Instance, InvariantError, objectives, validate
 from .oracle import DEFAULT_LIMITS, oracle_pareto
+from .precedence import PrecedenceSolver
 
 # How often each size is drawn, relative to the others: enumeration cost
 # grows like the ordered-set-partition counts (3, 13, 75, 541, 4683, 47293,
@@ -124,14 +126,51 @@ def check_bounded(instance: Instance) -> list[str]:
     return issues
 
 
+def _sweep_precedence(instance: Instance) -> tuple[ParetoFront | None, list[str]]:
+    """The precedence sweep in check mode, each step replayed by a fresh
+    ``PrecedenceSolver`` on a copy of its starting limits.  The fresh
+    solver holds no state from earlier steps, so its first pass walks every
+    group; the warm one must agree on feasibility, makespan, max cost,
+    slots and the limits it leaves.  The front is None when an internal
+    invariant failed."""
+    issues: list[str] = []
+
+    def differential(before, threshold, schedule, after):
+        fresh = PrecedenceSolver(instance, before.copy(), check=True)
+        ref = fresh.solve(threshold)
+        if (ref is None) != (schedule is None):
+            issues.append(
+                f"threshold {threshold}: fresh solver feasibility "
+                f"{ref is not None} != warm {schedule is not None}"
+            )
+            return
+        if schedule is not None:
+            got = (schedule.makespan, objectives(schedule, instance)[1], schedule.slots)
+            want = (ref.makespan, fresh.max_cost, ref.slots)
+            if got != want:
+                issues.append(f"threshold {threshold}: warm {got[:2]} != fresh {want[:2]} or their slots differ")
+        if fresh.limits.table != after.table:
+            issues.append(f"threshold {threshold}: limits after the step differ from a fresh solver's")
+
+    try:
+        front = pareto_precedence(instance, on_step=differential, check=True)
+    except InvariantError as err:
+        return None, issues + [f"internal invariant failed: {err}"]
+    return front, issues + _check_frontier_shape(front, instance)
+
+
+def check_precedence_steps(instance: Instance) -> list[str]:
+    """The precedence-path checks that need no oracle, so they run at any
+    size: check mode, the per-step fresh-solver replay and the frontier
+    shape."""
+    return _sweep_precedence(instance)[1]
+
+
 def check_precedence(instance: Instance) -> list[str]:
     """All precedence-path checks for one instance."""
-    try:
-        front = pareto_precedence(instance, check=True)
-    except InvariantError as err:
-        return [f"internal invariant failed: {err}"]
-    issues = _check_frontier_shape(front, instance)
-    issues += _check_against_oracle(front, instance)
+    front, issues = _sweep_precedence(instance)
+    if front is not None:
+        issues += _check_against_oracle(front, instance)
     return issues
 
 

@@ -96,6 +96,31 @@ def test_trace_beyond_the_oracle_matches_golden_digest(tmp_path, capsys):
     assert digest.hexdigest() == LONG_CARRY_DIGEST
 
 
+# main2 beyond the precedence oracle's n <= 7: `prec` instances at these
+# sizes, seeds 1-5, with hundreds of moves and bound propagations each
+PRECEDENCE_SIZES = (20, 60, 120, 250)
+PRECEDENCE_DIGEST = "45e6a609a2322442122f42cad0d9f46ca7c2bb87f046c0597ef7c00ca70d2131"
+
+
+def test_precedence_trace_beyond_the_oracle_matches_golden_digest(tmp_path, capsys):
+    # one digest over the complete stdout and stderr of `pareto --trace` on
+    # every instance, in size and seed order
+    digest = hashlib.sha256()
+    moves = bounds = 0
+    for n in PRECEDENCE_SIZES:
+        for seed in range(1, 6):
+            path = tmp_path / f"prec-n{n}-seed{seed}.json"
+            save_instance(gen_random(n, seed, "prec"), path)
+            assert main(["pareto", str(path), "--trace"]) == 0
+            captured = capsys.readouterr()
+            for text in (captured.out, captured.err):
+                digest.update(text.encode("utf-8") + b"\0")
+            moves += captured.err.count("\nmove ")
+            bounds += captured.err.count("\nbound ")
+    assert (moves, bounds) == (3983, 3885)
+    assert digest.hexdigest() == PRECEDENCE_DIGEST
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json", encoding="utf-8")

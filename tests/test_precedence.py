@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from batchfront import verify
+from batchfront.admissible import AdmissibleSlots
 from batchfront.bounded import UNBOUNDED
 from batchfront.fileio import emit_instance, parse_instance
 from batchfront.generate import gen_random
@@ -17,7 +19,7 @@ from batchfront.model import (
     validate,
 )
 from batchfront.precedence import PrecedenceSolver, PrecGraph, layered_limits
-from batchfront.verify import check_precedence
+from batchfront.verify import check_precedence, check_precedence_steps
 
 
 def _chain(n, s=1, p=1, due=100):
@@ -56,7 +58,35 @@ EDGE_ERRORS = [
     pytest.param([[1, 4], [-1, 2]], r"bad precedence edge \(1, 4\)", id="id-too-large-first"),
     pytest.param([[1, 2], [2, 3], [3, 1]], r"precedence edges contain a cycle", id="cycle"),
     pytest.param([[1, 2], [1, 2], [2, 1]], r"precedence edges contain a cycle", id="cycle-with-repeat"),
+    # more than one fault, or a fault the dedup hides: the first problem
+    # reported stays the one a whole-list search finds first
+    pytest.param([[1, 2], [True, 2]], r"precedence\[1\] endpoints must be integers, got \[true, 2\]", id="bool-equal-to-an-edge"),
+    pytest.param([[1, 2], [[1], 2]], r"precedence\[1\] endpoints must be integers, got \[\[1\], 2\]", id="unhashable-endpoint"),
+    pytest.param([[1, 2], "ab"], r"precedence\[1\] must be a \[pred, succ\] pair", id="string-of-two"),
+    pytest.param(
+        [[1, 2], [2, 9], [1.5, 3]], r"precedence\[2\] endpoints must be integers, got \[1\.5, 3\]", id="type-after-range"
+    ),
 ]
+
+
+@pytest.mark.parametrize(
+    "setup, capacity, message",
+    [
+        pytest.param(-1, None, r"setup time must be >= 0, got -1", id="setup-first"),
+        pytest.param(
+            1, 2, r"precedence edges are not supported with bounded capacity; .*", id="bounded-precedence-first"
+        ),
+    ],
+)
+def test_an_edge_out_of_range_is_reported_after_the_job_checks(setup, capacity, message):
+    jobs = tuple(Job(i, 1, Lateness(5)) for i in (1, 2, 3))
+    with pytest.raises(InstanceError, match=rf"^{message}$"):
+        Instance(jobs=jobs, setup=setup, capacity=capacity, precedence=[[0, 1]])
+    doc = json.loads(_three_jobs_text([[0, 1]]))
+    doc["setup"] = setup
+    doc["capacity"] = capacity if capacity is not None else "unbounded"
+    with pytest.raises(InstanceError, match=rf"^<string>: {message}$"):
+        parse_instance(json.dumps(doc))
 
 
 @pytest.mark.parametrize("edges, message", EDGE_ERRORS)
@@ -289,3 +319,114 @@ def test_check_mode_catches_a_max_cost_off_the_schedule(fork, monkeypatch):
         PrecedenceSolver.initial(fork, check=True).solve(UNBOUNDED)
     unchecked = PrecedenceSolver.initial(fork)
     assert objectives(unchecked.solve(UNBOUNDED), fork) == (6, unchecked.max_cost + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 60])
+def test_predecessors_by_layer_are_the_predecessors_in_descending_layer(n):
+    for seed in range(6):
+        base = gen_random(n, seed=seed, profile="prec")
+        edges = base.precedence + base.precedence[::4]
+        inst = Instance(jobs=base.jobs, setup=base.setup, capacity=None, precedence=edges)
+        for j in range(1, n + 1):
+            ordered = inst.preds_by_layer[j]
+            assert sorted(ordered) == sorted(inst.preds[j])
+            assert [inst.layer[q] for q in ordered] == sorted((inst.layer[q] for q in ordered), reverse=True)
+
+
+@pytest.mark.parametrize("n", [60, 150])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_main2_step_matches_a_fresh_solver_beyond_the_oracle(n, seed):
+    # check mode on, every step replayed by a fresh solver whose first pass
+    # walks every group, so a group the warm solver wrongly skips shows
+    assert check_precedence_steps(gen_random(n, seed, "prec")) == []
+
+
+def test_step_replay_reports_a_warm_step_that_disagrees(monkeypatch):
+    sweep = verify.pareto_precedence
+
+    def misreported(instance, on_step, check):
+        def lying(before, threshold, schedule, after):
+            on_step(before, threshold, None, before)  # claims infeasible, limits unchanged
+
+        return sweep(instance, on_step=lying, check=check)
+
+    monkeypatch.setattr(verify, "pareto_precedence", misreported)
+    issues = check_precedence_steps(gen_random(20, 1, "prec"))
+    assert issues[0] == "threshold inf: fresh solver feasibility True != warm False"
+
+
+def _propagating():
+    # job 3 (successor of 1) leaves group 3, so job 1 must leave group 2
+    return Instance(
+        jobs=(Job(1, 1, Lateness(100)), Job(2, 1, Lateness(100)), Job(3, 1, Lateness(2))),
+        setup=1,
+        capacity=None,
+        precedence=((1, 3),),
+    )
+
+
+def _solved(instance):
+    solver = PrecedenceSolver.initial(instance, check=True)
+    solver.solve(UNBOUNDED)
+    return solver
+
+
+def test_check_mode_catches_held_groups_off_the_limits():
+    solver = _solved(gen_random(12, 3, "prec"))
+    big = next(i for i, group in enumerate(solver.groups) if len(group) > 1)
+    solver.groups[big].reverse()
+    with pytest.raises(InvariantError, match="^held groups differ from the sorted limits members$"):
+        solver.solve(solver.max_cost)
+
+
+def test_check_mode_catches_held_completions_off_their_groups():
+    solver = _solved(gen_random(12, 3, "prec"))
+    solver.completion[-1] += 1
+    with pytest.raises(InvariantError, match="^held completions differ from batch_times$"):
+        solver.solve(solver.max_cost)
+
+
+def test_check_mode_catches_a_held_max_off_its_group():
+    solver = _solved(gen_random(12, 3, "prec"))
+    solver.top[-1] -= 1
+    with pytest.raises(InvariantError, match="^held max cost of group 12 differs from a fresh evaluation$"):
+        solver.solve(solver.max_cost)
+
+
+def test_check_mode_catches_a_skipped_group_that_needed_a_walk():
+    class Unmarkable(list):
+        def __setitem__(self, index, value):
+            super().__setitem__(index, False)
+
+    solver = PrecedenceSolver.initial(_propagating(), check=True)
+    solver.marked = Unmarkable(solver.marked)
+    with pytest.raises(InvariantError, match="^skipped group 2 needed a walk$"):
+        solver.solve(2)
+
+
+def test_check_mode_catches_a_predecessor_past_the_propagation_cut():
+    inst = _propagating()
+    object.__setattr__(inst, "preds_by_layer", ([], [], [], []))  # job 3 forgets its predecessor
+    with pytest.raises(InvariantError, match="^a predecessor of job 3 past the propagation cut is bounded above 1$"):
+        PrecedenceSolver.initial(inst, check=True).solve(2)
+
+
+def test_check_mode_catches_a_limit_above_its_layer():
+    inst = _propagating()
+    solver = PrecedenceSolver(inst, AdmissibleSlots.unrestricted(inst), check=True)
+    with pytest.raises(InvariantError, match="^a limit exceeds its job's sink layer$"):
+        solver.solve(UNBOUNDED)
+
+
+def test_held_state_matches_a_rebuild_after_every_step():
+    inst = gen_random(150, 2, "prec")
+    solver = PrecedenceSolver.initial(inst)
+    by_key = inst.keys.__getitem__
+    threshold = UNBOUNDED
+    while (schedule := solver.solve(threshold)) is not None:
+        assert solver.groups == [sorted(solver.limits.members(i), key=by_key) for i in range(inst.n + 1)]
+        assert solver.completion == batch_times(solver.groups, inst)
+        assert solver.bounds == solver.limits.table
+        assert not any(solver.marked)
+        assert objectives(schedule, inst)[1] == solver.max_cost
+        threshold = solver.max_cost
