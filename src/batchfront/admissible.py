@@ -6,13 +6,15 @@ indices move strictly leftward over a solver run, so every job passes
 through at most n - 1 groups and a full frontier sweep performs at most
 n*(n-1) relocations in total.
 
-Each group is a plain set of job ids next to a job -> group table.  No solver
-needs the members in any order: selections that depend on order rank jobs
-by ``Instance.sort_key``, whose (processing time, -id) order is strict,
-which keeps every selection deterministic.
+The job -> group table is the only record of membership: ``groups()``
+derives every group from it as a list in ascending ``Instance.keys``
+order, whose (processing time, -id) order is strict, so every selection
+the solvers make from a group is deterministic.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .model import Instance, InvariantError
 
@@ -21,8 +23,9 @@ class AdmissibleSlots:
     """The n disjoint groups with leftward-only movement tracking.
 
     ``limit(j)`` is the index of the group holding job j, i.e. the highest
-    batch slot the job may currently occupy.  ``relocations`` counts every
-    move performed over the structure's lifetime.
+    batch slot the job may currently occupy.  The limit table is the whole
+    state next to ``relocations``, which counts every move performed over
+    the structure's lifetime.
     """
 
     def __init__(self, instance: Instance, limits: dict[int, int]):
@@ -33,11 +36,7 @@ class AdmissibleSlots:
             if not 1 <= i <= n:
                 raise ValueError(f"job {j}: group index {i} out of range")
         self._instance = instance
-        self._limit = [0] * (n + 1)
-        self._groups: list[set[int]] = [set() for _ in range(n + 1)]
-        for j, i in limits.items():
-            self._limit[j] = i
-            self._groups[i].add(j)
+        self._limit = [0] + [limits[j] for j in range(1, n + 1)]
         self.relocations = 0
 
     @classmethod
@@ -64,41 +63,36 @@ class AdmissibleSlots:
         origin = self._limit[job_id]
         if not 1 <= to < origin:
             raise InvariantError(f"job {job_id}: move {origin} -> {to} is not strictly left")
-        self._groups[origin].remove(job_id)
-        self._groups[to].add(job_id)
         self._limit[job_id] = to
         self.relocations += 1
 
-    def members(self, group: int) -> list[int]:
-        return list(self._groups[group])
-
-    def group_size(self, group: int) -> int:
-        return len(self._groups[group])
+    def groups(self) -> list[list[int]]:
+        """Every group as a list indexed by group (entry 0 empty), each in
+        ascending ``Instance.keys`` order: one pass over ``Instance.by_key``."""
+        groups: list[list[int]] = [[] for _ in range(self.n + 1)]
+        limit = self._limit
+        for j in self._instance.by_key:
+            groups[limit[j]].append(j)
+        return groups
 
     def prefix_capacity_ok(self, b: int) -> bool:
         """True iff every prefix of groups fits in its slots: sum of the
         first i group sizes <= i*b for all i."""
-        running = 0
-        for i in range(1, self.n + 1):
-            running += len(self._groups[i])
-            if running > i * b:
-                return False
-        return True
+        return all(total <= i * b for i, total in enumerate(accumulate(map(len, self.groups()))))
 
     def copy(self) -> "AdmissibleSlots":
         clone = AdmissibleSlots.__new__(AdmissibleSlots)
         clone._instance = self._instance
         clone._limit = list(self._limit)
-        clone._groups = [set(g) for g in self._groups]
         clone.relocations = self.relocations
         return clone
 
     def dump(self) -> str:
-        """One line per nonempty group: ``i: [id(p), ...]`` in key order."""
-        key = self._instance.sort_key
-        lines = []
-        for i in range(1, self.n + 1):
-            jobs = sorted(self._groups[i], key=key, reverse=True)
-            if jobs:
-                lines.append(f"{i}: [" + ", ".join(f"{j}({key(j)[0]})" for j in jobs) + "]")
-        return "\n".join(lines)
+        """One line per nonempty group: ``i: [id(p), ...]`` in descending key
+        order, longest job first."""
+        p = self._instance.p
+        return "\n".join(
+            f"{i}: [" + ", ".join(f"{j}({p[j]})" for j in reversed(group)) + "]"
+            for i, group in enumerate(self.groups())
+            if group
+        )

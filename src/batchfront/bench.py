@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .frontier import pareto_bounded, pareto_bounded_naive, pareto_precedence
-from .generate import gen_random
+from .generate import check_profile, gen_random
 
 ALGORITHMS = ("main1", "main1_naive", "main2")
 
@@ -67,12 +67,16 @@ def run_bench(
     Repetition r of every (algorithm, n) cell uses seed ``seed + r`` so the
     frontiers of different algorithms at equal n and seed are comparable.
     ``profile`` replaces every algorithm's default profile and ``capacity``
-    the profile's batch capacity (see ``gen_random``); an algorithm given
-    instances of the wrong capacity mode raises ``InstanceError``.
+    the profile's batch capacity (see ``gen_random``); a capacity given to
+    an unbounded profile raises ``ValueError`` before any run, and an
+    algorithm given instances of the wrong capacity mode raises
+    ``InstanceError``.
     """
     runners = {algorithm: _runner(algorithm) for algorithm in algorithms}  # checks every name before any run
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    for _, default_profile in runners.values():
+        check_profile(profile or default_profile, capacity)
     records = []
     for algorithm in sorted(runners):
         run, default_profile = runners[algorithm]

@@ -69,8 +69,9 @@ def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[list[int]]
     slots: list[list[int]] = [[] for _ in range(n + 1)]
     pool: list[tuple[int, int]] = []  # (-p, id): pops give largest (p, -id) first
     assigned = 0
+    groups = limits.groups()
     for i in range(n, 0, -1):
-        for j in limits.members(i):
+        for j in groups[i]:
             heapq.heappush(pool, (-p[j], j))
         take = min(cap, len(pool))
         batch = slots[i] = [heapq.heappop(pool)[1] for _ in range(take)]

@@ -45,6 +45,15 @@ class SplitMix64:
         return self.randint(0, den - 1) < num
 
 
+def check_profile(profile: str, capacity: int | None) -> None:
+    """Raise ValueError for an unknown profile, or for a capacity given to
+    a profile whose instances are unbounded."""
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}, expected one of {PROFILES}")
+    if capacity is not None and profile in ("prec", "geo-prec"):
+        raise ValueError(f"profile {profile!r} is unbounded and takes no capacity, got {capacity}")
+
+
 def _mixed_cost(rng: SplitMix64) -> CostSpec:
     kind = rng.randint(0, 2)
     if kind == 0:
@@ -80,13 +89,12 @@ def gen_random(n: int, seed: int, profile: str = "paper", capacity: int | None =
       job j > 1 gets up to two direct predecessors drawn uniformly from
       1..j - 1 (repeats dropped), so edges stay under 2n.
 
-    ``capacity`` overrides the profile's batch capacity (ignored by the
-    unbounded profiles).
+    ``capacity`` overrides the profile's batch capacity; the unbounded
+    profiles refuse one.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}, expected one of {PROFILES}")
+    check_profile(profile, capacity)
     rng = SplitMix64(seed)
 
     if profile == "paper":

@@ -227,7 +227,8 @@ class Instance:
     the solvers' loops read job data from: ``p[j]`` is the processing time,
     ``cost_value[j](t)`` the cost of completing at t (the bound ``value``
     method of the job's cost spec) and ``keys[j]`` the priority key that
-    ``sort_key`` returns.  ``preds[j]``/``succs[j]`` (read-only lists) hold
+    ``sort_key`` returns; ``by_key`` lists the job ids in ascending key
+    order.  ``preds[j]``/``succs[j]`` (read-only lists) hold
     the distinct edges in input order, ``layer[j]`` the sink layer that
     ``layered_limits`` starts the job in, and ``preds_by_layer[j]`` the
     predecessors of j in descending layer, the order the sink peel reaches
@@ -275,6 +276,8 @@ class Instance:
                 )
         object.__setattr__(self, "keys", (None, *((j.p, -j.id) for j in jobs)))
         object.__setattr__(self, "p", (0, *(j.p for j in jobs)))
+        # a stable sort by p from descending ids is ascending (p, -id) order
+        object.__setattr__(self, "by_key", tuple(sorted(range(n, 0, -1), key=self.p.__getitem__)))
         object.__setattr__(self, "cost_value", (None, *(j.cost.value for j in jobs)))
         if not edges:
             no_edges = ([],) * (n + 1)

@@ -95,7 +95,7 @@ class PrecedenceSolver:
     solver keeps it as ``max_cost``.  The returned schedule holds the
     held groups and completion times.  With ``check=True`` the solver
     raises InvariantError when, before a pass, the held groups differ from
-    the sorted ``limits`` members, the held completions from a
+    ``limits.groups()``, the held completions from a
     ``batch_times`` of them, or a held max from a fresh evaluation; when a
     batch completion moved earlier between passes or a limit exceeds its
     job's layer; when a skipped group held a job the walk would have
@@ -116,8 +116,7 @@ class PrecedenceSolver:
         self.instance = instance
         self.limits = limits
         self.bounds = [0] * (n + 1)
-        by_key = instance.keys.__getitem__
-        self.groups = [sorted(limits.members(i), key=by_key) for i in range(n + 1)]
+        self.groups = limits.groups()
         self.completion = batch_times(self.groups, instance)
         self.top: list[int | None] = [None] * (n + 1)
         self.marked = [False] * (n + 1)
@@ -185,6 +184,7 @@ class PrecedenceSolver:
         marked = self.marked
         trace = self.trace
         moves: list[tuple[int, int, int]] = []
+        targets: set[int] = set()  # groups a move of this pass refills at pass end
         for i in range(instance.n, 0, -1):
             batch = groups[i]
             if not batch:
@@ -213,10 +213,11 @@ class PrecedenceSolver:
                 bounds[j] = target
                 self.adjustments += 1
                 moves.append((j, i, target))
+                targets.add(target)
                 if trace:
                     trace(f"move job={j} from={i} to={target}")
                 left -= 1
-                if not left and limits.group_size(i) == 0:
+                if not left and i not in targets:
                     return None  # group drained with jobs still due further left
                 lowered = []
                 for q in by_layer[j]:
@@ -271,10 +272,8 @@ class PrecedenceSolver:
     def _check_state(self, last_completion: list[int] | None) -> None:
         """Check mode: the held state before a pass against a rebuild."""
         instance = self.instance
-        n = instance.n
-        by_key = instance.keys.__getitem__
-        if self.groups != [sorted(self.limits.members(i), key=by_key) for i in range(n + 1)]:
-            raise InvariantError("held groups differ from the sorted limits members")
+        if self.groups != self.limits.groups():
+            raise InvariantError("held groups differ from the limits' groups")
         completion = self.completion
         if completion != batch_times(self.groups, instance):
             raise InvariantError("held completions differ from batch_times")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .bounded import form_batches, solve_reference
 from .frontier import ParetoFront, pareto_bounded, pareto_precedence
 from .generate import SplitMix64, gen_random
-from .model import Instance, InvariantError, objectives, validate
+from .model import Instance, InvariantError, freeze_slots, objectives, validate
 from .oracle import DEFAULT_LIMITS, oracle_pareto
 from .precedence import PrecedenceSolver
 
@@ -114,7 +114,7 @@ def check_bounded(instance: Instance) -> list[str]:
         if got != want:
             issues.append(f"threshold {threshold}: incremental {got} != reference {want}")
         rebuilt = form_batches(instance, after)
-        if rebuilt is None or tuple(frozenset(s) for s in rebuilt[1:]) != schedule.slots:
+        if rebuilt is None or freeze_slots(rebuilt[1:]) != schedule.slots:
             issues.append(f"threshold {threshold}: schedule differs from rebuild of final limits")
 
     try:

@@ -17,11 +17,24 @@ class TestAdmissibleSlots:
     def test_unrestricted_layout(self):
         for n in (1, 2, 3):
             inst = _inst([1] * n)
-            slots = AdmissibleSlots.unrestricted(inst)
-            assert slots.members(n) is not None
-            assert sorted(slots.members(n)) == list(range(1, n + 1))
-            for i in range(1, n):
-                assert slots.members(i) == []
+            groups = AdmissibleSlots.unrestricted(inst).groups()
+            assert len(groups) == n + 1
+            assert sorted(groups[n]) == list(range(1, n + 1))
+            for i in range(n):
+                assert groups[i] == []
+
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            pytest.param({1: 1, 2: 2}, "^limits must cover job ids 1..n$", id="misses-a-job"),
+            pytest.param({1: 1, 2: 2, 3: 3, 4: 3}, "^limits must cover job ids 1..n$", id="names-job-n-plus-1"),
+            pytest.param({1: 1, 2: 0, 3: 3}, "^job 2: group index 0 out of range$", id="index-0"),
+            pytest.param({1: 1, 2: 2, 3: 4}, "^job 3: group index 4 out of range$", id="index-n-plus-1"),
+        ],
+    )
+    def test_limits_must_name_every_job_once_with_an_index_in_range(self, limits, message):
+        with pytest.raises(ValueError, match=message):
+            AdmissibleSlots(_inst([1, 2, 3]), limits)
 
     def test_move_goes_strictly_left_and_counts(self):
         inst = _inst([1, 2, 3])
@@ -57,12 +70,10 @@ class TestAdmissibleSlots:
             j = movable[rng.randint(0, len(movable) - 1)]
             slots.move(j, rng.randint(1, slots.limit(j) - 1))
             moves += 1
-            seen = []
+            groups = slots.groups()
+            assert groups[0] == []
             for i in range(1, 9):
-                group = slots.members(i)
-                assert all(slots.limit(j2) == i for j2 in group)
-                seen.extend(group)
-            assert sorted(seen) == list(range(1, 9))
+                assert groups[i] == sorted((j2 for j2 in range(1, 9) if slots.limit(j2) == i), key=inst.sort_key)
         assert moves == slots.relocations <= 8 * 7
 
     def test_copy_is_independent(self):
@@ -72,6 +83,8 @@ class TestAdmissibleSlots:
         slots.move(3, 1)
         assert clone.limit(3) == 3
         assert clone.relocations == 0
+        assert clone.groups() == [[], [], [], [1, 2, 3]]
+        assert slots.groups() == [[], [3], [], [1, 2]]
 
     def test_dump_format(self):
         inst = _inst([4, 9])

@@ -77,6 +77,12 @@ def test_profile_and_capacity_override_the_default_profile():
     assert [r.points for r in warm] == [sum(len(front.points) for front in fronts[n]) for n in (12, 20)]
 
 
+def test_capacity_on_an_unbounded_profile_is_refused_before_any_run(monkeypatch):
+    monkeypatch.setattr("batchfront.bench.gen_random", lambda *args, **kwargs: pytest.fail("an instance was drawn"))
+    with pytest.raises(ValueError, match="^profile 'prec' is unbounded and takes no capacity, got 2$"):
+        run_bench(["main1", "main2"], [10], repetitions=1, seed=0, capacity=2)
+
+
 def test_algorithm_and_profile_capacity_modes_must_agree():
     with pytest.raises(InstanceError, match="^precedence frontier requires unbounded capacity$"):
         run_bench(["main2"], [10], repetitions=1, seed=0, profile="small")

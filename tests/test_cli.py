@@ -318,6 +318,21 @@ def test_bench_profile_and_capacity_give_warm_and_naive_equal_points(capsys):
     assert all(points["main1", n] == points["main1_naive", n] for n in ("10", "16"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["gen", "--n", "3", "--profile", "prec", "--capacity", "2"], id="gen"),
+        pytest.param(["bench", "--sizes", "10", "--reps", "1", "--profile", "prec", "--capacity", "2"], id="bench"),
+    ],
+)
+def test_capacity_on_an_unbounded_profile_exits_2(argv, capsys):
+    # both used to exit 0 with an unbounded instance
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: profile 'prec' is unbounded and takes no capacity, got 2\n"
+
+
 def test_bench_precedence_algorithm_on_a_bounded_profile_exits_2(capsys):
     assert main(["bench", "--sizes", "10", "--reps", "1", "--algorithms", "main2", "--profile", "small"]) == 2
     assert capsys.readouterr().err == "error: precedence frontier requires unbounded capacity\n"

@@ -68,6 +68,13 @@ def test_unknown_profile_rejected():
         gen_random(5, seed=1, profile="huge")
 
 
+@pytest.mark.parametrize("profile", ["prec", "geo-prec"])
+def test_unbounded_profiles_refuse_a_capacity(profile):
+    # the capacity used to be dropped without a word
+    with pytest.raises(ValueError, match=f"^profile '{profile}' is unbounded and takes no capacity, got 2$"):
+        gen_random(3, seed=1, profile=profile, capacity=2)
+
+
 # sha256 of emit_instance(gen_random(n, seed, profile, capacity)), recorded
 # before the geo, staged and geo-prec profiles were added: appending a
 # profile must leave every existing draw stream byte-identical

@@ -184,9 +184,10 @@ class TestPrecGraph:
 class TestLayering:
     def test_fork_layers(self, fork):
         limits = layered_limits(fork, PrecGraph(fork))
-        assert limits.members(1) == []
-        assert limits.members(2) == [1]
-        assert sorted(limits.members(3)) == [2, 3]
+        groups = limits.groups()
+        assert groups[1] == []
+        assert groups[2] == [1]
+        assert sorted(groups[3]) == [2, 3]
 
     def test_no_edges_all_in_last_group(self):
         inst = Instance(
@@ -195,13 +196,14 @@ class TestLayering:
             capacity=None,
         )
         limits = layered_limits(inst, PrecGraph(inst))
-        assert sorted(limits.members(3)) == [1, 2, 3]
-        assert limits.members(1) == limits.members(2) == []
+        groups = limits.groups()
+        assert sorted(groups[3]) == [1, 2, 3]
+        assert groups[1] == groups[2] == []
 
     def test_chain_gets_one_group_each(self):
         inst = _chain(3)
         limits = layered_limits(inst, PrecGraph(inst))
-        assert [limits.members(i) for i in (1, 2, 3)] == [[1], [2], [3]]
+        assert limits.groups()[1:] == [[1], [2], [3]]
 
     def test_every_edge_crosses_groups_leftward(self):
         for seed in range(50):
@@ -375,7 +377,7 @@ def test_check_mode_catches_held_groups_off_the_limits():
     solver = _solved(gen_random(12, 3, "prec"))
     big = next(i for i, group in enumerate(solver.groups) if len(group) > 1)
     solver.groups[big].reverse()
-    with pytest.raises(InvariantError, match="^held groups differ from the sorted limits members$"):
+    with pytest.raises(InvariantError, match="^held groups differ from the limits' groups$"):
         solver.solve(solver.max_cost)
 
 
@@ -421,10 +423,9 @@ def test_check_mode_catches_a_limit_above_its_layer():
 def test_held_state_matches_a_rebuild_after_every_step():
     inst = gen_random(150, 2, "prec")
     solver = PrecedenceSolver.initial(inst)
-    by_key = inst.keys.__getitem__
     threshold = UNBOUNDED
     while (schedule := solver.solve(threshold)) is not None:
-        assert solver.groups == [sorted(solver.limits.members(i), key=by_key) for i in range(inst.n + 1)]
+        assert solver.groups == solver.limits.groups()
         assert solver.completion == batch_times(solver.groups, inst)
         assert solver.bounds == solver.limits.table
         assert not any(solver.marked)
