@@ -25,8 +25,11 @@ the field, such as ``jobs[3].p``, in front of the constructor's message.
 builds.  A dense precedence relation decodes into up to n(n-1)/2 small
 lists, and the collections their allocation would trigger traverse every
 one of them, yet nothing decoded or built here can form a reference cycle:
-reference counting alone frees it all.  The collector's state on entry is
-restored on every exit.
+reference counting alone frees it all.  The lists, and the int object
+decoded for each endpoint, die with the parse: the ``Instance`` keeps the
+edges as one flat tuple sharing one int object per job id with its
+per-job tables, so no later collection has a per-edge object to traverse.
+The collector's state on entry is restored on every exit.
 """
 
 from __future__ import annotations
@@ -156,8 +159,8 @@ def emit_instance(instance: Instance) -> str:
             for job in instance.jobs
         ],
     }
-    if instance.precedence:
-        doc["precedence"] = [[a, b] for a, b in instance.precedence]
+    if instance.edge_ids:
+        doc["precedence"] = [[a, b] for a, b in instance.edge_pairs()]
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 
 class InstanceError(ValueError):
@@ -160,24 +160,10 @@ class Job:
             raise InstanceError(f"cost must be a {kinds}, got {json.dumps(self.cost, default=repr)}")
 
 
-def _edge_tuples(precedence) -> tuple[tuple, ...]:
-    """The edges as tuples, each to be checked by the adjacency walk; a
-    precedence that is not a sequence, or an entry that is not iterable, is
-    refused here."""
-    if not isinstance(precedence, (list, tuple)):
-        shown = json.dumps(precedence, default=repr)
-        raise InstanceError(f"precedence must be a sequence of [pred, succ] pairs, got {shown}")
-    try:
-        return tuple(map(tuple, precedence))
-    except TypeError:  # an entry that is not iterable
-        _locate_bad_edge(precedence)
-        raise
-
-
 def _locate_bad_edge(precedence) -> None:
     """Raise InstanceError naming the first edge, in input order, that is not
     a pair of integers; return when every edge is one.  The adjacency walk
-    calls it only when it, or the dedup before it, reports a problem."""
+    calls it only when it meets a problem."""
     for k, edge in enumerate(precedence):
         if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
             raise InstanceError(f"precedence[{k}] must be a [pred, succ] pair")
@@ -185,33 +171,51 @@ def _locate_bad_edge(precedence) -> None:
             _int(end, f"precedence[{k}]", "endpoints must be integers", edge)
 
 
-def _edge_tables(precedence, edges: tuple[tuple, ...], n: int) -> tuple[list[list[int]], list[list[int]], str | None]:
-    """``(preds, succs, range_problem)`` from one walk over the distinct edges.
+def _edge_tables(precedence, n: int) -> tuple[tuple[int, ...], list[list[int]], list[list[int]], str | None]:
+    """``(edge_ids, preds, succs, range_problem)`` from one walk over the
+    edges as given.
 
-    The walk tests each edge's shape, endpoint types, range and self-loop
-    as it fills the adjacency.  Any problem, or the dedup merging an edge
-    into an equal one (``[true, 2]`` after ``[1, 2]``), sends the whole
-    list through ``_locate_bad_edge``, so a shape or type problem anywhere
-    is raised first.  A range or self-loop problem is returned instead, for
-    ``Instance`` to raise after its job, setup and capacity checks."""
+    The walk unpacks each entry, a list or tuple of two integers, checks
+    its range and self-loop, and appends its ids to both adjacency lists
+    and to the flat store.  It appends the one int object per job id that
+    ``interned`` holds, not the entry's own: decoded JSON has an object per
+    endpoint above 256, and those then die with the decoded lists.  A
+    repeated edge repeats an id in its pred's list; only then are repeats
+    dropped, per vertex and keeping first occurrences, so ``preds[j]`` and
+    ``succs[j]`` hold the distinct edges in input order.  At the first
+    problem the whole list goes through ``_locate_bad_edge``, so a shape or
+    type problem anywhere is raised first; a range or self-loop problem is
+    returned instead, with tables not to be read, for ``Instance`` to raise
+    after its job, setup and capacity checks."""
+    if not isinstance(precedence, (list, tuple)):
+        shown = json.dumps(precedence, default=repr)
+        raise InstanceError(f"precedence must be a sequence of [pred, succ] pairs, got {shown}")
+    interned = list(range(n + 1))
+    ids: list[int] = []
     preds: list[list[int]] = [[] for _ in range(n + 1)]
     succs: list[list[int]] = [[] for _ in range(n + 1)]
-    problem = None
     try:
-        distinct = dict.fromkeys(edges)
-        for a, b in distinct:
-            if type(a) is int is type(b) and 0 < a <= n and 0 < b <= n and a != b:
-                succs[a].append(b)
-                preds[b].append(a)
-            else:
-                problem = f"bad precedence edge ({a}, {b})"  # unless _locate_bad_edge finds worse
+        for edge in precedence:
+            if not isinstance(edge, (list, tuple)):
                 break
-        merged = len(distinct) < len(edges)
-    except (TypeError, ValueError):  # an unhashable endpoint, or not a pair
-        merged = True
-    if problem or merged:
-        _locate_bad_edge(precedence)
-    return preds, succs, problem
+            a, b = edge  # ValueError unless a pair
+            if not (type(a) is int is type(b) and 0 < a <= n and 0 < b <= n and a != b):
+                break
+            a = interned[a]
+            b = interned[b]
+            succs[a].append(b)
+            preds[b].append(a)
+            ids.append(a)
+            ids.append(b)
+        else:
+            if sum(map(len, map(set, succs))) < len(precedence):  # some edge repeats
+                preds = [list(dict.fromkeys(q)) for q in preds]
+                succs = [list(dict.fromkeys(q)) for q in succs]
+            return tuple(ids), preds, succs, None
+    except ValueError:
+        pass
+    _locate_bad_edge(precedence)  # returns only when the walk stopped at a range or self-loop
+    return (), preds, succs, f"bad precedence edge ({a}, {b})"
 
 
 @dataclass(frozen=True)
@@ -222,6 +226,13 @@ class Instance:
     Precedence edges (pred id, succ id) are only allowed on unbounded
     instances and must form a DAG; both are checked at construction.
     Jobs are stored sorted by id, and ids must be exactly 1..n.
+
+    The edges are held as one flat tuple of ids, ``edge_ids`` = (pred,
+    succ, pred, succ, ...), as given, repeats and input order kept.  It and
+    the edge tables share one int object per job id, so a dense relation
+    costs no object per edge.  ``precedence`` is a view: it builds the
+    tuple of ``(pred, succ)`` pairs on each read, and ``==`` and ``hash``
+    compare the flat ids, which is the same as comparing the pairs.
 
     Per-job tables, indexed by job id (entry 0 unused), are the one home
     the solvers' loops read job data from: ``p[j]`` is the processing time,
@@ -235,19 +246,20 @@ class Instance:
     them in; without edges these are constants.
 
     The edges are checked and the adjacency filled in one walk over the
-    distinct edges (``_edge_tables``); the whole list is searched for the
-    first malformed edge only when that walk or its dedup reports a
-    problem.  Problems are reported in a fixed order: the shape and type of
-    the job list and of the edges, then the job ids, setup and capacity,
-    then an edge out of range or a self-loop, and last a cycle.
+    entries as given (``_edge_tables``); the whole list is searched for the
+    first malformed edge only when that walk meets a problem.  Problems are
+    reported in a fixed order: the shape and type of the job list and of
+    the edges, then the job ids, setup and capacity, then an edge out of
+    range or a self-loop, and last a cycle.
     """
 
     jobs: tuple[Job, ...]
     setup: int
     capacity: int | None = None
-    precedence: tuple[tuple[int, int], ...] = ()
+    precedence: InitVar[tuple[tuple[int, int], ...]] = ()
+    edge_ids: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, precedence):
         if not isinstance(self.jobs, (list, tuple)):
             raise InstanceError(f"jobs must be a sequence of Job, got {json.dumps(self.jobs, default=repr)}")
         for k, job in enumerate(self.jobs):
@@ -256,10 +268,10 @@ class Instance:
         jobs = tuple(sorted(self.jobs, key=lambda j: j.id))
         object.__setattr__(self, "jobs", jobs)
         n = len(jobs)
-        edges = _edge_tuples(self.precedence) if self.precedence else ()
-        if edges:
-            preds, succs, edge_problem = _edge_tables(self.precedence, edges, n)
-        object.__setattr__(self, "precedence", edges)
+        edge_ids = ()
+        if precedence:
+            edge_ids, preds, succs, edge_problem = _edge_tables(precedence, n)
+        object.__setattr__(self, "edge_ids", edge_ids)
         if n == 0:
             raise InstanceError("instance needs at least one job")
         if [j.id for j in jobs] != list(range(1, n + 1)):
@@ -269,7 +281,7 @@ class Instance:
         if self.capacity is not None:
             if not 1 <= _int(self.capacity, "capacity") <= n:
                 raise InstanceError(f"capacity must be in [1, {n}], got {self.capacity}")
-            if edges:
+            if precedence:
                 raise InstanceError(
                     "precedence edges are not supported with bounded capacity; "
                     "use \"unbounded\" capacity for precedence instances"
@@ -279,7 +291,7 @@ class Instance:
         # a stable sort by p from descending ids is ascending (p, -id) order
         object.__setattr__(self, "by_key", tuple(sorted(range(n, 0, -1), key=self.p.__getitem__)))
         object.__setattr__(self, "cost_value", (None, *(j.cost.value for j in jobs)))
-        if not edges:
+        if not precedence:
             no_edges = ([],) * (n + 1)
             object.__setattr__(self, "preds", no_edges)
             object.__setattr__(self, "succs", no_edges)
@@ -303,8 +315,8 @@ class Instance:
                 for s in succs[v]:
                     by_layer[s].append(v)
                 for u in preds[v]:
-                    outdeg[u] -= 1
-                    if not outdeg[u]:
+                    outdeg[u] = left = outdeg[u] - 1
+                    if not left:
                         nxt.append(u)
             depth -= 1
             current = nxt
@@ -331,12 +343,26 @@ class Instance:
     def job(self, job_id: int) -> Job:
         return self.jobs[job_id - 1]
 
+    def edge_pairs(self) -> Iterator[tuple[int, int]]:
+        """The edges as ``(pred, succ)`` pairs, as given, one at a time from
+        ``edge_ids``; ``precedence`` collects them into a tuple."""
+        ids = self.edge_ids
+        return zip(ids[::2], ids[1::2])
+
     def total_processing(self) -> int:
         return sum(self.p)
 
     def sort_key(self, job_id: int) -> tuple[int, int]:
         """Priority key (p, -id): longer jobs rank higher, ties to smaller id."""
         return self.keys[job_id]
+
+
+# installed after the decorator, so the dataclass keeps ``precedence`` as
+# its constructor keyword and compares and hashes the flat ``edge_ids``
+Instance.precedence = property(
+    lambda self: tuple(self.edge_pairs()),
+    doc="The edges as ``(pred, succ)`` pairs, as given; built on each read.",
+)
 
 
 @dataclass(frozen=True)
@@ -477,7 +503,7 @@ def validate(schedule: Schedule, instance: Instance) -> list[str]:
     problems = _shape_problems(slots, instance)
     placed = {j: i for i, batch in enumerate(slots, start=1) for j in batch}
     if len(slots) == instance.n and placed.keys() == set(range(1, instance.n + 1)):
-        for pred, succ in instance.precedence:
+        for pred, succ in instance.edge_pairs():
             if placed[pred] >= placed[succ]:
                 problems.append(
                     f"precedence {pred} before {succ} violated: "

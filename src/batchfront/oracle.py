@@ -32,7 +32,7 @@ DEFAULT_LIMITS = EnumerationLimits()
 
 
 def _guard_size(instance: Instance, limits: EnumerationLimits) -> None:
-    cap = limits.max_jobs_precedence if instance.precedence else limits.max_jobs_bounded
+    cap = limits.max_jobs_precedence if instance.edge_ids else limits.max_jobs_bounded
     if instance.n > cap:
         raise OracleSizeError(
             f"{instance.n} jobs exceed the exhaustive limit of {cap}"
@@ -71,7 +71,7 @@ def _partitions(
     proc = instance.p
     costf = instance.cost_value
     pred_mask = [sum(1 << a for a in preds) for preds in instance.preds]
-    has_prec = bool(instance.precedence)
+    has_prec = bool(instance.edge_ids)
 
     seen = 0
     max_schedules = limits.max_schedules

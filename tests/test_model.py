@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from batchfront.bounded import UNBOUNDED, BoundedSolver
-from batchfront.fileio import parse_instance
+from batchfront.fileio import emit_instance, parse_instance
 from batchfront.generate import SplitMix64, gen_random
 from batchfront.model import (
     Affine,
@@ -240,6 +240,27 @@ def test_job_and_instance_validation():
             capacity=None,
             precedence=((1, 2), (2, 1)),
         )
+
+
+def test_an_instance_holds_no_object_per_edge():
+    # the edges live in one flat tuple of ids; every other table is per job,
+    # and all of them share one int object per job id, also for ids above
+    # 256, which JSON decodes into one object per occurrence
+    inst = parse_instance(emit_instance(gen_random(300, 1, "prec")))
+    edges = len(inst.precedence)
+    assert edges > 10 * inst.n
+    seen = {}
+    stack = list(vars(inst).values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (tuple, list, dict, set, frozenset)) and id(value) not in seen:
+            seen[id(value)] = value
+            assert len(value) != edges
+            stack.extend(value.values() if isinstance(value, dict) else value)
+    assert len(seen) < 5 * inst.n
+    assert inst.edge_ids == tuple(end for edge in inst.precedence for end in edge)
+    tables = (inst.edge_ids, *inst.preds, *inst.succs, *inst.preds_by_layer)
+    assert len({id(x) for table in tables for x in table}) <= inst.n
 
 
 def test_timetable_two_jobs(two_jobs):

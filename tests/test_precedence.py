@@ -6,7 +6,7 @@ from batchfront import verify
 from batchfront.admissible import AdmissibleSlots
 from batchfront.bounded import UNBOUNDED
 from batchfront.fileio import emit_instance, parse_instance
-from batchfront.generate import gen_random
+from batchfront.generate import SplitMix64, gen_random
 from batchfront.model import (
     Instance,
     InstanceError,
@@ -66,6 +66,12 @@ EDGE_ERRORS = [
     pytest.param(
         [[1, 2], [2, 9], [1.5, 3]], r"precedence\[2\] endpoints must be integers, got \[1\.5, 3\]", id="type-after-range"
     ),
+    # faults the walk meets as it unpacks each entry: too short, and a
+    # repeat, whose ids are dropped later, before a range fault or a self-loop
+    pytest.param([[1, 2], []], r"precedence\[1\] must be a \[pred, succ\] pair", id="empty"),
+    pytest.param([[1, 2], [1]], r"precedence\[1\] must be a \[pred, succ\] pair", id="single"),
+    pytest.param([[1, 2], [1, 2], [1, 4]], r"bad precedence edge \(1, 4\)", id="repeat-before-range"),
+    pytest.param([[3, 3], [3, 3]], r"bad precedence edge \(3, 3\)", id="repeated-self-loop"),
 ]
 
 
@@ -99,6 +105,22 @@ def test_bad_edges_are_refused_by_instance(edges, message):
 def test_bad_edges_are_refused_by_the_parser(edges, message):
     with pytest.raises(InstanceError, match=rf"^<string>: {message}$"):
         parse_instance(_three_jobs_text(edges))
+
+
+@pytest.mark.parametrize(
+    "make_entry",
+    [
+        pytest.param(lambda: {1, 2}, id="set"),
+        pytest.param(lambda: {1: 0, 2: 0}, id="dict"),
+        pytest.param(lambda: range(1, 3), id="range"),
+        pytest.param(lambda: iter((1, 2)), id="iterator"),
+    ],
+)
+def test_an_iterable_of_two_ids_that_is_not_a_list_or_tuple_is_refused(make_entry):
+    # JSON gives only lists; a library caller could pass any iterable, and
+    # each of these used to be accepted as the edge (1, 2)
+    with pytest.raises(InstanceError, match=r"^precedence\[0\] must be a \[pred, succ\] pair$"):
+        _three_jobs([make_entry()])
 
 
 def test_edges_that_are_not_a_sequence_are_refused_by_instance():
@@ -333,6 +355,52 @@ def test_predecessors_by_layer_are_the_predecessors_in_descending_layer(n):
             ordered = inst.preds_by_layer[j]
             assert sorted(ordered) == sorted(inst.preds[j])
             assert [inst.layer[q] for q in ordered] == sorted((inst.layer[q] for q in ordered), reverse=True)
+
+
+def _shuffled_with_repeats(edges, seed):
+    """The edges with every fourth one appended again, in an order drawn
+    from a SplitMix64 stream."""
+    edges = list(edges) + list(edges[::4])
+    rng = SplitMix64(seed)
+    for i in range(len(edges) - 1, 0, -1):
+        k = rng.randint(0, i)
+        edges[i], edges[k] = edges[k], edges[i]
+    return edges
+
+
+def _reference_tables(n, edges):
+    """(preds, succs) built from one dict.fromkeys over the edge tuples,
+    walked in its first-occurrence order."""
+    preds = [[] for _ in range(n + 1)]
+    succs = [[] for _ in range(n + 1)]
+    for a, b in dict.fromkeys(map(tuple, edges)):
+        succs[a].append(b)
+        preds[b].append(a)
+    return preds, succs
+
+
+@pytest.mark.parametrize("profile", ["prec", "geo-prec"])
+@pytest.mark.parametrize("n", [2, 9, 33, 60])
+def test_tables_from_the_walk_equal_tables_from_the_distinct_edge_tuples(profile, n):
+    for seed in range(3):
+        base = gen_random(n, seed, profile)
+        edges = _shuffled_with_repeats(base.precedence, seed)
+        as_lists = Instance(jobs=base.jobs, setup=base.setup, capacity=None, precedence=[list(e) for e in edges])
+        as_tuples = Instance(jobs=base.jobs, setup=base.setup, capacity=None, precedence=tuple(edges))
+        assert as_lists == as_tuples and hash(as_lists) == hash(as_tuples)
+        preds, succs = _reference_tables(n, edges)
+        for inst in (as_lists, as_tuples):
+            assert list(inst.preds) == preds and list(inst.succs) == succs
+            assert list(inst.layer) == _reference_layers(n, edges)
+            for j in range(1, n + 1):
+                ordered = inst.preds_by_layer[j]
+                assert sorted(ordered) == sorted(preds[j])
+                layers = [inst.layer[q] for q in ordered]
+                assert layers == sorted(layers, reverse=True)
+            assert inst.precedence == tuple(map(tuple, edges))
+            text = emit_instance(inst)
+            again = parse_instance(text)
+            assert again == inst and emit_instance(again) == text
 
 
 @pytest.mark.parametrize("n", [60, 150])
