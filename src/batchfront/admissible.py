@@ -14,6 +14,7 @@ the solvers make from a group is deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import accumulate
 
 from .model import Instance, InvariantError
@@ -22,34 +23,32 @@ from .model import Instance, InvariantError
 class AdmissibleSlots:
     """The n disjoint groups with leftward-only movement tracking.
 
-    ``limit(j)`` is the index of the group holding job j, i.e. the highest
+    ``table[j]`` is the index of the group holding job j, i.e. the highest
     batch slot the job may currently occupy.  The limit table is the whole
     state next to ``relocations``, which counts every move performed over
-    the structure's lifetime.
+    the structure's lifetime.  The constructor takes a table of the same
+    shape, indexed by job id with entry 0 unused, and keeps a copy.
     """
 
-    def __init__(self, instance: Instance, limits: dict[int, int]):
+    def __init__(self, instance: Instance, table: Sequence[int]):
         n = instance.n
-        if sorted(limits) != list(range(1, n + 1)):
+        if len(table) != n + 1:
             raise ValueError("limits must cover job ids 1..n")
-        for j, i in limits.items():
-            if not 1 <= i <= n:
-                raise ValueError(f"job {j}: group index {i} out of range")
+        for j in range(1, n + 1):
+            if not 1 <= table[j] <= n:
+                raise ValueError(f"job {j}: group index {table[j]} out of range")
         self._instance = instance
-        self._limit = [0] + [limits[j] for j in range(1, n + 1)]
+        self._limit = [0, *table[1:]]
         self.relocations = 0
 
     @classmethod
     def unrestricted(cls, instance: Instance) -> "AdmissibleSlots":
         """Every job may take any slot: all jobs start in group n."""
-        return cls(instance, {j.id: instance.n for j in instance.jobs})
+        return cls(instance, [instance.n] * (instance.n + 1))
 
     @property
     def n(self) -> int:
         return self._instance.n
-
-    def limit(self, job_id: int) -> int:
-        return self._limit[job_id]
 
     @property
     def table(self) -> list[int]:

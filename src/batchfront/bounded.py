@@ -28,7 +28,9 @@ The solver also holds the max cost of each slot it has evaluated, and an
 adjustment marks only the slots it changed (e..i, or e..n after an
 opening) for re-evaluation.  A threshold pass therefore evaluates a slot's
 jobs only when that slot changed since it was last judged, and the max
-cost of a converged schedule is read from the held values.
+cost of a converged schedule is read from the held values.  ``WarmSolver``
+holds what this solver shares with the precedence one: the held slots,
+completions and maxima, the converged step and the held-state checks.
 """
 
 from __future__ import annotations
@@ -132,24 +134,89 @@ def solve_reference(instance: Instance, limits: AdmissibleSlots, threshold) -> S
             return None
 
 
-class BoundedSolver:
+class WarmSolver:
+    """The held state and the converged step that both warm sweeps share.
+
+    ``slots[i]`` is slot i's jobs as a list in ascending ``Instance.keys``
+    order, ``completion[i]`` its batch's completion time and ``top[i]`` the
+    max cost of its jobs at that time, or None when the slot changed since
+    it was last evaluated (every slot starts that way).  ``solve`` may be
+    called repeatedly with strictly smaller thresholds, each call going on
+    from the state the previous one left; after an infeasible result the
+    state is spent.  A subclass computes the initial completions with its
+    own module's ``batch_times`` and passes them in.
+    """
+
+    def __init__(
+        self,
+        instance: Instance,
+        limits: AdmissibleSlots,
+        slots: list[list[int]],
+        completion: list[int],
+        trace: Trace | None,
+        check: bool,
+    ):
+        self.instance = instance
+        self.limits = limits
+        self.slots = slots
+        self.completion = completion
+        self.top: list[int | None] = [None] * len(slots)
+        self.max_cost: int | None = None
+        self.trace = trace
+        self.check = check
+        self.adjustments = 0
+        self.passes = 0
+
+    def converged(self) -> Schedule:
+        """After a clean pass: set ``max_cost`` from the held maxima and
+        return a snapshot of the held slots and completions.  Check mode
+        compares the snapshot with a ``timetable`` of its slots and
+        ``max_cost`` with ``objectives``."""
+        # a clean pass left every nonempty slot's entry current, so the
+        # stale entries are exactly slot 0 and the empty prefix
+        top = self.top
+        self.max_cost = max(top[top.count(None) :])
+        instance = self.instance
+        slots = self.slots
+        snapshot = Schedule(freeze_slots(slots[1:]), tuple(self.completion[1:]), instance.setup)
+        if self.check:
+            if snapshot != timetable(slots[1:], instance):
+                raise InvariantError("snapshot differs from a timetable of its slots")
+            if self.max_cost != objectives(snapshot, instance)[1]:
+                raise InvariantError("held max cost differs from objectives")
+        return snapshot
+
+    def check_held(self, before: list[int] | None) -> None:
+        """Check mode: the held completions equal a ``batch_times`` of the
+        held slots, none is earlier than in ``before`` (when given), and
+        every held max equals a fresh evaluation."""
+        instance = self.instance
+        slots = self.slots
+        completion = self.completion
+        if completion != batch_times(slots, instance):
+            raise InvariantError("held completions differ from batch_times")
+        if before is not None and any(map(int.__lt__, completion, before)):
+            raise InvariantError("a batch completion moved earlier")
+        value = instance.cost_value
+        for i, worst in enumerate(self.top):
+            if worst is not None and worst != max([value[j](completion[i]) for j in slots[i]], default=None):
+                raise InvariantError(f"held max cost of slot {i} differs from a fresh evaluation")
+
+
+class BoundedSolver(WarmSolver):
     """Warm-startable minimum-makespan solver for one bounded instance.
 
     Holds the admissibility limits and the standing schedule together, with
-    the completion times kept current in place.  ``solve`` may be called
-    repeatedly with strictly smaller thresholds; every call continues from
-    the adjusted state the previous one left behind.  After an infeasible
-    result the state is spent and the solver must not be reused.
+    the completion times kept current in place.
 
     An adjustment that expels a job from slot i works on slots e..i only,
     e being the rightmost slot left of i with room: a hoist scan, then a
     carry walk over those slots that retimes each slot it passes.  Slots
     i..n keep their times unless the carry opens a new batch in an empty
-    slot e, which shifts all of them by one setup.  ``slots[c]`` is a list
-    in ascending key order: the hoist scan walks each slot from its
-    longest job down and stops at the first candidate, and the carry
-    swaps a slot's first (shortest) job for the carried one, inserted in
-    order.
+    slot e, which shifts all of them by one setup.  The hoist scan walks
+    each slot from its longest job down and stops at the first candidate,
+    and the carry swaps a slot's first (shortest) job for the carried one,
+    inserted in order.
 
     ``reach[c]`` is an upper bound on the highest limit among slot c's
     jobs (0 for an empty slot), exact when the solver is built.  It is
@@ -159,26 +226,19 @@ class BoundedSolver:
     only fall, so a job leaving a slot needs no bookkeeping.  The scan
     passes slot c without walking it when ``reach[c]`` is below i.
 
-    ``top[i]`` holds the max cost of slot i's jobs at its current
-    completion, or None when the slot changed since it was last evaluated
-    (every slot starts that way).  An adjustment sets e..i to None, e..n
-    when it opened a batch; a pass evaluates a None slot when it reaches
-    it and skips the slot outright when the held max is below the
-    threshold.  Thresholds only shrink, so a new step's first pass reuses
-    every held value.  After a clean pass every nonempty slot's entry is
-    current, and ``max_cost`` is the max cost of the returned schedule.
+    An adjustment marks the held maxima of e..i stale, e..n when it opened
+    a batch; a pass evaluates a stale slot when it reaches it and skips the
+    slot outright when the held max is below the threshold.  Thresholds
+    only shrink, so a new step's first pass reuses every held value.
 
     With ``check=True`` the solver verifies its own invariants after every
     adjustment and raises InvariantError on a breach: the hoisted job came
     from the rightmost slot with room, the carry's slot is within capacity,
-    the incrementally kept completion times equal a full retime, no
-    completion moved earlier, every held slot max equals a fresh
-    evaluation, no slot holds a limit above its reach, and the standing
+    the held state passes ``check_held`` against the completions before the
+    adjustment, no slot holds a limit above its reach, and the standing
     schedule equals the greedy rebuild of the current limits, slot order
     included.  That costs O(n log n) per adjustment and is meant for the
-    verification harness.  Every snapshot it returns is also checked
-    against a ``timetable`` of its own slots, and ``max_cost`` against
-    ``objectives``.
+    verification harness.
     """
 
     def __init__(
@@ -189,18 +249,9 @@ class BoundedSolver:
         trace: Trace | None = None,
         check: bool = False,
     ):
-        self.instance = instance
-        self.limits = limits
-        self.slots = slots
-        self.completion = batch_times(slots, instance)
-        self.top: list[int | None] = [None] * len(slots)
+        super().__init__(instance, limits, slots, batch_times(slots, instance), trace, check)
         limit = limits.table
         self.reach = [max(map(limit.__getitem__, batch), default=0) for batch in slots]
-        self.max_cost: int | None = None
-        self.trace = trace
-        self.check = check
-        self.adjustments = 0
-        self.passes = 0
 
     @classmethod
     def initial(cls, instance: Instance, trace: Trace | None = None, check: bool = False):
@@ -220,22 +271,7 @@ class BoundedSolver:
             if outcome is None:
                 return None
             if not outcome:
-                # a clean pass left every nonempty slot's entry current, so
-                # the stale entries are exactly slot 0 and the empty prefix
-                top = self.top
-                self.max_cost = max(top[top.count(None) :])
-                snapshot = self.schedule()
-                if self.check and self.max_cost != objectives(snapshot, self.instance)[1]:
-                    raise InvariantError("held max cost differs from objectives")
-                return snapshot
-
-    def schedule(self) -> Schedule:
-        """The standing schedule as an immutable snapshot of the held slots
-        and completions; its start times are derived by ``Schedule``."""
-        snapshot = Schedule(freeze_slots(self.slots[1:]), tuple(self.completion[1:]), self.instance.setup)
-        if self.check and snapshot != timetable(self.slots[1:], self.instance):
-            raise InvariantError("snapshot differs from a timetable of its slots")
-        return snapshot
+                return self.converged()
 
     def _adjust_pass(self, threshold) -> bool | None:
         """One descending sweep over the nonempty slots.
@@ -380,16 +416,7 @@ class BoundedSolver:
         instance = self.instance
         if len(self.slots[e]) > instance.effective_capacity:
             raise InvariantError(f"slot {e} exceeds capacity")
-        full = batch_times(self.slots, instance)
-        if full != self.completion:
-            raise InvariantError("incrementally retimed completions differ from a full retime")
-        if any(now < then for now, then in zip(self.completion, before)):
-            raise InvariantError("a batch completion moved earlier")
-        value = instance.cost_value
-        for c, worst in enumerate(self.top):
-            fresh = max([value[j](self.completion[c]) for j in self.slots[c]], default=None)
-            if worst is not None and worst != fresh:
-                raise InvariantError(f"held max cost of slot {c} differs from a fresh evaluation")
+        self.check_held(before)
         limit = self.limits.table
         for c, batch in enumerate(self.slots):
             if batch and max(map(limit.__getitem__, batch)) > self.reach[c]:

@@ -128,6 +128,8 @@ def _parse(text: str, source: str) -> Instance:
         for name in ("id", "p"):
             if name not in row:
                 raise InstanceError(f"{where}: missing field {name!r}")
+        if len(row) > 2 + ("cost" in row):  # a key besides id, p and cost
+            raise InstanceError(f"{where}: unknown fields {sorted(set(row) - {'id', 'p', 'cost'})}")
         cost = _cost_from_obj(row.get("cost"), f"{where}.cost")
         try:
             jobs.append(Job(row["id"], row["p"], cost))

@@ -45,9 +45,12 @@ class ParetoFront:
     """
 
     points: tuple[ParetoPoint, ...]
-    min_cost_schedule: Schedule
     relocations: int = 0
     threshold_steps: int = 0
+
+    @property
+    def min_cost_schedule(self) -> Schedule:
+        return self.points[-1].schedule
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(pt.makespan, pt.max_cost) for pt in self.points]
@@ -90,7 +93,6 @@ def _sweep(instance: Instance, solver, on_step: StepHook | None) -> ParetoFront:
                 raise InvariantError(f"{len(points)} frontier points for {instance.n} jobs")
             return ParetoFront(
                 points=tuple(points),
-                min_cost_schedule=prev.schedule,
                 relocations=solver.limits.relocations,
                 threshold_steps=steps,
             )

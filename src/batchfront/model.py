@@ -237,10 +237,11 @@ class Instance:
     Per-job tables, indexed by job id (entry 0 unused), are the one home
     the solvers' loops read job data from: ``p[j]`` is the processing time,
     ``cost_value[j](t)`` the cost of completing at t (the bound ``value``
-    method of the job's cost spec) and ``keys[j]`` the priority key that
-    ``sort_key`` returns; ``by_key`` lists the job ids in ascending key
-    order.  ``preds[j]``/``succs[j]`` (read-only lists) hold
-    the distinct edges in input order, ``layer[j]`` the sink layer that
+    method of the job's cost spec) and ``keys[j]`` the priority key (p, -id),
+    by which longer jobs rank higher and ties go to the smaller id;
+    ``by_key`` lists the job ids in ascending key order.
+    ``preds[j]``/``succs[j]`` (read-only lists) hold the distinct edges in
+    input order, ``layer[j]`` the sink layer that
     ``layered_limits`` starts the job in, and ``preds_by_layer[j]`` the
     predecessors of j in descending layer, the order the sink peel reaches
     them in; without edges these are constants.
@@ -349,13 +350,6 @@ class Instance:
         ids = self.edge_ids
         return zip(ids[::2], ids[1::2])
 
-    def total_processing(self) -> int:
-        return sum(self.p)
-
-    def sort_key(self, job_id: int) -> tuple[int, int]:
-        """Priority key (p, -id): longer jobs rank higher, ties to smaller id."""
-        return self.keys[job_id]
-
 
 # installed after the decorator, so the dataclass keeps ``precedence`` as
 # its constructor keyword and compares and hashes the flat ``edge_ids``
@@ -390,13 +384,6 @@ class Schedule:
     @property
     def makespan(self) -> int:
         return self.completion[-1]
-
-    def slot_of(self, job_id: int) -> int:
-        """1-based index of the slot containing the job."""
-        for i, batch in enumerate(self.slots, start=1):
-            if job_id in batch:
-                return i
-        raise KeyError(job_id)
 
     def batches(self) -> list[tuple[int, ...]]:
         """Nonempty batches as sorted id tuples, earliest first."""

@@ -115,7 +115,6 @@ class OracleFrontier:
 
     points: tuple[tuple[int, int], ...]
     witnesses: dict[tuple[int, int], Schedule]
-    schedules_seen: int
 
     @property
     def min_max_cost(self) -> int:
@@ -133,9 +132,7 @@ def oracle_pareto(
     _guard_size(instance, limits)
     n = instance.n
     best: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    seen = 0
     for c_max, f_max, batches in _partitions(instance, limits):
-        seen += 1
         if (c_max, f_max) not in best:
             best[c_max, f_max] = list(batches)
 
@@ -151,4 +148,4 @@ def oracle_pareto(
         batches = best[pair]
         slots = [()] * (n - len(batches)) + batches
         witnesses[pair] = timetable(slots, instance)
-    return OracleFrontier(tuple(frontier), witnesses, seen)
+    return OracleFrontier(tuple(frontier), witnesses)

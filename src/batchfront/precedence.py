@@ -21,8 +21,9 @@ from __future__ import annotations
 from bisect import insort
 
 from .admissible import AdmissibleSlots
-from .bounded import Trace, tolerated_slot
-from .model import Instance, InvariantError, Schedule, batch_times, freeze_slots, objectives, timetable
+from .bounded import Trace, WarmSolver, tolerated_slot
+from .model import Instance, InvariantError, Schedule, batch_times
+from .model import timetable  # noqa: F401 - unused here; perfbench/tracer.py times calls through this name
 from .model import eval_cost  # noqa: F401 - unused here; perfbench/tracer.py counts calls through this name
 
 
@@ -60,26 +61,20 @@ def layered_limits(instance: Instance, graph: PrecGraph) -> AdmissibleSlots:
     successors, and the nonempty groups form a suffix.  The layering is
     the instance's own; ``graph`` is not read.
     """
-    return AdmissibleSlots(instance, dict(enumerate(instance.layer[1:], start=1)))
+    return AdmissibleSlots(instance, instance.layer)
 
 
-class PrecedenceSolver:
+class PrecedenceSolver(WarmSolver):
     """Warm-startable minimum-makespan solver under strict precedence.
 
-    Like the bounded solver, ``solve`` may be called repeatedly with
-    strictly smaller thresholds and continues from the previous state.
     ``bounds`` records where propagation says each job must eventually go;
     it re-syncs with group membership at every entry (the two provably
     coincide whenever a solve converges) and dips below it only while
     successors' moves are still being worked off.
 
-    The solver holds, as ``BoundedSolver`` does, what a pass would
-    otherwise rebuild: ``groups[i]``, group i's jobs as a list in ascending
-    ``Instance.keys`` order; ``completion[i]``, its batch's completion
-    time; ``top[i]``, the max cost of its jobs at that time, or None when
-    the group changed since it was last judged (every group starts that
-    way); and ``marked[i]``, set when propagation lowers the bound of a
-    job that group i holds.  A pass walks group i only when it is stale,
+    ``slots`` holds the groups, which are the batches, and ``marked[i]``
+    is set when propagation lowers the bound of a job that group i holds.
+    A pass walks group i only when its held max is stale, the group is
     marked, or its held max reaches the threshold; any other group has
     every job tolerating its completion and no job bounded below it, so
     the walk would move nothing.  Moves land at pass end: each shifts
@@ -90,19 +85,13 @@ class PrecedenceSolver:
     a job's limit never exceeds its layer, and its bound never exceeds its
     limit, so no predecessor past that point needs lowering.
 
-    A clean pass moves nothing and leaves every nonempty group's held max
-    current, so their largest is the returned schedule's max cost; the
-    solver keeps it as ``max_cost``.  The returned schedule holds the
-    held groups and completion times.  With ``check=True`` the solver
-    raises InvariantError when, before a pass, the held groups differ from
-    ``limits.groups()``, the held completions from a
-    ``batch_times`` of them, or a held max from a fresh evaluation; when a
-    batch completion moved earlier between passes or a limit exceeds its
-    job's layer; when a skipped group held a job the walk would have
-    moved; when, after a move to slot t, any predecessor (past the
-    propagation cut or not) keeps a bound of t or more; and when a
-    snapshot differs from a ``timetable`` of its slots or ``max_cost``
-    from ``objectives``.
+    With ``check=True`` the solver raises InvariantError when, before a
+    pass, the held groups differ from ``limits.groups()``, the held state
+    fails ``check_held`` against the completions before the previous pass,
+    or a limit exceeds its job's layer; when a skipped group held a job
+    the walk would have moved; and when, after a move to slot t, any
+    predecessor (past the propagation cut or not) keeps a bound of t or
+    more.
     """
 
     def __init__(
@@ -112,19 +101,10 @@ class PrecedenceSolver:
         trace: Trace | None = None,
         check: bool = False,
     ):
-        n = instance.n
-        self.instance = instance
-        self.limits = limits
-        self.bounds = [0] * (n + 1)
-        self.groups = limits.groups()
-        self.completion = batch_times(self.groups, instance)
-        self.top: list[int | None] = [None] * (n + 1)
-        self.marked = [False] * (n + 1)
-        self.max_cost: int | None = None
-        self.trace = trace
-        self.check = check
-        self.adjustments = 0
-        self.passes = 0
+        slots = limits.groups()
+        super().__init__(instance, limits, slots, batch_times(slots, instance), trace, check)
+        self.bounds = [0] * (instance.n + 1)
+        self.marked = [False] * (instance.n + 1)
 
     @classmethod
     def initial(
@@ -138,9 +118,8 @@ class PrecedenceSolver:
     def solve(self, threshold) -> Schedule | None:
         """Minimum-makespan schedule satisfying limits, precedence, and the
         strict cost cap, or None when none exists."""
-        instance = self.instance
         self.bounds[:] = self.limits.table
-        last_completion: list[int] | None = None
+        before: list[int] | None = None
         while True:
             # Batches are exactly the groups; an empty group between
             # nonempty ones would make the layout invalid, but moves only
@@ -148,21 +127,15 @@ class PrecedenceSolver:
             # suffix, so the structure stays a suffix throughout.
             self.passes += 1
             if self.check:
-                self._check_state(last_completion)
-                last_completion = self.completion[:]
-            outcome = self._sweep(self.groups, self.completion, threshold)
+                self._check_state(before)
+                before = self.completion[:]
+            outcome = self._sweep(threshold)
             if outcome is None:
                 return None
             if not outcome:
-                groups = self.groups
-                snapshot = Schedule(freeze_slots(groups[1:]), tuple(self.completion[1:]), instance.setup)
-                if self.check and snapshot != timetable(groups[1:], instance):
-                    raise InvariantError("snapshot differs from a timetable of its slots")
-                if self.check and self.max_cost != objectives(snapshot, instance)[1]:
-                    raise InvariantError("held max cost differs from objectives")
-                return snapshot
+                return self.converged()
 
-    def _sweep(self, groups: list[list[int]], completion: list[int], threshold) -> bool | None:
+    def _sweep(self, threshold) -> bool | None:
         """One descending pass over the held groups.
 
         A group is walked, longest job first, only when its held max is
@@ -170,13 +143,14 @@ class PrecedenceSolver:
         marked.  Jobs are judged against this pass's times and membership:
         moves land at pass end (``_land``), so a moved job is re-inspected
         when a later pass reaches its new group.  Returns True if anything
-        moved, False for a clean pass, None when infeasible.  A clean pass
-        leaves the largest held max in ``max_cost``.
+        moved, False for a clean pass, None when infeasible.
         """
         instance = self.instance
         value = instance.cost_value
         layer = instance.layer
         by_layer = instance.preds_by_layer
+        slots = self.slots
+        completion = self.completion
         limits = self.limits
         limit = limits.table
         bounds = self.bounds
@@ -186,7 +160,7 @@ class PrecedenceSolver:
         moves: list[tuple[int, int, int]] = []
         targets: set[int] = set()  # groups a move of this pass refills at pass end
         for i in range(instance.n, 0, -1):
-            batch = groups[i]
+            batch = slots[i]
             if not batch:
                 break  # the nonempty groups form a suffix
             at = completion[i]
@@ -236,8 +210,6 @@ class PrecedenceSolver:
             if left < len(batch):
                 top[i] = None  # jobs left the group; _land removes them
         if not moves:
-            # every nonempty group's held max is current; None marks the empty prefix
-            self.max_cost = max(top[top.count(None) :])
             return False
         self._land(moves)
         return True
@@ -253,13 +225,13 @@ class PrecedenceSolver:
         p = instance.p
         setup = instance.setup
         by_key = instance.keys.__getitem__
-        groups = self.groups
+        slots = self.slots
         completion = self.completion
         top = self.top
         for j, i, target in moves:
-            groups[i].remove(j)
-            opened = not groups[target]  # no earlier move left it, so it was empty all pass
-            insort(groups[target], j, key=by_key)
+            slots[i].remove(j)
+            opened = not slots[target]  # no earlier move left it, so it was empty all pass
+            insort(slots[target], j, key=by_key)
             pj = p[j]
             for c in range(target, i):
                 completion[c] += pj
@@ -269,28 +241,19 @@ class PrecedenceSolver:
                     completion[c] += setup
                     top[c] = None
 
-    def _check_state(self, last_completion: list[int] | None) -> None:
+    def _check_state(self, before: list[int] | None) -> None:
         """Check mode: the held state before a pass against a rebuild."""
-        instance = self.instance
-        if self.groups != self.limits.groups():
+        if self.slots != self.limits.groups():
             raise InvariantError("held groups differ from the limits' groups")
-        completion = self.completion
-        if completion != batch_times(self.groups, instance):
-            raise InvariantError("held completions differ from batch_times")
-        if last_completion is not None and any(now < then for now, then in zip(completion, last_completion)):
-            raise InvariantError("a batch completion moved earlier")
-        value = instance.cost_value
-        for i, worst in enumerate(self.top):
-            if worst is not None and worst != max([value[j](completion[i]) for j in self.groups[i]], default=None):
-                raise InvariantError(f"held max cost of group {i} differs from a fresh evaluation")
-        if any(map(int.__gt__, self.limits.table, instance.layer)):
+        self.check_held(before)
+        if any(map(int.__gt__, self.limits.table, self.instance.layer)):
             raise InvariantError("a limit exceeds its job's sink layer")
 
     def _check_skip(self, i: int, threshold) -> None:
         """Check mode: a group the pass skips holds no job it would move."""
         value = self.instance.cost_value
         at = self.completion[i]
-        if any(value[j](at) >= threshold or self.bounds[j] < i for j in self.groups[i]):
+        if any(value[j](at) >= threshold or self.bounds[j] < i for j in self.slots[i]):
             raise InvariantError(f"skipped group {i} needed a walk")
 
     def _check_cut(self, j: int, target: int) -> None:

@@ -26,10 +26,10 @@ class TestAdmissibleSlots:
     @pytest.mark.parametrize(
         "limits, message",
         [
-            pytest.param({1: 1, 2: 2}, "^limits must cover job ids 1..n$", id="misses-a-job"),
-            pytest.param({1: 1, 2: 2, 3: 3, 4: 3}, "^limits must cover job ids 1..n$", id="names-job-n-plus-1"),
-            pytest.param({1: 1, 2: 0, 3: 3}, "^job 2: group index 0 out of range$", id="index-0"),
-            pytest.param({1: 1, 2: 2, 3: 4}, "^job 3: group index 4 out of range$", id="index-n-plus-1"),
+            pytest.param([0, 1, 2], "^limits must cover job ids 1..n$", id="misses-a-job"),
+            pytest.param([0, 1, 2, 3, 3], "^limits must cover job ids 1..n$", id="names-job-n-plus-1"),
+            pytest.param([0, 1, 0, 3], "^job 2: group index 0 out of range$", id="index-0"),
+            pytest.param([0, 1, 2, 4], "^job 3: group index 4 out of range$", id="index-n-plus-1"),
         ],
     )
     def test_limits_must_name_every_job_once_with_an_index_in_range(self, limits, message):
@@ -40,7 +40,7 @@ class TestAdmissibleSlots:
         inst = _inst([1, 2, 3])
         slots = AdmissibleSlots.unrestricted(inst)
         slots.move(1, 1)
-        assert slots.limit(1) == 1
+        assert slots.table[1] == 1
         assert slots.relocations == 1
         with pytest.raises(InvariantError):
             slots.move(2, 3)  # same index
@@ -52,7 +52,7 @@ class TestAdmissibleSlots:
 
     def test_prefix_capacity(self):
         inst = _inst([1, 1, 1])
-        tight = AdmissibleSlots(inst, {1: 1, 2: 1, 3: 3})
+        tight = AdmissibleSlots(inst, [0, 1, 1, 3])
         assert not tight.prefix_capacity_ok(1)  # two jobs in the first slot
         assert tight.prefix_capacity_ok(2)
         initial = AdmissibleSlots.unrestricted(inst)
@@ -64,16 +64,16 @@ class TestAdmissibleSlots:
         slots = AdmissibleSlots.unrestricted(inst)
         moves = 0
         while True:
-            movable = [j for j in range(1, 9) if slots.limit(j) > 1]
+            movable = [j for j in range(1, 9) if slots.table[j] > 1]
             if not movable:
                 break
             j = movable[rng.randint(0, len(movable) - 1)]
-            slots.move(j, rng.randint(1, slots.limit(j) - 1))
+            slots.move(j, rng.randint(1, slots.table[j] - 1))
             moves += 1
             groups = slots.groups()
             assert groups[0] == []
             for i in range(1, 9):
-                assert groups[i] == sorted((j2 for j2 in range(1, 9) if slots.limit(j2) == i), key=inst.sort_key)
+                assert groups[i] == sorted((j2 for j2 in range(1, 9) if slots.table[j2] == i), key=inst.keys.__getitem__)
         assert moves == slots.relocations <= 8 * 7
 
     def test_copy_is_independent(self):
@@ -81,12 +81,12 @@ class TestAdmissibleSlots:
         slots = AdmissibleSlots.unrestricted(inst)
         clone = slots.copy()
         slots.move(3, 1)
-        assert clone.limit(3) == 3
+        assert clone.table[3] == 3
         assert clone.relocations == 0
         assert clone.groups() == [[], [], [], [1, 2, 3]]
         assert slots.groups() == [[], [3], [], [1, 2]]
 
     def test_dump_format(self):
         inst = _inst([4, 9])
-        slots = AdmissibleSlots(inst, {1: 1, 2: 2})
+        slots = AdmissibleSlots(inst, [0, 1, 2])
         assert slots.dump() == "1: [1(4)]\n2: [2(9)]"

@@ -47,7 +47,7 @@ def test_form_batches_infeasible_when_lower_groups_starve():
         setup=1,
         capacity=1,
     )
-    limits = AdmissibleSlots(inst, {1: 1, 2: 1, 3: 3})
+    limits = AdmissibleSlots(inst, [0, 1, 1, 3])
     assert form_batches(inst, limits) is None
 
 
@@ -75,7 +75,7 @@ def test_incremental_solver_warm_ladder(two_jobs):
 
 def test_unbounded_threshold_changes_nothing(two_jobs):
     solver = BoundedSolver.initial(two_jobs)
-    before = solver.schedule()
+    before = timetable(solver.slots[1:], two_jobs)
     assert solver.solve(UNBOUNDED) == before
     assert solver.limits.relocations == 0
 
@@ -99,7 +99,7 @@ def _satisfying(instance, limits, threshold=UNBOUNDED):
     """All feasible schedules satisfying the limits with max cost < threshold."""
     out = []
     for sched in enumerate_feasible(instance):
-        if all(limits.limit(j) >= sched.slot_of(j) for j in range(1, instance.n + 1)):
+        if all(limits.table[j] >= i for i, batch in enumerate(sched.slots, start=1) for j in batch):
             if objectives(sched, instance)[1] < threshold:
                 out.append(sched)
     return out
@@ -202,8 +202,7 @@ def test_spent_solver_state_is_documented_behaviour(two_jobs):
 def test_incremental_times_match_a_full_retime(two_jobs):
     solver = BoundedSolver.initial(two_jobs)
     solver.solve(UNBOUNDED)
-    solver.solve(3)  # opens a batch in the empty slot 1
-    slots = solver.schedule().slots
+    slots = solver.solve(3).slots  # opens a batch in the empty slot 1
     assert solver.completion == [0, 3, 8]
     assert solver.completion == batch_times([set()] + [set(s) for s in slots], two_jobs)
 
@@ -247,7 +246,7 @@ def test_check_mode_survives_python_O():
         [sys.executable, "-O", "-c", _CORRUPTED_COMPLETION], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    message = "incrementally retimed completions differ from a full retime"
+    message = "held completions differ from batch_times"
     assert done.stdout.splitlines() == [
         f"solver: {message}",
         f"verify: ['internal invariant failed: {message}']",
@@ -285,7 +284,7 @@ def test_form_batches_lists_every_slot_in_key_order(n, profile):
         slots = form_batches(inst, AdmissibleSlots.unrestricted(inst))
         assert slots[0] == []
         for batch in slots[1:]:
-            assert batch == sorted(batch, key=inst.sort_key)
+            assert batch == sorted(batch, key=inst.keys.__getitem__)
 
 
 def test_held_slots_stay_in_key_order_through_a_whole_sweep():
@@ -352,7 +351,7 @@ def test_check_mode_catches_a_slot_out_of_key_order():
     solver = BoundedSolver.initial(inst, check=True)
     solver.solve(UNBOUNDED)
     batch = solver.slots[14]
-    assert batch == [15, 14, 12] and batch == sorted(batch, key=inst.sort_key)
+    assert batch == [15, 14, 12] and batch == sorted(batch, key=inst.keys.__getitem__)
     assert all(len(solver.slots[c]) == 3 for c in range(11, 15)) and len(solver.slots[10]) < 3
     batch[0], batch[-1] = batch[-1], batch[0]
     with pytest.raises(InvariantError, match="^standing schedule diverged from rebuild$"):

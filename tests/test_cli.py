@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import runpy
 import sys
 from pathlib import Path
 
@@ -119,6 +120,17 @@ def test_precedence_trace_beyond_the_oracle_matches_golden_digest(tmp_path, caps
             bounds += captured.err.count("\nbound ")
     assert (moves, bounds) == (3983, 3885)
     assert digest.hexdigest() == PRECEDENCE_DIGEST
+
+
+# scripts/frontier_smoke.py solves every generator profile at two sizes; its
+# output must be byte-identical on every supported Python, and CI runs this
+# test on each of them
+SMOKE_DIGEST = "1d5bfa1881904a609b29f4189a18834ddffd19f30ed2bf60cc4be901c49ee1be"
+
+
+def test_frontier_smoke_output_matches_golden_digest(capsys):
+    runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "frontier_smoke.py"), run_name="__main__")
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == SMOKE_DIGEST
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

@@ -174,6 +174,19 @@ def test_unknown_cost_fields_are_refused(cost, field):
         parse_instance(_two_job_text(second_cost=cost))
 
 
+@pytest.mark.parametrize(
+    "second_p, fields",
+    [
+        pytest.param('3, "due": 5', "'due'", id="due-beside-cost"),
+        pytest.param('3, "w": 1, "due": 5', "'due', 'w'", id="two-fields"),
+    ],
+)
+def test_unknown_job_fields_are_refused(second_p, fields):
+    # these used to parse, silently dropping the field
+    with pytest.raises(InstanceError, match=rf"^<string>: jobs\[1\]: unknown fields \[{fields}\]$"):
+        parse_instance(_two_job_text(second_p=second_p))
+
+
 @pytest.fixture
 def collector_state():
     """Puts the cyclic collector back the way the test found it."""

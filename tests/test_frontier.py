@@ -113,7 +113,7 @@ def test_zero_setup_collapses_to_one_point():
     )
     front = pareto_bounded(inst, check=True)
     assert len(front.points) == 1
-    assert front.points[0].makespan == inst.total_processing()
+    assert front.points[0].makespan == sum(inst.p)
     assert front.pairs() == list(oracle_pareto(inst).points)
 
 

@@ -347,7 +347,7 @@ def test_makespan_is_batches_times_setup_plus_total_processing():
             room = [i for i in range(n - batches, n) if len(slots[i]) < cap]
             slots[room[rng.randint(0, len(room) - 1)]].append(j)
         sched = timetable(slots, inst)
-        assert sched.makespan == batches * inst.setup + inst.total_processing()
+        assert sched.makespan == batches * inst.setup + sum(inst.p)
 
 
 def test_validate_reports_violations(fork):

@@ -154,7 +154,7 @@ def test_layers_match_a_reference_sink_peel(n):
         want = _reference_layers(n, edges)
         assert list(inst.layer) == want
         limits = layered_limits(inst, PrecGraph(inst))
-        assert [0] + [limits.limit(j) for j in range(1, n + 1)] == want
+        assert limits.table == want
 
 
 class TestPrecGraph:
@@ -233,7 +233,7 @@ class TestLayering:
             graph = PrecGraph(inst)
             limits = layered_limits(inst, graph)
             for pred, succ in inst.precedence:
-                assert limits.limit(pred) < limits.limit(succ)
+                assert limits.table[pred] < limits.table[succ]
 
 
 class TestPrecedenceSolver:
@@ -322,7 +322,9 @@ def test_check_mode_catches_a_snapshot_off_its_times(fork, monkeypatch):
         completion[-1] += 1  # an uncapped pass tolerates any completion, so only the snapshot can notice
         return completion
 
+    # the held-state check retimes through the bounded module's name
     monkeypatch.setattr("batchfront.precedence.batch_times", skewed)
+    monkeypatch.setattr("batchfront.bounded.batch_times", skewed)
     with pytest.raises(InvariantError, match="^snapshot differs from a timetable of its slots$"):
         PrecedenceSolver.initial(fork, check=True).solve(UNBOUNDED)
     unchecked = PrecedenceSolver.initial(fork).solve(UNBOUNDED)
@@ -332,10 +334,11 @@ def test_check_mode_catches_a_snapshot_off_its_times(fork, monkeypatch):
 def test_check_mode_catches_a_max_cost_off_the_schedule(fork, monkeypatch):
     sweep = PrecedenceSolver._sweep
 
-    def understated(self, slots, completion, threshold):
-        outcome = sweep(self, slots, completion, threshold)
-        if outcome is False:
-            self.max_cost -= 1  # a clean pass that misjudged its largest cost
+    def understated(self, threshold):
+        outcome = sweep(self, threshold)
+        if outcome is False:  # a clean pass that misjudged its largest cost
+            top = self.top
+            top[top.index(max(top[top.count(None) :]))] -= 1
         return outcome
 
     monkeypatch.setattr(PrecedenceSolver, "_sweep", understated)
@@ -443,8 +446,8 @@ def _solved(instance):
 
 def test_check_mode_catches_held_groups_off_the_limits():
     solver = _solved(gen_random(12, 3, "prec"))
-    big = next(i for i, group in enumerate(solver.groups) if len(group) > 1)
-    solver.groups[big].reverse()
+    big = next(i for i, group in enumerate(solver.slots) if len(group) > 1)
+    solver.slots[big].reverse()
     with pytest.raises(InvariantError, match="^held groups differ from the limits' groups$"):
         solver.solve(solver.max_cost)
 
@@ -459,7 +462,7 @@ def test_check_mode_catches_held_completions_off_their_groups():
 def test_check_mode_catches_a_held_max_off_its_group():
     solver = _solved(gen_random(12, 3, "prec"))
     solver.top[-1] -= 1
-    with pytest.raises(InvariantError, match="^held max cost of group 12 differs from a fresh evaluation$"):
+    with pytest.raises(InvariantError, match="^held max cost of slot 12 differs from a fresh evaluation$"):
         solver.solve(solver.max_cost)
 
 
@@ -493,8 +496,8 @@ def test_held_state_matches_a_rebuild_after_every_step():
     solver = PrecedenceSolver.initial(inst)
     threshold = UNBOUNDED
     while (schedule := solver.solve(threshold)) is not None:
-        assert solver.groups == solver.limits.groups()
-        assert solver.completion == batch_times(solver.groups, inst)
+        assert solver.slots == solver.limits.groups()
+        assert solver.completion == batch_times(solver.slots, inst)
         assert solver.bounds == solver.limits.table
         assert not any(solver.marked)
         assert objectives(schedule, inst)[1] == solver.max_cost
