@@ -207,7 +207,9 @@ class BoundedSolver(WarmSolver):
     """Warm-startable minimum-makespan solver for one bounded instance.
 
     Holds the admissibility limits and the standing schedule together, with
-    the completion times kept current in place.
+    the completion times kept current in place.  The standing schedule
+    starts as the greedy fill of the limits the solver is built on, and
+    InvariantError is raised when that fill fails.
 
     An adjustment that expels a job from slot i works on slots e..i only,
     e being the rightmost slot left of i with room: a hoist scan, then a
@@ -245,10 +247,12 @@ class BoundedSolver(WarmSolver):
         self,
         instance: Instance,
         limits: AdmissibleSlots,
-        slots: list[list[int]],
         trace: Trace | None = None,
         check: bool = False,
     ):
+        slots = form_batches(instance, limits)
+        if slots is None:
+            raise InvariantError("the greedy fill failed on the starting limits")
         super().__init__(instance, limits, slots, batch_times(slots, instance), trace, check)
         limit = limits.table
         self.reach = [max(map(limit.__getitem__, batch), default=0) for batch in slots]
@@ -256,11 +260,7 @@ class BoundedSolver(WarmSolver):
     @classmethod
     def initial(cls, instance: Instance, trace: Trace | None = None, check: bool = False):
         """Solver over unrestricted limits; the greedy fill never fails there."""
-        limits = AdmissibleSlots.unrestricted(instance)
-        slots = form_batches(instance, limits)
-        if slots is None:
-            raise InvariantError("the greedy fill failed on unrestricted limits")
-        return cls(instance, limits, slots, trace, check)
+        return cls(instance, AdmissibleSlots.unrestricted(instance), trace, check)
 
     def solve(self, threshold) -> Schedule | None:
         """Minimum-makespan schedule with every cost strictly below the

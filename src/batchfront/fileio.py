@@ -136,6 +136,9 @@ def _parse(text: str, source: str) -> Instance:
         except InstanceError as err:
             raise InstanceError(f"{where}.{err}") from None
 
+    if doc["capacity"] is None:  # only "unbounded" spells unbounded
+        raise InstanceError(f"{source}: capacity must be an integer or \"unbounded\", got null")
+
     edges = doc.get("precedence", [])
     if not isinstance(edges, list):
         raise InstanceError(f"{source}: \"precedence\" must be an array of [pred, succ] pairs")

@@ -23,7 +23,9 @@ from .model import Instance, InstanceError, InvariantError, Schedule, objectives
 from .precedence import PrecedenceSolver
 
 # on_step(limits before the call, threshold, result or None, limits after):
-# one invocation per threshold step, for differential verification.
+# one invocation per threshold step, for differential verification.  The
+# limits before are a copy made for the hook, which owns it and may change
+# it; the limits after are the solver's own and must be left as they are.
 StepHook = Callable[[AdmissibleSlots, object, Schedule | None, AdmissibleSlots], None]
 
 

@@ -1,12 +1,15 @@
 """Differential verification of the solvers against the exhaustive oracle.
 
 For each generated instance the frontier sweep runs with internal checks
-on, and every threshold step is replayed on a copy of the pre-step
-limits: by the from-scratch reference solver on the bounded path, with
-the returned schedule compared slot-for-slot against a greedy rebuild of
-the post-step limits, and by a fresh precedence solver on the precedence
-path.  The resulting frontier is compared against the brute-force oracle.
-Any discrepancy is reported with the seed that produced it.
+on, and every threshold step is replayed on the copy of its pre-step
+limits that the sweep makes for the step hook: by the from-scratch
+reference solver on the bounded path, with the returned schedule compared
+slot-for-slot against a greedy rebuild of the post-step limits, and by a
+fresh precedence solver on the precedence path.  Both paths run through
+one harness, ``_checked_sweep``, which also checks the frontier's shape.
+The resulting frontier is compared against the brute-force oracle.  Any
+discrepancy is reported with the seed that produced it.  The ``_steps``
+checks stop short of the oracle, so they run at any size.
 """
 
 from __future__ import annotations
@@ -95,83 +98,87 @@ def _check_against_oracle(front: ParetoFront, instance: Instance) -> list[str]:
     return issues
 
 
-def check_bounded(instance: Instance) -> list[str]:
-    """All bounded-path checks for one instance; [] means everything agreed."""
-    issues: list[str] = []
-
-    def differential(before, threshold, schedule, after):
-        ref = solve_reference(instance, before.copy(), threshold)
-        if (ref is None) != (schedule is None):
-            issues.append(
-                f"threshold {threshold}: reference feasibility "
-                f"{ref is not None} != incremental {schedule is not None}"
-            )
-            return
-        if schedule is None:
-            return
-        got = objectives(schedule, instance)
-        want = objectives(ref, instance)
-        if got != want:
-            issues.append(f"threshold {threshold}: incremental {got} != reference {want}")
-        rebuilt = form_batches(instance, after)
-        if rebuilt is None or freeze_slots(rebuilt[1:]) != schedule.slots:
-            issues.append(f"threshold {threshold}: schedule differs from rebuild of final limits")
-
-    try:
-        front = pareto_bounded(instance, on_step=differential, check=True)
-    except InvariantError as err:
-        return issues + [f"internal invariant failed: {err}"]
-    issues += _check_frontier_shape(front, instance)
-    issues += _check_against_oracle(front, instance)
+def _replay_reference(instance: Instance, before, threshold, schedule, after) -> list[str]:
+    """One bounded step replayed by the from-scratch reference solver on its
+    starting limits, which it consumes, and its schedule compared
+    slot-for-slot with a greedy rebuild of the limits the step left."""
+    ref = solve_reference(instance, before, threshold)
+    if (ref is None) != (schedule is None):
+        return [f"threshold {threshold}: reference feasibility {ref is not None} != incremental {schedule is not None}"]
+    if schedule is None:
+        return []
+    issues = []
+    got = objectives(schedule, instance)
+    want = objectives(ref, instance)
+    if got != want:
+        issues.append(f"threshold {threshold}: incremental {got} != reference {want}")
+    rebuilt = form_batches(instance, after)
+    if rebuilt is None or freeze_slots(rebuilt[1:]) != schedule.slots:
+        issues.append(f"threshold {threshold}: schedule differs from rebuild of final limits")
     return issues
 
 
-def _sweep_precedence(instance: Instance) -> tuple[ParetoFront | None, list[str]]:
-    """The precedence sweep in check mode, each step replayed by a fresh
-    ``PrecedenceSolver`` on a copy of its starting limits.  The fresh
-    solver holds no state from earlier steps, so its first pass walks every
-    group; the warm one must agree on feasibility, makespan, max cost,
-    slots and the limits it leaves.  The front is None when an internal
-    invariant failed."""
+def _replay_fresh(instance: Instance, before, threshold, schedule, after) -> list[str]:
+    """One precedence step replayed by a fresh ``PrecedenceSolver`` on its
+    starting limits, which it consumes.  The fresh solver holds no state
+    from earlier steps, so its first pass walks every group; the warm one
+    must agree on feasibility, makespan, max cost, slots and the limits it
+    leaves."""
+    fresh = PrecedenceSolver(instance, before, check=True)
+    ref = fresh.solve(threshold)
+    if (ref is None) != (schedule is None):
+        return [f"threshold {threshold}: fresh solver feasibility {ref is not None} != warm {schedule is not None}"]
+    issues = []
+    if schedule is not None:
+        got = (schedule.makespan, objectives(schedule, instance)[1], schedule.slots)
+        want = (ref.makespan, fresh.max_cost, ref.slots)
+        if got != want:
+            issues.append(f"threshold {threshold}: warm {got[:2]} != fresh {want[:2]} or their slots differ")
+    if fresh.limits.table != after.table:
+        issues.append(f"threshold {threshold}: limits after the step differ from a fresh solver's")
+    return issues
+
+
+def _checked_sweep(instance: Instance, sweep, replay) -> tuple[ParetoFront | None, list[str]]:
+    """``sweep`` in check mode, every step's issues as ``replay`` reports
+    them, then the frontier shape.  The front is None, and the shape
+    unchecked, when an internal invariant failed."""
     issues: list[str] = []
 
-    def differential(before, threshold, schedule, after):
-        fresh = PrecedenceSolver(instance, before.copy(), check=True)
-        ref = fresh.solve(threshold)
-        if (ref is None) != (schedule is None):
-            issues.append(
-                f"threshold {threshold}: fresh solver feasibility "
-                f"{ref is not None} != warm {schedule is not None}"
-            )
-            return
-        if schedule is not None:
-            got = (schedule.makespan, objectives(schedule, instance)[1], schedule.slots)
-            want = (ref.makespan, fresh.max_cost, ref.slots)
-            if got != want:
-                issues.append(f"threshold {threshold}: warm {got[:2]} != fresh {want[:2]} or their slots differ")
-        if fresh.limits.table != after.table:
-            issues.append(f"threshold {threshold}: limits after the step differ from a fresh solver's")
+    def on_step(before, threshold, schedule, after):
+        issues.extend(replay(instance, before, threshold, schedule, after))
 
     try:
-        front = pareto_precedence(instance, on_step=differential, check=True)
+        front = sweep(instance, on_step=on_step, check=True)
     except InvariantError as err:
         return None, issues + [f"internal invariant failed: {err}"]
     return front, issues + _check_frontier_shape(front, instance)
+
+
+def check_bounded_steps(instance: Instance) -> list[str]:
+    """The bounded-path checks that need no oracle, so they run at any
+    size: check mode, the per-step reference replay and the frontier
+    shape."""
+    return _checked_sweep(instance, pareto_bounded, _replay_reference)[1]
+
+
+def check_bounded(instance: Instance) -> list[str]:
+    """All bounded-path checks for one instance; [] means everything agreed."""
+    front, issues = _checked_sweep(instance, pareto_bounded, _replay_reference)
+    return issues if front is None else issues + _check_against_oracle(front, instance)
 
 
 def check_precedence_steps(instance: Instance) -> list[str]:
     """The precedence-path checks that need no oracle, so they run at any
     size: check mode, the per-step fresh-solver replay and the frontier
     shape."""
-    return _sweep_precedence(instance)[1]
+    return _checked_sweep(instance, pareto_precedence, _replay_fresh)[1]
 
 
 def check_precedence(instance: Instance) -> list[str]:
     """All precedence-path checks for one instance."""
-    front, issues = _sweep_precedence(instance)
-    if front is not None:
-        issues += _check_against_oracle(front, instance)
-    return issues
+    front, issues = _checked_sweep(instance, pareto_precedence, _replay_fresh)
+    return issues if front is None else issues + _check_against_oracle(front, instance)
 
 
 def _draw_size(rng: SplitMix64, lo: int, hi: int) -> int:

@@ -18,7 +18,7 @@ from batchfront.frontier import pareto_bounded, pareto_bounded_naive
 from batchfront.generate import SplitMix64, gen_random
 from batchfront.model import Affine, Instance, InvariantError, Job, Lateness, Tardiness, objectives, timetable, validate
 from batchfront.oracle import enumerate_feasible
-from batchfront.verify import check_bounded
+from batchfront.verify import check_bounded, check_bounded_steps
 
 
 def _slots_as_sets(slots):
@@ -49,6 +49,8 @@ def test_form_batches_infeasible_when_lower_groups_starve():
     )
     limits = AdmissibleSlots(inst, [0, 1, 1, 3])
     assert form_batches(inst, limits) is None
+    with pytest.raises(InvariantError, match="^the greedy fill failed on the starting limits$"):
+        BoundedSolver(inst, limits)
 
 
 def test_reference_solver_threshold_ladder(two_jobs):
@@ -191,6 +193,14 @@ def _step_cost_instance(seed):
 def test_incremental_agrees_with_reference_on_step_costs():
     for seed in range(150):
         assert check_bounded(_step_cost_instance(90_000 + seed)) == []
+
+
+@pytest.mark.parametrize("profile", ["small", "geo"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_main1_step_matches_the_reference_beyond_the_oracle(profile, seed):
+    # check mode on, every step replayed by the from-scratch reference
+    # solver and the schedule compared with a rebuild of the limits it left
+    assert check_bounded_steps(gen_random(60, seed, profile, capacity=2)) == []
 
 
 def test_spent_solver_state_is_documented_behaviour(two_jobs):

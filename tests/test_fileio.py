@@ -1,4 +1,5 @@
 import gc
+import re
 
 import pytest
 
@@ -185,6 +186,61 @@ def test_unknown_job_fields_are_refused(second_p, fields):
     # these used to parse, silently dropping the field
     with pytest.raises(InstanceError, match=rf"^<string>: jobs\[1\]: unknown fields \[{fields}\]$"):
         parse_instance(_two_job_text(second_p=second_p))
+
+
+_ONE_JOB = '{"id": 1, "p": 1, "cost": {"type": "lateness", "due": 3}}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            _two_job_text(capacity="null"), 'capacity must be an integer or "unbounded", got null', id="capacity-null"
+        ),
+        pytest.param(
+            _two_job_text(capacity="null", extra=', "precedence": [[1, 2]]'),
+            'capacity must be an integer or "unbounded", got null',
+            id="capacity-null-with-edges",
+        ),
+        pytest.param("[1, 2]", "top level must be an object", id="top-level-array"),
+        pytest.param(_two_job_text(extra=', "edges": [], "b": 1'), "unknown keys ['b', 'edges']", id="unknown-keys"),
+        pytest.param('{"setup": 1, "capacity": 1, "jobs": []}', '"jobs" must be a non-empty array', id="jobs-empty"),
+        pytest.param('{"setup": 1, "capacity": 1, "jobs": {}}', '"jobs" must be a non-empty array', id="jobs-object"),
+        pytest.param(
+            f'{{"setup": 1, "capacity": 1, "jobs": [{_ONE_JOB}, 2]}}', "jobs[1]: must be an object", id="job-not-object"
+        ),
+        pytest.param('{"setup": 1, "capacity": 1, "jobs": [{"p": 1}]}', "jobs[0]: missing field 'id'", id="job-no-id"),
+        pytest.param('{"setup": 1, "capacity": 1, "jobs": [{"id": 1}]}', "jobs[0]: missing field 'p'", id="job-no-p"),
+        pytest.param(
+            '{"setup": 1, "capacity": 1, "jobs": [{"id": 1, "p": 1}]}',
+            'jobs[0].cost: cost must be an object with a "type" key',
+            id="cost-absent",
+        ),
+        pytest.param(
+            _two_job_text(second_cost='{"due": 20}'),
+            'jobs[1].cost: cost must be an object with a "type" key',
+            id="cost-untyped",
+        ),
+        pytest.param(
+            _two_job_text(second_cost="20"), 'jobs[1].cost: cost must be an object with a "type" key', id="cost-number"
+        ),
+        pytest.param(
+            _two_job_text(second_cost='{"type": "affine", "a": 1}'),
+            "jobs[1].cost: cost type 'affine' is missing field 'c'",
+            id="cost-missing-field",
+        ),
+        pytest.param(
+            _two_job_text(capacity='"unbounded"', extra=', "precedence": {"1": 2}'),
+            '"precedence" must be an array of [pred, succ] pairs',
+            id="precedence-object",
+        ),
+    ],
+)
+def test_structural_errors_are_refused_with_their_location(text, message):
+    # "capacity": null used to be read as unbounded, so with edges the file
+    # was silently taken as a precedence instance
+    with pytest.raises(InstanceError, match=rf"^{re.escape(f'<string>: {message}')}$"):
+        parse_instance(text)
 
 
 @pytest.fixture

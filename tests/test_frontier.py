@@ -203,3 +203,15 @@ def test_solver_max_cost_equals_objectives_at_every_step(profile, n):
             assert solver.max_cost == objectives(sched, inst)[1]
             threshold = solver.max_cost
         assert steps + 1 == sweep(inst).threshold_steps
+
+
+@pytest.mark.parametrize("n", [5, 12, 40, 120, 200])
+@pytest.mark.parametrize("profile", ["small", "geo", "staged", "paper"])
+def test_capacity_n_and_no_edges_give_both_models_one_frontier(profile, n):
+    # capacity n never binds and no edge constrains the order, so the
+    # bounded and the precedence sweeps solve one problem and must agree
+    # on every point and its witness schedule
+    for seed in (1, 2, 3):
+        bounded = gen_random(n, seed, profile, capacity=n)
+        unbounded = Instance(jobs=bounded.jobs, setup=bounded.setup, capacity=None)
+        assert pareto_bounded(bounded).points == pareto_precedence(unbounded).points
