@@ -30,7 +30,11 @@ opening) for re-evaluation.  A threshold pass therefore evaluates a slot's
 jobs only when that slot changed since it was last judged, and the max
 cost of a converged schedule is read from the held values.  ``WarmSolver``
 holds what this solver shares with the precedence one: the held slots,
-completions and maxima, the converged step and the held-state checks.
+completions and maxima, a frozen copy of each slot, the converged step and
+the held-state checks.  An adjustment marks for refreezing only the slots
+whose members it changed: i (j leaves, the hoist enters), each carry slot
+where a swap happens, and e (the hoist leaves, the carry lands).  An
+opening shifts times, not members, and marks nothing.
 """
 
 from __future__ import annotations
@@ -145,6 +149,12 @@ class WarmSolver:
     from the state the previous one left; after an infeasible result the
     state is spent.  A subclass computes the initial completions with its
     own module's ``batch_times`` and passes them in.
+
+    ``frozen[i]`` is slot i's members as a frozenset, every empty slot
+    being the shared ``model._EMPTY_SLOT``, and ``dirty`` the set of slots
+    whose members changed since the last snapshot.  A subclass adds a slot
+    to ``dirty`` wherever a job leaves or enters it; ``converged`` refreezes
+    only those, so a snapshot costs one tuple copy plus the changed slots.
     """
 
     def __init__(
@@ -161,6 +171,8 @@ class WarmSolver:
         self.slots = slots
         self.completion = completion
         self.top: list[int | None] = [None] * len(slots)
+        self.frozen = list(freeze_slots(slots))
+        self.dirty: set[int] = set()
         self.max_cost: int | None = None
         self.trace = trace
         self.check = check
@@ -168,17 +180,23 @@ class WarmSolver:
         self.passes = 0
 
     def converged(self) -> Schedule:
-        """After a clean pass: set ``max_cost`` from the held maxima and
-        return a snapshot of the held slots and completions.  Check mode
-        compares the snapshot with a ``timetable`` of its slots and
-        ``max_cost`` with ``objectives``."""
+        """After a clean pass: set ``max_cost`` from the held maxima, refreeze
+        the dirty slots and return a snapshot of the frozen slots and held
+        completions.  Check mode compares the snapshot with a ``timetable``
+        of the held slots and ``max_cost`` with ``objectives``."""
         # a clean pass left every nonempty slot's entry current, so the
         # stale entries are exactly slot 0 and the empty prefix
         top = self.top
         self.max_cost = max(top[top.count(None) :])
         instance = self.instance
         slots = self.slots
-        snapshot = Schedule(freeze_slots(slots[1:]), tuple(self.completion[1:]), instance.setup)
+        frozen = self.frozen
+        # a step that empties a slot is infeasible, so a dirty slot holds
+        # jobs and every empty slot keeps the shared empty set
+        for c in self.dirty:
+            frozen[c] = frozenset(slots[c])
+        self.dirty.clear()
+        snapshot = Schedule(tuple(frozen[1:]), tuple(self.completion[1:]), instance.setup)
         if self.check:
             if snapshot != timetable(slots[1:], instance):
                 raise InvariantError("snapshot differs from a timetable of its slots")
@@ -231,7 +249,8 @@ class BoundedSolver(WarmSolver):
     An adjustment marks the held maxima of e..i stale, e..n when it opened
     a batch; a pass evaluates a stale slot when it reaches it and skips the
     slot outright when the held max is below the threshold.  Thresholds
-    only shrink, so a new step's first pass reuses every held value.
+    only shrink, so a new step's first pass reuses every held value.  It
+    adds to ``dirty`` only i, e and the carry slots where a swap happens.
 
     With ``check=True`` the solver verifies its own invariants after every
     adjustment and raises InvariantError on a breach: the hoisted job came
@@ -333,6 +352,8 @@ class BoundedSolver(WarmSolver):
         self.limits.move(j, i - 1)
         slots[i].remove(j)
         self.adjustments += 1
+        refreeze = self.dirty.add
+        refreeze(i)  # j leaves; the hoist, if any, enters
 
         # The greedy fill passed over each candidate (a job left of i still
         # admissible at i) in favour of larger jobs at every slot between it
@@ -395,12 +416,14 @@ class BoundedSolver(WarmSolver):
                 insort(batch, carry, key=by_key)
                 if limit[carry] > reach[c]:
                     reach[c] = limit[carry]
+                refreeze(c)
                 carry = shortest
             # else the carry is the shortest itself: batch unchanged, keep carrying
         completion[e] += shift + p[carry]
         insort(slots[e], carry, key=by_key)
         if limit[carry] > reach[e]:
             reach[e] = limit[carry]
+        refreeze(e)  # the hoist, if any, leaves; the carry lands
         if opened:
             for c in range(i, instance.n + 1):
                 completion[c] += setup

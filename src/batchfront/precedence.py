@@ -79,11 +79,12 @@ class PrecedenceSolver(WarmSolver):
     every job tolerating its completion and no job bounded below it, so
     the walk would move nothing.  Moves land at pass end: each shifts
     ``completion`` by the job's processing time on its target..origin-1
-    and, when it opens a group, by one setup from the target on, and marks
-    those groups stale.  Propagation reads ``Instance.preds_by_layer`` and
-    stops at the first predecessor whose sink layer is below the target:
-    a job's limit never exceeds its layer, and its bound never exceeds its
-    limit, so no predecessor past that point needs lowering.
+    and, when it opens a group, by one setup from the target on, marks
+    those groups stale, and adds only its origin and target to ``dirty``.
+    Propagation reads ``Instance.preds_by_layer`` and stops at the first
+    predecessor whose sink layer is below the target: a job's limit never
+    exceeds its layer, and its bound never exceeds its limit, so no
+    predecessor past that point needs lowering.
 
     With ``check=True`` the solver raises InvariantError when, before a
     pass, the held groups differ from ``limits.groups()``, the held state
@@ -219,7 +220,8 @@ class PrecedenceSolver(WarmSolver):
         list for its target's, slots target..origin-1 complete later by its
         processing time, and every slot from the target on by one setup
         when the move opened the target.  The held maxima of the slots
-        whose times or members changed go stale."""
+        whose times or members changed go stale, and the origin and target
+        go to ``dirty`` for the next snapshot."""
         instance = self.instance
         n = instance.n
         p = instance.p
@@ -228,10 +230,13 @@ class PrecedenceSolver(WarmSolver):
         slots = self.slots
         completion = self.completion
         top = self.top
+        refreeze = self.dirty.add
         for j, i, target in moves:
             slots[i].remove(j)
             opened = not slots[target]  # no earlier move left it, so it was empty all pass
             insort(slots[target], j, key=by_key)
+            refreeze(i)
+            refreeze(target)
             pj = p[j]
             for c in range(target, i):
                 completion[c] += pj

@@ -403,6 +403,41 @@ def test_check_mode_catches_a_corrupted_held_slot_max(two_jobs):
         solver.solve(3)
 
 
+def _drop_refreezes(monkeypatch, dropped):
+    """Make every adjustment take back the refreeze marks it made on the
+    slots ``dropped(changed)`` picks from the ascending slots whose members
+    it changed; a slot already marked earlier in the step keeps its mark."""
+    adjust = BoundedSolver._adjust
+
+    def adjust_dropping(self, j, i):
+        members = [set(batch) for batch in self.slots]
+        marked = set(self.dirty)
+        feasible = adjust(self, j, i)
+        changed = [c for c, batch in enumerate(self.slots) if set(batch) != members[c]]
+        self.dirty -= set(dropped(changed)) - marked
+        return feasible
+
+    monkeypatch.setattr(BoundedSolver, "_adjust", adjust_dropping)
+
+
+# the lowest slot an adjustment changes is e, where the carry lands; the
+# ones between e and i are the carry slots where a swap happened
+@pytest.mark.parametrize("dropped", [lambda changed: changed[:1], lambda changed: changed[1:-1]], ids=["e", "swaps"])
+def test_check_mode_catches_a_dropped_refreeze(monkeypatch, dropped):
+    inst = gen_random(40, 2, "small", capacity=2)
+    _drop_refreezes(monkeypatch, dropped)
+    with pytest.raises(InvariantError, match="^snapshot differs from a timetable of its slots$"):
+        pareto_bounded(inst, check=True)
+    # unchecked, the same sweep returns snapshots whose slots lag behind
+    # the held ones
+    solver = BoundedSolver.initial(inst)
+    threshold, stale = UNBOUNDED, 0
+    while (schedule := solver.solve(threshold)) is not None:
+        stale += schedule.slots != timetable(solver.slots[1:], inst).slots
+        threshold = solver.max_cost
+    assert stale
+
+
 class _IgnoresSliceAssignment(list):
     """A held-maxima list on which marking a range of slots stale does nothing."""
 

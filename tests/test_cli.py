@@ -122,6 +122,33 @@ def test_precedence_trace_beyond_the_oracle_matches_golden_digest(tmp_path, caps
     assert digest.hexdigest() == PRECEDENCE_DIGEST
 
 
+# (profile, n, seeds) for main1's step-heavy families at their default
+# capacities: geo at b=2 makes hundreds of threshold steps per instance,
+# staged at b=n-1 makes n(n-1)/2 relocations; pins every snapshot the
+# sweep takes through the CSV witnesses and the admissibility dumps
+STEP_HEAVY_CORPUS = [("geo", 120, (1, 2, 3)), ("staged", 120, (1, 2))]
+STEP_HEAVY_DIGEST = "558ba34babd9f48f85f84fd427593b65c83ab5c217adefa46768e6818b287bbd"
+
+
+def test_step_heavy_trace_matches_golden_digest(tmp_path, capsys):
+    # one digest over the complete stdout and stderr of `pareto --trace` on
+    # every instance, in corpus and seed order
+    digest = hashlib.sha256()
+    moves = steps = 0
+    for profile, n, seeds in STEP_HEAVY_CORPUS:
+        for seed in seeds:
+            path = tmp_path / f"{profile}-n{n}-seed{seed}.json"
+            save_instance(gen_random(n, seed, profile), path)
+            assert main(["pareto", str(path), "--trace"]) == 0
+            captured = capsys.readouterr()
+            for text in (captured.out, captured.err):
+                digest.update(text.encode("utf-8") + b"\0")
+            moves += captured.err.count("\nmove ")
+            steps += captured.err.count("step threshold=")
+    assert (moves, steps) == (19880, 4420)
+    assert digest.hexdigest() == STEP_HEAVY_DIGEST
+
+
 # scripts/frontier_smoke.py solves every generator profile at two sizes; its
 # output must be byte-identical on every supported Python, and CI runs this
 # test on each of them

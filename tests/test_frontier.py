@@ -13,6 +13,7 @@ from batchfront.frontier import (
 )
 from batchfront.generate import gen_random
 from batchfront.model import (
+    _EMPTY_SLOT,
     Instance,
     InstanceError,
     InvariantError,
@@ -165,6 +166,29 @@ def test_solver_snapshots_equal_a_timetable_of_their_slots(profile, n):
         assert snapshots[-1] is None and len(snapshots) == front.threshold_steps
         for sched in snapshots[:-1]:
             assert sched == timetable(sched.slots, inst)
+
+
+@pytest.mark.parametrize("sweep, profile, steps", [(pareto_bounded, "geo", 343), (pareto_precedence, "geo-prec", 31)])
+def test_held_snapshots_keep_the_slots_and_times_they_were_returned_with(sweep, profile, steps):
+    # the solvers refreeze only the slots a step changed and share every
+    # other frozen slot with the snapshots before it; no later step may
+    # change what an earlier snapshot holds, and every empty slot stays the
+    # one shared empty set
+    inst = gen_random(60, 1, profile)
+    held = []
+
+    def on_step(before, threshold, schedule, after):
+        if schedule is not None:
+            held.append((schedule, [set(batch) for batch in schedule.slots], list(schedule.completion)))
+
+    front = sweep(inst, on_step=on_step)
+    assert len(held) + 1 == front.threshold_steps == steps
+    for schedule, slots, completion in held:
+        assert [set(batch) for batch in schedule.slots] == slots
+        assert list(schedule.completion) == completion
+        assert type(schedule.slots) is tuple and all(type(batch) is frozenset for batch in schedule.slots)
+        assert all(batch is _EMPTY_SLOT for batch in schedule.slots if not batch)
+        assert schedule == timetable(slots, inst)
 
 
 @pytest.mark.parametrize("n", [5, 17, 60])

@@ -6,6 +6,7 @@ from batchfront import verify
 from batchfront.admissible import AdmissibleSlots
 from batchfront.bounded import UNBOUNDED
 from batchfront.fileio import emit_instance, parse_instance
+from batchfront.frontier import pareto_precedence
 from batchfront.generate import SplitMix64, gen_random
 from batchfront.model import (
     Instance,
@@ -302,7 +303,6 @@ class TestPrecedenceSolver:
     def test_zero_setup_single_frontier_point(self):
         # with no setup every schedule has the same makespan, so only the
         # min-max-cost point survives even under precedence
-        from batchfront.frontier import pareto_precedence
         from batchfront.oracle import oracle_pareto
 
         inst = Instance(
@@ -346,6 +346,30 @@ def test_check_mode_catches_a_max_cost_off_the_schedule(fork, monkeypatch):
         PrecedenceSolver.initial(fork, check=True).solve(UNBOUNDED)
     unchecked = PrecedenceSolver.initial(fork)
     assert objectives(unchecked.solve(UNBOUNDED), fork) == (6, unchecked.max_cost + 1)
+
+
+def test_check_mode_catches_a_dropped_refreeze_of_a_move_target(monkeypatch):
+    land = PrecedenceSolver._land
+
+    def land_dropping(self, moves):
+        # take back the target marks, except on slots that another move of
+        # the pass left or an earlier pass marked
+        marked = set(self.dirty)
+        land(self, moves)
+        self.dirty -= {target for _, _, target in moves} - {origin for _, origin, _ in moves} - marked
+
+    monkeypatch.setattr(PrecedenceSolver, "_land", land_dropping)
+    inst = gen_random(12, 3, "prec")
+    with pytest.raises(InvariantError, match="^snapshot differs from a timetable of its slots$"):
+        pareto_precedence(inst, check=True)
+    # unchecked, the same sweep returns snapshots whose slots lag behind
+    # the held ones
+    solver = PrecedenceSolver.initial(inst)
+    threshold, stale = UNBOUNDED, 0
+    while (schedule := solver.solve(threshold)) is not None:
+        stale += schedule.slots != timetable(solver.slots[1:], inst).slots
+        threshold = solver.max_cost
+    assert stale
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17, 60])
