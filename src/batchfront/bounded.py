@@ -24,17 +24,22 @@ the long end.  Each slot also holds a limit reach, an upper bound on its
 jobs' highest limit, so the scan passes a slot that cannot hold a
 candidate without walking it.
 
-The solver also holds the max cost of each slot it has evaluated, and an
-adjustment marks only the slots it changed (e..i, or e..n after an
-opening) for re-evaluation.  A threshold pass therefore evaluates a slot's
-jobs only when that slot changed since it was last judged, and the max
-cost of a converged schedule is read from the held values.  ``WarmSolver``
-holds what this solver shares with the precedence one: the held slots,
-completions and maxima, a frozen copy of each slot, the converged step and
-the held-state checks.  An adjustment marks for refreezing only the slots
-whose members it changed: i (j leaves, the hoist enters), each carry slot
-where a swap happens, and e (the hoist leaves, the carry lands).  An
-opening shifts times, not members, and marks nothing.
+The solver also holds the max cost of each slot it has evaluated, and a
+held max goes stale only when an adjustment changed its slot's members or
+completion: slots i and e, each carry slot where a swap happens or whose
+completion moves, and every slot from e on after an opening.  A carry
+slot keeps its jobs and its time when the carried job is as long as the
+hoist, which on narrow batches is most of them.  A threshold pass
+therefore evaluates a slot's jobs only when that slot changed since it was
+last judged, and the max cost of a converged schedule is read from the
+held values from the lowest nonempty slot on.  ``WarmSolver`` holds what
+this solver shares with the precedence one: the held slots, completions
+and maxima, the lowest nonempty slot, a frozen copy of each slot, the
+converged step and the held-state checks.  An adjustment marks for
+refreezing only the slots whose members it changed: i (j leaves, the
+hoist enters), each carry slot where a swap happens, and e (the hoist
+leaves, the carry lands).  An opening shifts times, not members, and
+marks nothing.
 """
 
 from __future__ import annotations
@@ -144,11 +149,13 @@ class WarmSolver:
     ``slots[i]`` is slot i's jobs as a list in ascending ``Instance.keys``
     order, ``completion[i]`` its batch's completion time and ``top[i]`` the
     max cost of its jobs at that time, or None when the slot changed since
-    it was last evaluated (every slot starts that way).  ``solve`` may be
-    called repeatedly with strictly smaller thresholds, each call going on
-    from the state the previous one left; after an infeasible result the
-    state is spent.  A subclass computes the initial completions with its
-    own module's ``batch_times`` and passes them in.
+    it was last evaluated (every slot starts that way).  ``first`` is the
+    lowest nonempty slot; a subclass lowers it wherever a job opens an
+    empty slot.  ``solve`` may be called repeatedly with strictly smaller
+    thresholds, each call going on from the state the previous one left;
+    after an infeasible result the state is spent.  A subclass computes
+    the initial completions with its own module's ``batch_times`` and
+    passes them in.
 
     ``frozen[i]`` is slot i's members as a frozenset, every empty slot
     being the shared ``model._EMPTY_SLOT``, and ``dirty`` the set of slots
@@ -171,6 +178,7 @@ class WarmSolver:
         self.slots = slots
         self.completion = completion
         self.top: list[int | None] = [None] * len(slots)
+        self.first = next(c for c in range(1, len(slots)) if slots[c])
         self.frozen = list(freeze_slots(slots))
         self.dirty: set[int] = set()
         self.max_cost: int | None = None
@@ -184,10 +192,8 @@ class WarmSolver:
         the dirty slots and return a snapshot of the frozen slots and held
         completions.  Check mode compares the snapshot with a ``timetable``
         of the held slots and ``max_cost`` with ``objectives``."""
-        # a clean pass left every nonempty slot's entry current, so the
-        # stale entries are exactly slot 0 and the empty prefix
-        top = self.top
-        self.max_cost = max(top[top.count(None) :])
+        # a clean pass left every nonempty slot's entry current
+        self.max_cost = max(self.top[self.first :])
         instance = self.instance
         slots = self.slots
         frozen = self.frozen
@@ -207,10 +213,14 @@ class WarmSolver:
     def check_held(self, before: list[int] | None) -> None:
         """Check mode: the held completions equal a ``batch_times`` of the
         held slots, none is earlier than in ``before`` (when given), and
-        every held max equals a fresh evaluation."""
+        every held max equals a fresh evaluation, and ``first`` is the
+        lowest nonempty slot."""
         instance = self.instance
         slots = self.slots
         completion = self.completion
+        first = self.first
+        if not slots[first] or any(slots[1:first]):
+            raise InvariantError(f"held lowest nonempty slot {first} is wrong")
         if completion != batch_times(slots, instance):
             raise InvariantError("held completions differ from batch_times")
         if before is not None and any(map(int.__lt__, completion, before)):
@@ -246,11 +256,14 @@ class BoundedSolver(WarmSolver):
     only fall, so a job leaving a slot needs no bookkeeping.  The scan
     passes slot c without walking it when ``reach[c]`` is below i.
 
-    An adjustment marks the held maxima of e..i stale, e..n when it opened
-    a batch; a pass evaluates a stale slot when it reaches it and skips the
-    slot outright when the held max is below the threshold.  Thresholds
-    only shrink, so a new step's first pass reuses every held value.  It
-    adds to ``dirty`` only i, e and the carry slots where a swap happens.
+    A held max goes stale only when the adjustment changed its slot's
+    members or completion: i, e, each carry slot where a swap happens or
+    whose completion moves (the carried job and the hoist differ in p), and
+    every slot from e on when it opened a batch.  A pass evaluates a stale
+    slot when it reaches it and skips the slot outright when the held max
+    is below the threshold.  Thresholds only shrink, so a new step's first
+    pass reuses every held value.  It adds to ``dirty`` only i, e and the
+    carry slots where a swap happens.
 
     With ``check=True`` the solver verifies its own invariants after every
     adjustment and raises InvariantError on a breach: the hoisted job came
@@ -354,6 +367,8 @@ class BoundedSolver(WarmSolver):
         self.adjustments += 1
         refreeze = self.dirty.add
         refreeze(i)  # j leaves; the hoist, if any, enters
+        top = self.top
+        top[i] = None
 
         # The greedy fill passed over each candidate (a job left of i still
         # admissible at i) in favour of larger jobs at every slot between it
@@ -403,12 +418,14 @@ class BoundedSolver(WarmSolver):
         # later by the time of the job carried into it, less that of the
         # hoist, which crossed it going right, plus one setup if e opened.
         # Slot i stays nonempty, so completions from i on move only then.
+        # A carry slot keeps its held max only when no swap happens and the
+        # job carried into it is as long as the hoist, so its time holds.
         before = completion[:] if self.check else None
         setup = instance.setup
         shift = (setup if opened else 0) - (p[hoist] if hoist is not None else 0)
         carry = j
         for c in range(i - 1, e, -1):
-            completion[c] += shift + p[carry]
+            delta = shift + p[carry]
             batch = slots[c]
             shortest = batch[0]
             if keys[carry] > keys[shortest]:
@@ -417,18 +434,25 @@ class BoundedSolver(WarmSolver):
                 if limit[carry] > reach[c]:
                     reach[c] = limit[carry]
                 refreeze(c)
+                top[c] = None
                 carry = shortest
-            # else the carry is the shortest itself: batch unchanged, keep carrying
+            elif delta:
+                top[c] = None
+            else:
+                continue  # the carry is the shortest itself and the time holds
+            completion[c] += delta
         completion[e] += shift + p[carry]
         insort(slots[e], carry, key=by_key)
         if limit[carry] > reach[e]:
             reach[e] = limit[carry]
         refreeze(e)  # the hoist, if any, leaves; the carry lands
+        top[e] = None
         if opened:
-            for c in range(i, instance.n + 1):
+            n = instance.n
+            for c in range(i, n + 1):
                 completion[c] += setup
-        stale = instance.n + 1 if opened else i + 1  # held maxima of e..i, or e..n, are now out of date
-        self.top[e:stale] = [None] * (stale - e)
+            top[e:] = [None] * (n + 1 - e)  # every slot from e on shifted
+            self.first = e
         if self.check:
             self._check_state(e, before)
         return True

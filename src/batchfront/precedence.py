@@ -219,9 +219,9 @@ class PrecedenceSolver(WarmSolver):
         """Land a pass's moves, in order: each job leaves its origin's held
         list for its target's, slots target..origin-1 complete later by its
         processing time, and every slot from the target on by one setup
-        when the move opened the target.  The held maxima of the slots
-        whose times or members changed go stale, and the origin and target
-        go to ``dirty`` for the next snapshot."""
+        when the move opened the target, which becomes ``first``.  The held
+        maxima of the slots whose times or members changed go stale, and
+        the origin and target go to ``dirty`` for the next snapshot."""
         instance = self.instance
         n = instance.n
         p = instance.p
@@ -242,6 +242,7 @@ class PrecedenceSolver(WarmSolver):
                 completion[c] += pj
                 top[c] = None
             if opened:
+                self.first = target
                 for c in range(target, n + 1):
                     completion[c] += setup
                     top[c] = None

@@ -195,7 +195,8 @@ def test_incremental_agrees_with_reference_on_step_costs():
         assert check_bounded(_step_cost_instance(90_000 + seed)) == []
 
 
-@pytest.mark.parametrize("profile", ["small", "geo"])
+# staged is the family where every carry slot changes
+@pytest.mark.parametrize("profile", ["small", "geo", "staged"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_every_main1_step_matches_the_reference_beyond_the_oracle(profile, seed):
     # check mode on, every step replayed by the from-scratch reference
@@ -446,26 +447,30 @@ class _IgnoresSliceAssignment(list):
             super().__setitem__(index, value)
 
 
-def test_check_mode_catches_a_skipped_invalidation_after_an_opening(two_jobs):
-    # solve(3) moves job 1 into the empty slot 1, which shifts slot 2 by a
-    # setup: slots 1..n must be re-evaluated, slot 2 included
-    solver = BoundedSolver.initial(two_jobs, check=True)
+def _opens_slot_1_on_the_third_step():
+    return Instance(
+        jobs=(Job(1, 7, Lateness(4)), Job(2, 8, Lateness(29)), Job(3, 4, Affine(1, 3))),
+        setup=3,
+        capacity=2,
+    )
+
+
+def test_check_mode_catches_a_skipped_invalidation_after_an_opening():
+    # the third step's adjustment (e = 1, i = 2) marks slots 1 and 2 one by
+    # one; slot 3 changed only because the opening shifted it a setup later
+    solver = BoundedSolver.initial(_opens_slot_1_on_the_third_step(), check=True)
     solver.solve(UNBOUNDED)
+    solver.solve(21)
     solver.top = _IgnoresSliceAssignment(solver.top)
-    with pytest.raises(InvariantError, match="^held max cost of slot 2 differs from a fresh evaluation$"):
-        solver.solve(3)
+    with pytest.raises(InvariantError, match="^held max cost of slot 3 differs from a fresh evaluation$"):
+        solver.solve(17)
 
 
 def test_an_opening_re_evaluates_the_slots_it_shifts():
     # the third step moves job 3 from slot 2 into the empty slot 1, so slot
     # 3, right of the adjustment, completes a setup later: its held max
     # must be re-evaluated too (-4 at 25, -1 at 28)
-    inst = Instance(
-        jobs=(Job(1, 7, Lateness(4)), Job(2, 8, Lateness(29)), Job(3, 4, Affine(1, 3))),
-        setup=3,
-        capacity=2,
-    )
-    solver = BoundedSolver.initial(inst, check=True)
+    solver = BoundedSolver.initial(_opens_slot_1_on_the_third_step(), check=True)
     assert solver.solve(UNBOUNDED).completion == (0, 7, 25) and solver.max_cost == 21
     assert solver.solve(21).completion == (0, 14, 25) and solver.top == [None, None, 17, -4]
     assert solver.solve(17).completion == (7, 17, 28)
@@ -496,6 +501,57 @@ def test_threshold_steps_do_not_re_evaluate_every_job():
     front = pareto_bounded(inst)
     assert front.threshold_steps == 314
     assert tally[0] <= front.threshold_steps * inst.n
+
+
+def test_threshold_steps_evaluate_only_the_slots_an_adjustment_changed():
+    # most carry slots here keep their jobs and their completion, as the
+    # hoist and the carry have the same p: re-evaluating every slot of
+    # e..i after each adjustment made 31,860 evaluations
+    inst = gen_random(150, 1, "small", capacity=2)
+    tally = _count_cost_evaluations(inst)
+    pareto_bounded(inst)
+    assert tally[0] <= 11_000
+
+
+def test_check_mode_catches_a_kept_max_on_a_retimed_carry_slot(monkeypatch):
+    # every adjustment puts back the held max of each slot left of i whose
+    # jobs held but whose completion moved, so the next adjustment's check
+    # meets a max that no longer matches its slot
+    adjust = BoundedSolver._adjust
+    restored = set()
+
+    def adjust_keeping(self, j, i):
+        members = [batch[:] for batch in self.slots[:i]]
+        completion, top = self.completion[:i], self.top[:i]
+        feasible = adjust(self, j, i)
+        for c in range(1, i):
+            if top[c] is not None and self.slots[c] == members[c] and self.completion[c] != completion[c]:
+                self.top[c] = top[c]
+                restored.add(c)
+        return feasible
+
+    monkeypatch.setattr(BoundedSolver, "_adjust", adjust_keeping)
+    with pytest.raises(InvariantError, match="^held max cost of slot [0-9]+ differs from a fresh evaluation$") as caught:
+        pareto_bounded(gen_random(40, 2, "small", capacity=2), check=True)
+    assert int(str(caught.value).split()[5]) in restored
+
+
+class _KeepsFirst(BoundedSolver):
+    """A solver whose held lowest nonempty slot never moves once set."""
+
+    def __setattr__(self, name, value):
+        if name != "first" or not hasattr(self, "first"):
+            super().__setattr__(name, value)
+
+
+def test_check_mode_catches_an_opening_that_keeps_the_lowest_nonempty_slot(two_jobs):
+    # solve(3) moves job 1 into the empty slot 1, which becomes the lowest
+    # nonempty slot
+    solver = _KeepsFirst.initial(two_jobs, check=True)
+    solver.solve(UNBOUNDED)
+    assert solver.first == 2
+    with pytest.raises(InvariantError, match="^held lowest nonempty slot 2 is wrong$"):
+        solver.solve(3)
 
 
 def test_large_batches_evaluate_no_more_than_a_full_rescan():

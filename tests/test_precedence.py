@@ -501,6 +501,19 @@ def test_check_mode_catches_a_skipped_group_that_needed_a_walk():
         solver.solve(2)
 
 
+def test_check_mode_catches_an_opening_that_keeps_the_lowest_nonempty_slot():
+    class KeepsFirst(PrecedenceSolver):
+        def __setattr__(self, name, value):
+            if name != "first" or not hasattr(self, "first"):
+                super().__setattr__(name, value)
+
+    # job 3 drops to group 2, which sends job 1 into the empty group 1
+    solver = KeepsFirst.initial(_propagating(), check=True)
+    assert solver.first == 2
+    with pytest.raises(InvariantError, match="^held lowest nonempty slot 2 is wrong$"):
+        solver.solve(2)
+
+
 def test_check_mode_catches_a_predecessor_past_the_propagation_cut():
     inst = _propagating()
     object.__setattr__(inst, "preds_by_layer", ([], [], [], []))  # job 3 forgets its predecessor
