@@ -36,7 +36,7 @@ from .model import (
     timetable,
     validate,
 )
-from .oracle import EnumerationLimits, OracleFrontier, OracleSizeError, enumerate_feasible, oracle_pareto
+from .oracle import OracleFrontier, OracleSizeError, enumerate_feasible, oracle_pareto
 from .precedence import PrecedenceSolver, PrecGraph, layered_limits
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "Affine",
     "BoundedSolver",
     "CostSpec",
-    "EnumerationLimits",
     "Instance",
     "InstanceError",
     "InvariantError",

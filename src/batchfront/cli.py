@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="differential check of the solvers against the oracle")
     verify.add_argument("--count", type=int, default=200, help="number of instances")
     caps = ", ".join(f"2-{cap} for {variant}" for variant, cap in SIZE_CAPS.items())
-    verify.add_argument("--sizes", help=f"job-count range such as 2-6, default {caps} (the oracle's EnumerationLimits)")
+    verify.add_argument("--sizes", help=f"job-count range such as 2-6, default {caps} (the oracle's MAX_JOBS_BOUNDED and MAX_JOBS_PRECEDENCE)")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--variant", choices=tuple(SIZE_CAPS), default="bounded")
     verify.set_defaults(func=cmd_verify)

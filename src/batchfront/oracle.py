@@ -21,42 +21,38 @@ class OracleSizeError(ValueError):
     """Raised when an instance is too large to enumerate exhaustively."""
 
 
-@dataclass(frozen=True)
-class EnumerationLimits:
-    max_jobs_bounded: int = 8
-    max_jobs_precedence: int = 7
-    max_schedules: int = 2_000_000
+# The largest job counts enumerated, without and with precedence edges, and
+# the most feasible schedules one enumeration may visit.
+MAX_JOBS_BOUNDED = 8
+MAX_JOBS_PRECEDENCE = 7
+MAX_SCHEDULES = 2_000_000
 
 
-DEFAULT_LIMITS = EnumerationLimits()
+def size_cap(instance: Instance) -> int:
+    """The largest job count the oracle enumerates for this instance."""
+    return MAX_JOBS_PRECEDENCE if instance.edge_ids else MAX_JOBS_BOUNDED
 
 
-def _guard_size(instance: Instance, limits: EnumerationLimits) -> None:
-    cap = limits.max_jobs_precedence if instance.edge_ids else limits.max_jobs_bounded
+def _guard_size(instance: Instance) -> None:
+    cap = size_cap(instance)
     if instance.n > cap:
-        raise OracleSizeError(
-            f"{instance.n} jobs exceed the exhaustive limit of {cap}"
-        )
+        raise OracleSizeError(f"{instance.n} jobs exceed the exhaustive limit of {cap}")
 
 
-def enumerate_feasible(
-    instance: Instance, limits: EnumerationLimits = DEFAULT_LIMITS
-) -> Iterator[Schedule]:
+def enumerate_feasible(instance: Instance) -> Iterator[Schedule]:
     """Yield every feasible schedule exactly once, timetabled.
 
     Batches are emitted earliest-first and placed as the nonempty suffix of
     the n slots.  Job order within a batch is immaterial and never
     distinguishes schedules.
     """
-    _guard_size(instance, limits)
+    _guard_size(instance)
     n = instance.n
-    for _, _, batches in _partitions(instance, limits):
+    for _, _, batches in _partitions(instance):
         yield timetable([()] * (n - len(batches)) + batches, instance)
 
 
-def _partitions(
-    instance: Instance, limits: EnumerationLimits
-) -> Iterator[tuple[int, int, list[tuple[int, ...]]]]:
+def _partitions(instance: Instance) -> Iterator[tuple[int, int, list[tuple[int, ...]]]]:
     """Ordered partitions into nonempty capacity-respecting batches.
 
     Each is yielded as (makespan, max cost, batches earliest first); time
@@ -74,15 +70,14 @@ def _partitions(
     has_prec = bool(instance.edge_ids)
 
     seen = 0
-    max_schedules = limits.max_schedules
     acc: list[tuple[int, ...]] = []
 
     def rec(remaining: tuple[int, ...], placed_bits: int, t: int, worst):
         nonlocal seen
         if not remaining:
             seen += 1
-            if seen > max_schedules:
-                raise OracleSizeError(f"more than {max_schedules} feasible schedules")
+            if seen > MAX_SCHEDULES:
+                raise OracleSizeError(f"more than {MAX_SCHEDULES} feasible schedules")
             yield t, worst, acc
             return
         if has_prec:
@@ -121,18 +116,16 @@ class OracleFrontier:
         return self.points[-1][1]
 
 
-def oracle_pareto(
-    instance: Instance, limits: EnumerationLimits = DEFAULT_LIMITS
-) -> OracleFrontier:
+def oracle_pareto(instance: Instance) -> OracleFrontier:
     """Score every feasible schedule and keep the non-dominated pairs.
 
     A pair dominates another when it is <= on both objectives and < on at
     least one.  Witness schedules are rebuilt only for the surviving pairs.
     """
-    _guard_size(instance, limits)
+    _guard_size(instance)
     n = instance.n
     best: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for c_max, f_max, batches in _partitions(instance, limits):
+    for c_max, f_max, batches in _partitions(instance):
         if (c_max, f_max) not in best:
             best[c_max, f_max] = list(batches)
 

@@ -5,11 +5,12 @@ on, and every threshold step is replayed on the copy of its pre-step
 limits that the sweep makes for the step hook: by the from-scratch
 reference solver on the bounded path, with the returned schedule compared
 slot-for-slot against a greedy rebuild of the post-step limits, and by a
-fresh precedence solver on the precedence path.  Both paths run through
-one harness, ``_checked_sweep``, which also checks the frontier's shape.
-The resulting frontier is compared against the brute-force oracle.  Any
-discrepancy is reported with the seed that produced it.  The ``_steps``
-checks stop short of the oracle, so they run at any size.
+fresh precedence solver on the precedence path.  One checker,
+``check_instance``, picks the path from the instance, also checks the
+frontier's shape, and compares the frontier against the brute-force
+oracle when the instance is within the oracle's ``size_cap``; above it the
+other checks still run, at any size.  Any discrepancy is reported with the
+seed that produced it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .bounded import form_batches, solve_reference
 from .frontier import ParetoFront, pareto_bounded, pareto_precedence
 from .generate import SplitMix64, gen_random
 from .model import Instance, InvariantError, freeze_slots, objectives, validate
-from .oracle import DEFAULT_LIMITS, oracle_pareto
+from .oracle import MAX_JOBS_BOUNDED, MAX_JOBS_PRECEDENCE, oracle_pareto, size_cap
 from .precedence import PrecedenceSolver
 
 # How often each size is drawn, relative to the others: enumeration cost
@@ -28,8 +29,10 @@ from .precedence import PrecedenceSolver
 # 545835 for n = 2..8), so large sizes appear sparingly.
 _SIZE_WEIGHTS = {2: 30, 3: 26, 4: 22, 5: 14, 6: 8, 7: 3, 8: 1}
 
-# The largest job count the oracle enumerates, per variant.
-SIZE_CAPS = {"bounded": DEFAULT_LIMITS.max_jobs_bounded, "prec": DEFAULT_LIMITS.max_jobs_precedence}
+# The largest job count the oracle enumerates, per variant, and the
+# generator profile each variant draws from.
+SIZE_CAPS = {"bounded": MAX_JOBS_BOUNDED, "prec": MAX_JOBS_PRECEDENCE}
+_PROFILES = {"bounded": "small", "prec": "prec"}
 _MAX_FAILURES_KEPT = 10
 
 
@@ -139,10 +142,20 @@ def _replay_fresh(instance: Instance, before, threshold, schedule, after) -> lis
     return issues
 
 
-def _checked_sweep(instance: Instance, sweep, replay) -> tuple[ParetoFront | None, list[str]]:
-    """``sweep`` in check mode, every step's issues as ``replay`` reports
-    them, then the frontier shape.  The front is None, and the shape
-    unchecked, when an internal invariant failed."""
+def check_instance(instance: Instance) -> list[str]:
+    """Every check for one instance; [] means everything agreed.
+
+    The sweep and its step replay follow ``instance.bounded``: the bounded
+    sweep replayed by the reference solver, or the precedence sweep
+    replayed by a fresh solver.  The sweep runs in check mode, then the
+    frontier's shape is checked, then the frontier is compared with the
+    oracle when the instance is within ``size_cap``.  Past an internal
+    invariant failure nothing further is checked.
+    """
+    if instance.bounded:
+        sweep, replay = pareto_bounded, _replay_reference
+    else:
+        sweep, replay = pareto_precedence, _replay_fresh
     issues: list[str] = []
 
     def on_step(before, threshold, schedule, after):
@@ -151,34 +164,11 @@ def _checked_sweep(instance: Instance, sweep, replay) -> tuple[ParetoFront | Non
     try:
         front = sweep(instance, on_step=on_step, check=True)
     except InvariantError as err:
-        return None, issues + [f"internal invariant failed: {err}"]
-    return front, issues + _check_frontier_shape(front, instance)
-
-
-def check_bounded_steps(instance: Instance) -> list[str]:
-    """The bounded-path checks that need no oracle, so they run at any
-    size: check mode, the per-step reference replay and the frontier
-    shape."""
-    return _checked_sweep(instance, pareto_bounded, _replay_reference)[1]
-
-
-def check_bounded(instance: Instance) -> list[str]:
-    """All bounded-path checks for one instance; [] means everything agreed."""
-    front, issues = _checked_sweep(instance, pareto_bounded, _replay_reference)
-    return issues if front is None else issues + _check_against_oracle(front, instance)
-
-
-def check_precedence_steps(instance: Instance) -> list[str]:
-    """The precedence-path checks that need no oracle, so they run at any
-    size: check mode, the per-step fresh-solver replay and the frontier
-    shape."""
-    return _checked_sweep(instance, pareto_precedence, _replay_fresh)[1]
-
-
-def check_precedence(instance: Instance) -> list[str]:
-    """All precedence-path checks for one instance."""
-    front, issues = _checked_sweep(instance, pareto_precedence, _replay_fresh)
-    return issues if front is None else issues + _check_against_oracle(front, instance)
+        return issues + [f"internal invariant failed: {err}"]
+    issues += _check_frontier_shape(front, instance)
+    if instance.n <= size_cap(instance):
+        issues += _check_against_oracle(front, instance)
+    return issues
 
 
 def _draw_size(rng: SplitMix64, lo: int, hi: int) -> int:
@@ -219,10 +209,5 @@ def run_verification(
     for i in range(count):
         inst_seed = seed + i
         n = _draw_size(size_rng, n_lo, n_hi)
-        if variant == "bounded":
-            instance = gen_random(n, inst_seed, profile="small")
-            report.record(inst_seed, check_bounded(instance))
-        else:
-            instance = gen_random(n, inst_seed, profile="prec")
-            report.record(inst_seed, check_precedence(instance))
+        report.record(inst_seed, check_instance(gen_random(n, inst_seed, profile=_PROFILES[variant])))
     return report

@@ -18,7 +18,7 @@ from batchfront.frontier import pareto_bounded, pareto_bounded_naive
 from batchfront.generate import SplitMix64, gen_random
 from batchfront.model import Affine, Instance, InvariantError, Job, Lateness, Tardiness, objectives, timetable, validate
 from batchfront.oracle import enumerate_feasible
-from batchfront.verify import check_bounded, check_bounded_steps
+from batchfront.verify import check_instance
 
 
 def _slots_as_sets(slots):
@@ -165,7 +165,7 @@ def test_adjustments_preserve_the_satisfying_set():
 def test_incremental_agrees_with_reference_on_randoms():
     for seed in range(120):
         inst = gen_random(2 + seed % 6, seed=30_000 + seed, profile="small")
-        assert check_bounded(inst) == []
+        assert check_instance(inst) == []
 
 
 def _step_cost_instance(seed):
@@ -192,7 +192,7 @@ def _step_cost_instance(seed):
 
 def test_incremental_agrees_with_reference_on_step_costs():
     for seed in range(150):
-        assert check_bounded(_step_cost_instance(90_000 + seed)) == []
+        assert check_instance(_step_cost_instance(90_000 + seed)) == []
 
 
 # staged is the family where every carry slot changes
@@ -201,7 +201,7 @@ def test_incremental_agrees_with_reference_on_step_costs():
 def test_every_main1_step_matches_the_reference_beyond_the_oracle(profile, seed):
     # check mode on, every step replayed by the from-scratch reference
     # solver and the schedule compared with a rebuild of the limits it left
-    assert check_bounded_steps(gen_random(60, seed, profile, capacity=2)) == []
+    assert check_instance(gen_random(60, seed, profile, capacity=2)) == []
 
 
 def test_spent_solver_state_is_documented_behaviour(two_jobs):
@@ -221,7 +221,7 @@ def test_incremental_times_match_a_full_retime(two_jobs):
 _CORRUPTED_COMPLETION = textwrap.dedent(
     """
     from batchfront import BoundedSolver, Instance, InvariantError, Job, Lateness, UNBOUNDED
-    from batchfront.verify import check_bounded
+    from batchfront.verify import check_instance
 
     if __debug__:
         raise SystemExit("expected to run under python -O")
@@ -245,7 +245,7 @@ _CORRUPTED_COMPLETION = textwrap.dedent(
         return solve(self, threshold)
 
     BoundedSolver.solve = corrupted
-    print(f"verify: {check_bounded(inst)}")
+    print(f"verify: {check_instance(inst)}")
     """
 )
 

@@ -288,12 +288,12 @@ def test_verify_without_sizes_stops_at_the_variant_oracle_cap(capsys):
     assert capsys.readouterr().out.startswith("prec: 5/5 instances passed")
 
 
-@pytest.mark.parametrize("variant, check", [("bounded", "check_bounded"), ("prec", "check_precedence")])
-def test_verify_checks_the_sizes_it_reports(variant, check, monkeypatch, capsys):
+@pytest.mark.parametrize("variant", ["bounded", "prec"])
+def test_verify_checks_the_sizes_it_reports(variant, monkeypatch, capsys):
     # `--sizes 1-1` used to check 2-job bounded instances
     checked = []
-    real = getattr(verify, check)
-    monkeypatch.setattr(verify, check, lambda instance: checked.append(instance.n) or real(instance))
+    real = verify.check_instance
+    monkeypatch.setattr(verify, "check_instance", lambda instance: checked.append(instance.n) or real(instance))
     assert main(["verify", "--count", "6", "--sizes", "1-1", "--seed", "4", "--variant", variant]) == 0
     assert capsys.readouterr().out.startswith(f"{variant}: 6/6 instances passed")
     assert checked == [1] * 6

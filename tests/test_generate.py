@@ -5,7 +5,7 @@ import pytest
 from batchfront.fileio import emit_instance
 from batchfront.generate import PROFILES, SplitMix64, gen_random
 from batchfront.model import Affine, Lateness, Tardiness, WeightedCompletion
-from batchfront.verify import check_bounded, check_precedence
+from batchfront.verify import check_instance
 
 
 def test_splitmix_reference_values():
@@ -143,10 +143,10 @@ def test_geo_prec_edges_are_sparse_distinct_and_point_forward():
 def test_bounded_step_heavy_profiles_agree_with_the_oracle(profile):
     for seed in range(1, 4):
         for n in (3, 6):
-            assert check_bounded(gen_random(n, seed, profile)) == []
+            assert check_instance(gen_random(n, seed, profile)) == []
 
 
 def test_geo_prec_agrees_with_the_oracle():
     for seed in range(1, 6):
         for n in (3, 5, 7):
-            assert check_precedence(gen_random(n, seed, "geo-prec")) == []
+            assert check_instance(gen_random(n, seed, "geo-prec")) == []

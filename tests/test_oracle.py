@@ -1,13 +1,9 @@
 import pytest
 
+from batchfront import oracle
 from batchfront.generate import gen_random
 from batchfront.model import Instance, Job, Lateness, objectives, validate
-from batchfront.oracle import (
-    EnumerationLimits,
-    OracleSizeError,
-    enumerate_feasible,
-    oracle_pareto,
-)
+from batchfront.oracle import OracleSizeError, enumerate_feasible, oracle_pareto
 
 # ordered set partitions of an n-set (no capacity): 1, 3, 13, 75
 FUBINI = {1: 1, 2: 3, 3: 13, 4: 75}
@@ -84,13 +80,13 @@ def test_frontier_is_an_antichain_with_consistent_witnesses():
         assert ref.min_max_cost == pts[-1][1]
 
 
-def test_size_guards():
+def test_size_guards(monkeypatch):
     big = gen_random(9, seed=1, profile="small")
     with pytest.raises(OracleSizeError):
         oracle_pareto(big)
     prec8 = gen_random(8, seed=1, profile="prec")
     with pytest.raises(OracleSizeError):
         list(enumerate_feasible(prec8))
-    tiny_cap = EnumerationLimits(max_schedules=5)
+    monkeypatch.setattr(oracle, "MAX_SCHEDULES", 5)
     with pytest.raises(OracleSizeError):
-        oracle_pareto(gen_random(4, seed=1, profile="small", capacity=3), tiny_cap)
+        oracle_pareto(gen_random(4, seed=1, profile="small", capacity=3))

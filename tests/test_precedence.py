@@ -20,7 +20,7 @@ from batchfront.model import (
     validate,
 )
 from batchfront.precedence import PrecedenceSolver, PrecGraph, layered_limits
-from batchfront.verify import check_precedence, check_precedence_steps
+from batchfront.verify import check_instance
 
 
 def _chain(n, s=1, p=1, due=100):
@@ -293,7 +293,7 @@ class TestPrecedenceSolver:
     def test_matches_oracle_on_randoms(self):
         for seed in range(80):
             inst = gen_random(2 + seed % 5, seed=50_000 + seed, profile="prec")
-            assert check_precedence(inst) == []
+            assert check_instance(inst) == []
 
     def test_single_job(self):
         inst = Instance(jobs=(Job(1, 4, Lateness(2)),), setup=3, capacity=None)
@@ -435,7 +435,7 @@ def test_tables_from_the_walk_equal_tables_from_the_distinct_edge_tuples(profile
 def test_every_main2_step_matches_a_fresh_solver_beyond_the_oracle(n, seed):
     # check mode on, every step replayed by a fresh solver whose first pass
     # walks every group, so a group the warm solver wrongly skips shows
-    assert check_precedence_steps(gen_random(n, seed, "prec")) == []
+    assert check_instance(gen_random(n, seed, "prec")) == []
 
 
 def test_step_replay_reports_a_warm_step_that_disagrees(monkeypatch):
@@ -448,7 +448,7 @@ def test_step_replay_reports_a_warm_step_that_disagrees(monkeypatch):
         return sweep(instance, on_step=lying, check=check)
 
     monkeypatch.setattr(verify, "pareto_precedence", misreported)
-    issues = check_precedence_steps(gen_random(20, 1, "prec"))
+    issues = check_instance(gen_random(20, 1, "prec"))
     assert issues[0] == "threshold inf: fresh solver feasibility True != warm False"
 
 

@@ -8,8 +8,8 @@ from batchfront.admissible import AdmissibleSlots
 from batchfront.cli import main
 from batchfront.frontier import ParetoFront, ParetoPoint, pareto_bounded
 from batchfront.generate import gen_random
-from batchfront.model import Schedule
-from batchfront.verify import VerifyReport, check_bounded, check_precedence_steps
+from batchfront.model import Instance, Schedule
+from batchfront.verify import VerifyReport, check_instance
 
 
 def _lie_to_the_replay(monkeypatch, sweep_name, lie):
@@ -40,7 +40,7 @@ def _previous_schedule():
 
 def test_bounded_replay_reports_a_feasibility_disagreement(monkeypatch, two_jobs):
     _lie_to_the_replay(monkeypatch, "pareto_bounded", lambda before, t, schedule, after: (before, t, None, after))
-    assert check_bounded(two_jobs) == [
+    assert check_instance(two_jobs) == [
         "threshold inf: reference feasibility True != incremental False",
         "threshold 3: reference feasibility True != incremental False",
     ]
@@ -50,7 +50,7 @@ def test_bounded_replay_reports_objectives_and_slots_off_the_reference(monkeypat
     # the step at threshold 3 reports the uncapped schedule {1,2} at (6, 3)
     # where the reference finds {1};{2} at (8, 0)
     _lie_to_the_replay(monkeypatch, "pareto_bounded", _previous_schedule())
-    assert check_bounded(two_jobs) == [
+    assert check_instance(two_jobs) == [
         "threshold 3: incremental (6, 3) != reference (8, 0)",
         "threshold 3: schedule differs from rebuild of final limits",
     ]
@@ -62,13 +62,13 @@ def test_bounded_replay_reports_limits_that_do_not_rebuild_the_schedule(monkeypa
         return before, threshold, schedule, AdmissibleSlots.unrestricted(two_jobs)
 
     _lie_to_the_replay(monkeypatch, "pareto_bounded", lie)
-    assert check_bounded(two_jobs) == ["threshold 3: schedule differs from rebuild of final limits"]
+    assert check_instance(two_jobs) == ["threshold 3: schedule differs from rebuild of final limits"]
 
 
 def test_precedence_replay_reports_objectives_off_a_fresh_solver(monkeypatch):
     # the sweep's schedules are (138, 283), (143, 253), (148, 235), then none
     _lie_to_the_replay(monkeypatch, "pareto_precedence", _previous_schedule())
-    assert check_precedence_steps(gen_random(20, 1, "prec")) == [
+    assert check_instance(gen_random(20, 1, "prec")) == [
         "threshold 283: warm (138, 283) != fresh (143, 253) or their slots differ",
         "threshold 253: warm (143, 253) != fresh (148, 235) or their slots differ",
     ]
@@ -82,9 +82,36 @@ def test_precedence_replay_reports_limits_off_a_fresh_solver(monkeypatch):
         return before, threshold, schedule, AdmissibleSlots(instance, instance.layer)
 
     _lie_to_the_replay(monkeypatch, "pareto_precedence", lie)
-    assert check_precedence_steps(instance) == [
+    assert check_instance(instance) == [
         f"threshold {t}: limits after the step differ from a fresh solver's" for t in (283, 253, 235)
     ]
+
+
+def _unbounded_without_edges(n):
+    small = gen_random(n, 1, "small")
+    return Instance(jobs=small.jobs, setup=small.setup, capacity=None)
+
+
+@pytest.mark.parametrize(
+    "instance, oracle_runs",
+    [
+        pytest.param(gen_random(8, 1, "small"), True, id="bounded-8"),
+        pytest.param(gen_random(9, 1, "small"), False, id="bounded-9"),
+        pytest.param(gen_random(7, 1, "prec"), True, id="edges-7"),
+        pytest.param(gen_random(8, 1, "prec"), False, id="edges-8"),
+        pytest.param(_unbounded_without_edges(8), True, id="no-edges-8"),
+    ],
+)
+def test_the_oracle_runs_up_to_its_cap_for_the_instance(instance, oracle_runs, monkeypatch):
+    # the cap follows the edges (14 at n = 7, 20 at n = 8), not the
+    # capacity mode; above it the sweep and its step replays still run
+    called = []
+    for name in ("oracle_pareto", "_replay_reference", "_replay_fresh"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, name=name, real=real: called.append(name) or real(*args))
+    assert verify.check_instance(instance) == []
+    assert called.count("oracle_pareto") == int(oracle_runs)
+    assert ("_replay_reference" if instance.bounded else "_replay_fresh") in called
 
 
 def _two_job_points(two_jobs):
@@ -149,7 +176,7 @@ def test_report_keeps_the_first_failures_and_counts_every_one():
 
 
 def test_verify_exits_1_naming_the_first_failing_seed(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "check_precedence", lambda instance: [f"made up for n = {instance.n}"])
+    monkeypatch.setattr(verify, "check_instance", lambda instance: [f"made up for n = {instance.n}"])
     assert main(["verify", "--count", "3", "--sizes", "2-2", "--seed", "7", "--variant", "prec"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "prec: 0/3 instances passed",
