@@ -40,6 +40,15 @@ refreezing only the slots whose members it changed: i (j leaves, the
 hoist enters), each carry slot where a swap happens, and e (the hoist
 leaves, the carry lands).  An opening shifts times, not members, and
 marks nothing.
+
+A pass walks only a span of slots, outside which every slot is clean.  An
+adjustment at i marks slots at or below i, down to e, so the pass lowers
+its stop to e and walks them before it ends; what it leaves stale is the
+slots it adjusted, and the next pass walks from the first of them down to
+the last.  An opening also shifts every slot right of i, and then the
+next pass starts from n.  A converged step holds every slot below its max
+cost, so the next step, whose threshold is that max, starts on the span
+from the highest to the lowest slot holding it.
 """
 
 from __future__ import annotations
@@ -265,6 +274,12 @@ class BoundedSolver(WarmSolver):
     pass reuses every held value.  It adds to ``dirty`` only i, e and the
     carry slots where a swap happens.
 
+    A pass walks a span high..low, not every nonempty slot: ``_adjust``
+    returns e, the pass lowers ``low`` to it, and hands the next pass the
+    span from its first adjusted slot (n after an opening) down to its
+    last.  ``due`` is the span a step to the last converged max cost starts
+    on: from the highest down to the lowest slot holding that max.
+
     With ``check=True`` the solver verifies its own invariants after every
     adjustment and raises InvariantError on a breach: the hoisted job came
     from the rightmost slot with room, the carry's slot is within capacity,
@@ -272,7 +287,8 @@ class BoundedSolver(WarmSolver):
     adjustment, no slot holds a limit above its reach, and the standing
     schedule equals the greedy rebuild of the current limits, slot order
     included.  That costs O(n log n) per adjustment and is meant for the
-    verification harness.
+    verification harness.  After each clean pass it also checks that every
+    nonempty slot, walked or not, holds a current max below the threshold.
     """
 
     def __init__(
@@ -288,6 +304,7 @@ class BoundedSolver(WarmSolver):
         super().__init__(instance, limits, slots, batch_times(slots, instance), trace, check)
         limit = limits.table
         self.reach = [max(map(limit.__getitem__, batch), default=0) for batch in slots]
+        self.due = (instance.n, self.first)
 
     @classmethod
     def initial(cls, instance: Instance, trace: Trace | None = None, check: bool = False):
@@ -296,54 +313,77 @@ class BoundedSolver(WarmSolver):
 
     def solve(self, threshold) -> Schedule | None:
         """Minimum-makespan schedule with every cost strictly below the
-        threshold, or None when the current limits admit none."""
+        threshold, or None when the current limits admit none.
+
+        A step to the last converged max cost starts on ``due``, the span
+        from the highest down to the lowest slot holding that max: every
+        other slot is clean and below it.  Any other threshold starts on
+        ``first..n``."""
+        span = self.due if threshold == self.max_cost else (self.instance.n, self.first)
         while True:
             self.passes += 1
-            outcome = self._adjust_pass(threshold)
-            if outcome is None:
+            span = self._adjust_pass(threshold, *span)
+            if span is None:
                 return None
-            if not outcome:
-                return self.converged()
+            if not span:
+                if self.check:
+                    self._check_clean(threshold)
+                snapshot = self.converged()
+                top, worst = self.top, self.max_cost
+                self.due = (len(top) - 1 - top[::-1].index(worst), top.index(worst, self.first))
+                return snapshot
 
-    def _adjust_pass(self, threshold) -> bool | None:
-        """One descending sweep over the nonempty slots.
+    def _adjust_pass(self, threshold, high: int, low: int) -> tuple[int, int] | tuple[()] | None:
+        """One descending sweep over slots high..low.
 
-        Returns True if any job was relocated, False for a clean sweep, and
-        None when the threshold is unattainable.  Times are refreshed after
-        every adjustment, so jobs later in the sweep are judged against
-        current completions; a job hoisted into an already-swept slot is
-        caught by the next sweep.  Empty slots form a prefix, so the sweep
-        ends at the first one.  A slot's jobs are evaluated only when its
-        held max is stale, and walked longest first (over a reversed copy
-        of the key-ordered slot) only when that max reaches the threshold.
+        Every slot outside the span must be clean: its held max current and
+        below the threshold.  Returns None when the threshold is
+        unattainable, an empty tuple when no job moved, and otherwise the
+        span the next sweep must walk: from the first slot adjusted here
+        (from n when an adjustment opened a batch, which shifts every slot
+        right of it) down to the last one.  Each adjustment lowers ``low``
+        to e, the slot where its carry ended, so the slots it marked below
+        i are walked in this sweep.  Times are refreshed after every
+        adjustment, so jobs later in the sweep are judged against current
+        completions; a job hoisted into an already-swept slot is caught by
+        the next sweep.  A slot's jobs are evaluated only when its held max
+        is stale, and walked longest first (over a reversed copy of the
+        key-ordered slot) only when that max reaches the threshold.
         """
-        changed = False
         slots = self.slots
         completion = self.completion  # updated in place by _adjust
         top = self.top  # marked stale in place by _adjust
         value = self.instance.cost_value
-        for i in range(self.instance.n, 0, -1):
-            batch = slots[i]
-            if not batch:
-                break
+        first = self.first  # lowered by an opening
+        upper = lower = 0  # the first and the last slot adjusted
+        i = high + 1
+        while i > low:
+            i -= 1
             worst = top[i]
             if worst is None:
                 at = completion[i]
-                worst = top[i] = max([value[j](at) for j in batch])
+                worst = top[i] = max([value[j](at) for j in slots[i]])
             if worst < threshold:
                 continue  # a clean slot needs no walk
-            for j in batch[::-1]:
+            for j in slots[i][::-1]:
                 if value[j](completion[i]) < threshold:
                     continue
                 if i == 1:
                     return None  # nothing further left exists
-                if not self._adjust(j, i):
+                e = self._adjust(j, i)
+                if not e:
                     return None
-                changed = True
-        return changed
+                if e < low:
+                    low = e
+                upper = upper or i
+                lower = i
+        if not lower:
+            return ()
+        return (self.instance.n if self.first < first else upper, lower)
 
-    def _adjust(self, j: int, i: int) -> bool:
-        """Expel job j from slot i and repair the schedule; False = infeasible.
+    def _adjust(self, j: int, i: int) -> int:
+        """Expel job j from slot i and repair the schedule; returns e, the
+        slot where the carry ended, or 0 when the step is infeasible.
 
         The job's limit drops one group.  The repair reproduces what the
         greedy fill would now build: if some earlier-slot job is still
@@ -406,9 +446,9 @@ class BoundedSolver(WarmSolver):
                 raise InvariantError("hoisted job's slot is not the rightmost non-full")
         else:
             if not slots[i]:
-                return False  # slot emptied while jobs remain further left
+                return 0  # slot emptied while jobs remain further left
             if e == 0:
-                return False  # every earlier slot is full
+                return 0  # every earlier slot is full
             case = 1
 
         if self.trace:
@@ -455,7 +495,15 @@ class BoundedSolver(WarmSolver):
             self.first = e
         if self.check:
             self._check_state(e, before)
-        return True
+        return e
+
+    def _check_clean(self, threshold) -> None:
+        """Check mode: after a clean pass every nonempty slot's held max is
+        current and below the threshold."""
+        top = self.top
+        for c in range(self.first, len(top)):
+            if top[c] is None or top[c] >= threshold:
+                raise InvariantError(f"clean pass left slot {c} due")
 
     def _check_state(self, e: int, before: list[int]) -> None:
         """Check mode: the state after an adjustment whose carry ended in

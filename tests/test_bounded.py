@@ -561,3 +561,80 @@ def test_large_batches_evaluate_no_more_than_a_full_rescan():
     tally = _count_cost_evaluations(inst)
     pareto_bounded(inst)
     assert tally[0] <= 148_034
+
+
+class _StopsAtItsSpan(BoundedSolver):
+    """A solver whose passes never lower their stop to where a carry ended."""
+
+    def _adjust(self, j, i):
+        return super()._adjust(j, i) and i
+
+
+class _KeepsTheSpanTopAfterAnOpening(BoundedSolver):
+    """A solver whose next span starts at the first slot adjusted, even when
+    an opening shifted every slot right of it."""
+
+    def _adjust_pass(self, threshold, high, low):
+        self.adjusted = []
+        span = super()._adjust_pass(threshold, high, low)
+        return (self.adjusted[0], span[1]) if span else span
+
+    def _adjust(self, j, i):
+        self.adjusted.append(i)
+        return super()._adjust(j, i)
+
+
+class _StartsAtTheLowestMax(BoundedSolver):
+    """A solver whose steps start on the lowest slot holding the max alone."""
+
+    def __setattr__(self, name, value):
+        if name == "due":
+            value = (value[1], value[1])
+        super().__setattr__(name, value)
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [_StopsAtItsSpan, _KeepsTheSpanTopAfterAnOpening, _StartsAtTheLowestMax],
+    ids=["stop", "opening", "start"],
+)
+def test_check_mode_names_a_slot_a_pass_skipped(mutant):
+    # each mutant leaves a stale or costly slot outside every later span.
+    # Unchecked, the first two stop on a TypeError in converged(), and the
+    # third returns a step whose max cost equals its threshold
+    inst = gen_random(8, 3, "small", capacity=2)
+    pareto_bounded(inst, check=True)  # the unmutated solver passes every check
+    solver = mutant.initial(inst, check=True)
+    threshold = UNBOUNDED
+    with pytest.raises(InvariantError, match="^clean pass left slot [0-9]+ due$"):
+        while solver.solve(threshold) is not None:
+            threshold = solver.max_cost
+
+
+class _CountsIndexReads(list):
+    """A held-maxima list that counts its reads by integer index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        if isinstance(index, int):
+            self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_threshold_passes_walk_only_the_slots_that_can_be_due(monkeypatch):
+    # hard-b2's first instance: walking every nonempty slot on each of the
+    # 1,240 passes read a held max 93,001 times
+    init = BoundedSolver.__init__
+    solvers = []
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.top = _CountsIndexReads(self.top)
+        solvers.append(self)
+
+    monkeypatch.setattr(BoundedSolver, "__init__", counting_init)
+    pareto_bounded(gen_random(150, 1, "small", capacity=2))
+    [solver] = solvers
+    assert (solver.passes, solver.adjustments) == (1240, 1126)
+    assert solver.top.reads <= 20_000
