@@ -15,9 +15,8 @@ the solvers make from a group is deterministic.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import accumulate
 
-from .model import Instance, InvariantError
+from .model import Instance, InvariantError, _int
 
 
 class AdmissibleSlots:
@@ -35,7 +34,7 @@ class AdmissibleSlots:
         if len(table) != n + 1:
             raise ValueError("limits must cover job ids 1..n")
         for j in range(1, n + 1):
-            if not 1 <= table[j] <= n:
+            if not 1 <= _int(table[j], f"job {j}: group index") <= n:
                 raise ValueError(f"job {j}: group index {table[j]} out of range")
         self._instance = instance
         self._limit = [0, *table[1:]]
@@ -73,11 +72,6 @@ class AdmissibleSlots:
         for j in self._instance.by_key:
             groups[limit[j]].append(j)
         return groups
-
-    def prefix_capacity_ok(self, b: int) -> bool:
-        """True iff every prefix of groups fits in its slots: sum of the
-        first i group sizes <= i*b for all i."""
-        return all(total <= i * b for i, total in enumerate(accumulate(map(len, self.groups()))))
 
     def copy(self) -> "AdmissibleSlots":
         clone = AdmissibleSlots.__new__(AdmissibleSlots)

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from .frontier import pareto_bounded, pareto_bounded_naive, pareto_precedence
 from .generate import check_profile, gen_random
 
-ALGORITHMS = ("main1", "main1_naive", "main2")
+# each algorithm's frontier sweep and default generator profile
+_RUNNERS = {
+    "main1": (pareto_bounded, "paper"),
+    "main1_naive": (pareto_bounded_naive, "paper"),
+    "main2": (pareto_precedence, "prec"),
+}
+ALGORITHMS = tuple(_RUNNERS)
 
 CSV_HEADER = "algorithm,n,avg_seconds,max_seconds,points,moves"
 
@@ -44,16 +50,6 @@ class BenchRecord:
         )
 
 
-def _runner(algorithm: str):
-    if algorithm == "main1":
-        return pareto_bounded, "paper"
-    if algorithm == "main1_naive":
-        return pareto_bounded_naive, "paper"
-    if algorithm == "main2":
-        return pareto_precedence, "prec"
-    raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-
-
 def run_bench(
     algorithms,
     sizes,
@@ -72,7 +68,10 @@ def run_bench(
     algorithm given instances of the wrong capacity mode raises
     ``InstanceError``.
     """
-    runners = {algorithm: _runner(algorithm) for algorithm in algorithms}  # checks every name before any run
+    try:
+        runners = {algorithm: _RUNNERS[algorithm] for algorithm in algorithms}  # checks every name before any run
+    except KeyError as unknown:
+        raise ValueError(f"unknown algorithm {unknown.args[0]!r}, expected one of {ALGORITHMS}") from None
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     for _, default_profile in runners.values():

@@ -15,12 +15,12 @@ all prior work as the cost cap shrinks.
 One repair (an adjustment) expels a job from slot i and is local: a hoist
 and carry walk over slots e..i, e being the rightmost slot left of i with
 room, that retimes slots e..i-1 as it passes them.  Slots i..n keep their
-completion times, except that all of them shift by one setup when the
-carry opens a new batch in an empty slot e.  Every slot is a list in
-ascending ``Instance.keys`` order.  The carry reads a full slot's
-shortest job as its first entry and inserts the job it carries by
-bisection; the hoist scan stops in each slot at the first candidate from
-the long end.  Each slot also holds a limit reach, an upper bound on its
+completion times, except when the carry opens a new batch in an empty
+slot e: then ``WarmSolver._open`` shifts every slot from e on by one
+setup.  Every slot is a list in ascending ``Instance.keys`` order.  The
+carry reads a full slot's shortest job as its first entry and inserts the
+job it carries by bisection; the hoist scan stops in each slot at the
+first candidate from the long end.  Each slot also holds a limit reach, an upper bound on its
 jobs' highest limit, so the scan passes a slot that cannot hold a
 candidate without walking it.
 
@@ -35,11 +35,11 @@ last judged, and the max cost of a converged schedule is read from the
 held values from the lowest nonempty slot on.  ``WarmSolver`` holds what
 this solver shares with the precedence one: the held slots, completions
 and maxima, the lowest nonempty slot, a frozen copy of each slot, the
-converged step and the held-state checks.  An adjustment marks for
-refreezing only the slots whose members it changed: i (j leaves, the
-hoist enters), each carry slot where a swap happens, and e (the hoist
-leaves, the carry lands).  An opening shifts times, not members, and
-marks nothing.
+opening rule, the converged step and the held-state checks.  An
+adjustment marks for refreezing only the slots whose members it changed:
+i (j leaves, the hoist enters), each carry slot where a swap happens, and
+e (the hoist leaves, the carry lands).  An opening shifts times, not
+members, and marks nothing.
 
 A pass walks only a span of slots, outside which every slot is clean.  An
 adjustment at i marks slots at or below i, down to e, so the pass lowers
@@ -124,12 +124,12 @@ def solve_reference(instance: Instance, limits: AdmissibleSlots, threshold) -> S
     them, then sweeps slots n..1; every job whose cost at its completion is
     not strictly below the threshold is sent directly to the rightmost slot
     whose completion it tolerates.  Returns None when a job tolerates no
-    slot or the limits outgrow the prefix capacity.  Works in place on
-    ``limits``; pass a copy to keep the original.
+    slot or the greedy fill fails, as it does once a prefix of groups
+    outgrows its slots.  Works in place on ``limits``; pass a copy to keep
+    the original.
     """
     lim = limits
     n = instance.n
-    cap = instance.effective_capacity
     while True:
         slots = form_batches(instance, lim)
         if slots is None:
@@ -148,8 +148,6 @@ def solve_reference(instance: Instance, limits: AdmissibleSlots, threshold) -> S
                 moved = True
         if not moved:
             return timetable(slots[1:], instance)
-        if not lim.prefix_capacity_ok(cap):
-            return None
 
 
 class WarmSolver:
@@ -159,12 +157,13 @@ class WarmSolver:
     order, ``completion[i]`` its batch's completion time and ``top[i]`` the
     max cost of its jobs at that time, or None when the slot changed since
     it was last evaluated (every slot starts that way).  ``first`` is the
-    lowest nonempty slot; a subclass lowers it wherever a job opens an
-    empty slot.  ``solve`` may be called repeatedly with strictly smaller
-    thresholds, each call going on from the state the previous one left;
-    after an infeasible result the state is spent.  A subclass computes
-    the initial completions with its own module's ``batch_times`` and
-    passes them in.
+    lowest nonempty slot.  A subclass calls ``_open`` wherever a job opens
+    an empty slot, which shifts every slot from there on by one setup,
+    marks their held maxima stale and lowers ``first``.  ``solve`` may be
+    called repeatedly with strictly smaller thresholds, each call going on
+    from the state the previous one left; after an infeasible result the
+    state is spent.  A subclass computes the initial completions with its
+    own module's ``batch_times`` and passes them in.
 
     ``frozen[i]`` is slot i's members as a frozenset, every empty slot
     being the shared ``model._EMPTY_SLOT``, and ``dirty`` the set of slots
@@ -219,6 +218,15 @@ class WarmSolver:
                 raise InvariantError("held max cost differs from objectives")
         return snapshot
 
+    def _open(self, x: int) -> None:
+        """A job opened the empty slot x: every slot from x on completes one
+        setup later, its held max goes stale, and x becomes ``first``."""
+        setup = self.instance.setup
+        for c in range(x, len(self.completion)):
+            self.completion[c] += setup
+        self.top[x:] = [None] * (len(self.top) - x)
+        self.first = x
+
     def check_held(self, before: list[int] | None) -> None:
         """Check mode: the held completions equal a ``batch_times`` of the
         held slots, none is earlier than in ``before`` (when given), and
@@ -252,10 +260,10 @@ class BoundedSolver(WarmSolver):
     e being the rightmost slot left of i with room: a hoist scan, then a
     carry walk over those slots that retimes each slot it passes.  Slots
     i..n keep their times unless the carry opens a new batch in an empty
-    slot e, which shifts all of them by one setup.  The hoist scan walks
-    each slot from its longest job down and stops at the first candidate,
-    and the carry swaps a slot's first (shortest) job for the carried one,
-    inserted in order.
+    slot e, and then ``_open(e)`` shifts every slot from e on by one setup.
+    The hoist scan walks each slot from its longest job down and stops at
+    the first candidate, and the carry swaps a slot's first (shortest) job
+    for the carried one, inserted in order.
 
     ``reach[c]`` is an upper bound on the highest limit among slot c's
     jobs (0 for an empty slot), exact when the solver is built.  It is
@@ -456,13 +464,13 @@ class BoundedSolver(WarmSolver):
 
         # Jobs change slots only within e..i, so slot c in e..i-1 completes
         # later by the time of the job carried into it, less that of the
-        # hoist, which crossed it going right, plus one setup if e opened.
-        # Slot i stays nonempty, so completions from i on move only then.
+        # hoist, which crossed it going right.  Slot i stays nonempty, so
+        # completions from i on move only when e opened, and ``_open`` adds
+        # that setup to every slot from e on.
         # A carry slot keeps its held max only when no swap happens and the
         # job carried into it is as long as the hoist, so its time holds.
         before = completion[:] if self.check else None
-        setup = instance.setup
-        shift = (setup if opened else 0) - (p[hoist] if hoist is not None else 0)
+        shift = -p[hoist] if hoist is not None else 0
         carry = j
         for c in range(i - 1, e, -1):
             delta = shift + p[carry]
@@ -488,11 +496,7 @@ class BoundedSolver(WarmSolver):
         refreeze(e)  # the hoist, if any, leaves; the carry lands
         top[e] = None
         if opened:
-            n = instance.n
-            for c in range(i, n + 1):
-                completion[c] += setup
-            top[e:] = [None] * (n + 1 - e)  # every slot from e on shifted
-            self.first = e
+            self._open(e)
         if self.check:
             self._check_state(e, before)
         return e

@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", default="10,20,30,40,50,60,70,80,90,100")
     bench.add_argument("--reps", type=int, default=5)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--algorithms", default="main1", help="comma list from main1,main1_naive,main2")
+    bench.add_argument("--algorithms", default="main1", help=f"comma list from {','.join(bench_mod.ALGORITHMS)}")
     bench.add_argument(
         "--profile", choices=PROFILES, default=None, help="instance profile (default: paper for main1, prec for main2)"
     )

@@ -67,27 +67,31 @@ def layered_limits(instance: Instance, graph: PrecGraph) -> AdmissibleSlots:
 class PrecedenceSolver(WarmSolver):
     """Warm-startable minimum-makespan solver under strict precedence.
 
-    ``bounds`` records where propagation says each job must eventually go;
-    it re-syncs with group membership at every entry (the two provably
-    coincide whenever a solve converges) and dips below it only while
-    successors' moves are still being worked off.
+    ``bounds`` records where propagation says each job must eventually go.
+    It starts as a copy of the limits and is never re-synced: a clean pass
+    leaves every job's bound equal to its group, and an infeasible step
+    spends the solver, so the two coincide at the start of every step.  A
+    bound dips below its job's group only while successors' moves are
+    still being worked off.
 
     ``slots`` holds the groups, which are the batches, and ``marked[i]``
     is set when propagation lowers the bound of a job that group i holds.
-    A pass walks group i only when its held max is stale, the group is
+    The nonempty groups are ``first``..n, and a pass visits them from n
+    down; it walks group i only when its held max is stale, the group is
     marked, or its held max reaches the threshold; any other group has
     every job tolerating its completion and no job bounded below it, so
     the walk would move nothing.  Moves land at pass end: each shifts
-    ``completion`` by the job's processing time on its target..origin-1
-    and, when it opens a group, by one setup from the target on, marks
-    those groups stale, and adds only its origin and target to ``dirty``.
+    ``completion`` by the job's processing time on its target..origin-1,
+    marks those groups stale, calls ``_open`` when it opens its target,
+    and adds only its origin and target to ``dirty``.
     Propagation reads ``Instance.preds_by_layer`` and stops at the first
     predecessor whose sink layer is below the target: a job's limit never
     exceeds its layer, and its bound never exceeds its limit, so no
     predecessor past that point needs lowering.
 
-    With ``check=True`` the solver raises InvariantError when, before a
-    pass, the held groups differ from ``limits.groups()``, the held state
+    With ``check=True`` the solver raises InvariantError when, at a step's
+    first pass, the bounds differ from the limits; when, before a pass,
+    the held groups differ from ``limits.groups()``, the held state
     fails ``check_held`` against the completions before the previous pass,
     or a limit exceeds its job's layer; when a skipped group held a job
     the walk would have moved; and when, after a move to slot t, any
@@ -104,7 +108,7 @@ class PrecedenceSolver(WarmSolver):
     ):
         slots = limits.groups()
         super().__init__(instance, limits, slots, batch_times(slots, instance), trace, check)
-        self.bounds = [0] * (instance.n + 1)
+        self.bounds = list(limits.table)
         self.marked = [False] * (instance.n + 1)
 
     @classmethod
@@ -119,13 +123,10 @@ class PrecedenceSolver(WarmSolver):
     def solve(self, threshold) -> Schedule | None:
         """Minimum-makespan schedule satisfying limits, precedence, and the
         strict cost cap, or None when none exists."""
-        self.bounds[:] = self.limits.table
         before: list[int] | None = None
         while True:
-            # Batches are exactly the groups; an empty group between
-            # nonempty ones would make the layout invalid, but moves only
-            # ever land on occupied slots or directly under the occupied
-            # suffix, so the structure stays a suffix throughout.
+            # the nonempty groups are first..n: moves land only on an
+            # occupied group or on first - 1, which ``_open`` makes first
             self.passes += 1
             if self.check:
                 self._check_state(before)
@@ -137,14 +138,16 @@ class PrecedenceSolver(WarmSolver):
                 return self.converged()
 
     def _sweep(self, threshold) -> bool | None:
-        """One descending pass over the held groups.
+        """One descending pass over the held groups n..``first``, the
+        nonempty ones.
 
         A group is walked, longest job first, only when its held max is
         stale (evaluated here), reaches the threshold, or the group is
         marked.  Jobs are judged against this pass's times and membership:
-        moves land at pass end (``_land``), so a moved job is re-inspected
-        when a later pass reaches its new group.  Returns True if anything
-        moved, False for a clean pass, None when infeasible.
+        moves land at pass end (``_land``), so ``first`` holds for the
+        whole pass, and a moved job is re-inspected when a later pass
+        reaches its new group.  Returns True if anything moved, False for
+        a clean pass, None when infeasible.
         """
         instance = self.instance
         value = instance.cost_value
@@ -160,10 +163,8 @@ class PrecedenceSolver(WarmSolver):
         trace = self.trace
         moves: list[tuple[int, int, int]] = []
         targets: set[int] = set()  # groups a move of this pass refills at pass end
-        for i in range(instance.n, 0, -1):
+        for i in range(instance.n, self.first - 1, -1):
             batch = slots[i]
-            if not batch:
-                break  # the nonempty groups form a suffix
             at = completion[i]
             worst = top[i]
             if worst is None:
@@ -217,23 +218,21 @@ class PrecedenceSolver(WarmSolver):
 
     def _land(self, moves: list[tuple[int, int, int]]) -> None:
         """Land a pass's moves, in order: each job leaves its origin's held
-        list for its target's, slots target..origin-1 complete later by its
-        processing time, and every slot from the target on by one setup
-        when the move opened the target, which becomes ``first``.  The held
+        list for its target's, and slots target..origin-1 complete later by
+        its processing time.  A move that opens its target calls ``_open``,
+        which shifts every slot from the target on by one setup.  The held
         maxima of the slots whose times or members changed go stale, and
         the origin and target go to ``dirty`` for the next snapshot."""
-        instance = self.instance
-        n = instance.n
-        p = instance.p
-        setup = instance.setup
-        by_key = instance.keys.__getitem__
+        p = self.instance.p
+        by_key = self.instance.keys.__getitem__
         slots = self.slots
         completion = self.completion
         top = self.top
         refreeze = self.dirty.add
         for j, i, target in moves:
             slots[i].remove(j)
-            opened = not slots[target]  # no earlier move left it, so it was empty all pass
+            if not slots[target]:
+                self._open(target)  # no earlier move left it, so it was empty all pass
             insort(slots[target], j, key=by_key)
             refreeze(i)
             refreeze(target)
@@ -241,14 +240,13 @@ class PrecedenceSolver(WarmSolver):
             for c in range(target, i):
                 completion[c] += pj
                 top[c] = None
-            if opened:
-                self.first = target
-                for c in range(target, n + 1):
-                    completion[c] += setup
-                    top[c] = None
 
     def _check_state(self, before: list[int] | None) -> None:
-        """Check mode: the held state before a pass against a rebuild."""
+        """Check mode: the held state before a pass against a rebuild, and
+        at a step's first pass (``before`` is None) the bounds against the
+        limits."""
+        if before is None and self.bounds != self.limits.table:
+            raise InvariantError("bounds differ from the limits at the start of a step")
         if self.slots != self.limits.groups():
             raise InvariantError("held groups differ from the limits' groups")
         self.check_held(before)

@@ -30,6 +30,9 @@ class TestAdmissibleSlots:
             pytest.param([0, 1, 2, 3, 3], "^limits must cover job ids 1..n$", id="names-job-n-plus-1"),
             pytest.param([0, 1, 0, 3], "^job 2: group index 0 out of range$", id="index-0"),
             pytest.param([0, 1, 2, 4], "^job 3: group index 4 out of range$", id="index-n-plus-1"),
+            pytest.param([0, 1.0, 2, 3], "^job 1: group index must be an integer, got 1.0$", id="float"),
+            pytest.param([0, 1, True, 3], "^job 2: group index must be an integer, got true$", id="bool"),
+            pytest.param([0, 1, 2, "3"], '^job 3: group index must be an integer, got "3"$', id="string"),
         ],
     )
     def test_limits_must_name_every_job_once_with_an_index_in_range(self, limits, message):
@@ -49,14 +52,6 @@ class TestAdmissibleSlots:
         slots.move(2, 2)
         slots.move(2, 1)
         assert slots.relocations == 3
-
-    def test_prefix_capacity(self):
-        inst = _inst([1, 1, 1])
-        tight = AdmissibleSlots(inst, [0, 1, 1, 3])
-        assert not tight.prefix_capacity_ok(1)  # two jobs in the first slot
-        assert tight.prefix_capacity_ok(2)
-        initial = AdmissibleSlots.unrestricted(inst)
-        assert initial.prefix_capacity_ok(1)
 
     def test_partition_preserved_under_random_moves(self):
         rng = SplitMix64(5)

@@ -10,11 +10,12 @@ from batchfront.admissible import AdmissibleSlots
 from batchfront.bounded import (
     UNBOUNDED,
     BoundedSolver,
+    WarmSolver,
     batch_times,
     form_batches,
     solve_reference,
 )
-from batchfront.frontier import pareto_bounded, pareto_bounded_naive
+from batchfront.frontier import pareto_bounded, pareto_bounded_naive, pareto_precedence
 from batchfront.generate import SplitMix64, gen_random
 from batchfront.model import Affine, Instance, InvariantError, Job, Lateness, Tardiness, objectives, timetable, validate
 from batchfront.oracle import enumerate_feasible
@@ -61,6 +62,20 @@ def test_reference_solver_threshold_ladder(two_jobs):
     assert objectives(mid, two_jobs) == (8, 0)
 
     assert solve_reference(two_jobs, AdmissibleSlots.unrestricted(two_jobs), 0) is None
+
+
+def test_reference_solver_refuses_limits_whose_prefix_outgrows_its_slots():
+    # capacity 1: group 1 holds two jobs from the start, or gains job 3
+    # when the first round sends it from slot 2 to slot 1, beside job 1
+    inst = Instance(
+        jobs=(Job(1, 1, Lateness(10)), Job(2, 1, Lateness(10)), Job(3, 1, Lateness(2))),
+        setup=1,
+        capacity=1,
+    )
+    assert solve_reference(inst, AdmissibleSlots(inst, [0, 1, 1, 3]), UNBOUNDED) is None
+    limits = AdmissibleSlots(inst, [0, 1, 3, 3])
+    assert solve_reference(inst, limits, 1) is None
+    assert limits.table == [0, 1, 3, 1] and limits.relocations == 1
 
 
 def test_incremental_solver_warm_ladder(two_jobs):
@@ -475,6 +490,45 @@ def test_an_opening_re_evaluates_the_slots_it_shifts():
     assert solver.solve(21).completion == (0, 14, 25) and solver.top == [None, None, 17, -4]
     assert solver.solve(17).completion == (7, 17, 28)
     assert solver.top == [None, 10, 13, -1] and solver.max_cost == 13
+
+
+_open = WarmSolver._open
+
+
+def _open_without_the_setup(self, x):
+    """An opening that marks and moves ``first`` but shifts no completion."""
+    _open(self, x)
+    for c in range(x, len(self.completion)):
+        self.completion[c] -= self.instance.setup
+
+
+def _open_without_stale_marks(self, x):
+    """An opening that shifts the completions but keeps every held max."""
+    top = self.top[:]
+    _open(self, x)
+    self.top[:] = top
+
+
+# both sweeps open a slot: the bounded one on its third step, the
+# precedence one when a move lands in the empty group left of ``first``
+@pytest.mark.parametrize(
+    "sweep, instance",
+    [(pareto_bounded, _opens_slot_1_on_the_third_step()), (pareto_precedence, gen_random(4, 2, "prec"))],
+    ids=["bounded", "prec"],
+)
+@pytest.mark.parametrize(
+    "mutant, message",
+    [
+        (_open_without_the_setup, "^held completions differ from batch_times$"),
+        (_open_without_stale_marks, "^held max cost of slot [0-9]+ differs from a fresh evaluation$"),
+    ],
+    ids=["setup", "marks"],
+)
+def test_check_mode_catches_an_opening_that_skips_part_of_the_rule(monkeypatch, sweep, instance, mutant, message):
+    sweep(instance, check=True)  # the real opening passes every check
+    monkeypatch.setattr(WarmSolver, "_open", mutant)
+    with pytest.raises(InvariantError, match=message):
+        sweep(instance, check=True)
 
 
 def _count_cost_evaluations(instance):

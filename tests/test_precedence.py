@@ -514,6 +514,24 @@ def test_check_mode_catches_an_opening_that_keeps_the_lowest_nonempty_slot():
         solver.solve(2)
 
 
+class _LowersABoundOnConverging(PrecedenceSolver):
+    """A solver that lowers job 1's bound after every converged step."""
+
+    def converged(self):
+        snapshot = super().converged()
+        self.bounds[1] -= 1
+        return snapshot
+
+
+def test_check_mode_catches_bounds_off_the_limits_at_a_step_start():
+    inst = gen_random(12, 3, "prec")
+    pareto_precedence(inst, check=True)  # the real solver passes every check
+    solver = _LowersABoundOnConverging.initial(inst, check=True)
+    solver.solve(UNBOUNDED)
+    with pytest.raises(InvariantError, match="^bounds differ from the limits at the start of a step$"):
+        solver.solve(solver.max_cost)
+
+
 def test_check_mode_catches_a_predecessor_past_the_propagation_cut():
     inst = _propagating()
     object.__setattr__(inst, "preds_by_layer", ([], [], [], []))  # job 3 forgets its predecessor
