@@ -1,0 +1,190 @@
+"""Alternating fresh-directory pairs of perfbench runs, for a perf claim.
+
+Runs without pytest or any other third-party package::
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload paper-800 \\
+        --seed 23 --pairs 10 --seconds 8 > pairs.json
+
+PARENT and CHANGE are two checkouts of the repository (say, a ``git
+archive`` of the parent commit and the working tree).  For each pair, each
+side is copied into a fresh temporary directory and runs::
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+there; even pairs run the parent first, odd pairs the change, so neither
+side always meets a warm or a cold machine.  The copy leaves out version
+control, bytecode and test caches, so every run compiles its own tree.
+
+Standard output gets one JSON object in the shape the ``BENCH_*.json``
+files use: ``command``, ``runs`` (per seed and workload: the per-pair
+``first_side``, ``failed`` and ``attempted`` counts, ``correct``, and for
+each end-to-end metric the per-pair values with both medians, the relative
+change, the pairs the change wins and the parent's interquartile range)
+and ``claim_result``, which says whether ``latency_p50_s``, the metric
+every perf claim here is made on, meets the claim rule: the change better
+in at least nine of every ten pairs, and the medians apart in the better
+direction by more than the parent's IQR.  Which direction is better comes
+from ``BENCHMARK.json``.  Progress goes to standard error.  A run that
+exits nonzero or prints no result stops the whole and exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Callable
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", "*.pyc", ".pytest_cache", ".hypothesis", ".benchmarks")
+RUN_TIMEOUT_S = 600
+CLAIM_METRIC = "latency_p50_s"
+
+Command = Callable[[str, int, int], list[str]]
+
+
+def perfbench_command(workload: str, seed: int, seconds: int) -> list[str]:
+    """The untraced perfbench run of one workload, from a checkout's root."""
+    return [
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", "0",
+    ]
+
+
+def directions() -> dict[str, str]:
+    """``better`` ("lower" or "higher") of each end-to-end metric."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def run_side(checkout: Path, argv: list[str]) -> dict:
+    """Copy ``checkout`` into a fresh directory, run ``argv`` there and
+    return the JSON object on the last line of its standard output."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as workdir:
+        copy = Path(workdir) / "checkout"
+        shutil.copytree(checkout, copy, ignore=IGNORED)
+        done = subprocess.run(argv, cwd=copy, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode or not lines or not lines[-1].startswith("{"):
+        tail = (done.stderr or done.stdout).strip().splitlines()[-5:]
+        raise RuntimeError(f"{checkout}: {' '.join(argv)} exited {done.returncode}: {' | '.join(tail)}")
+    return json.loads(lines[-1])
+
+
+def iqr(values: list[float]) -> float:
+    lower, _, upper = statistics.quantiles(values, n=4, method="inclusive")
+    return upper - lower
+
+
+def summarize(values: dict[str, list[float]], better: str | None) -> dict:
+    """Per-pair values of one metric with their medians, the relative
+    change of the medians, the parent's IQR and, when the metric has a
+    better direction, the pairs the change wins."""
+    parent, change = values["parent"], values["change"]
+    parent_median, change_median = statistics.median(parent), statistics.median(change)
+    summary = {
+        "parent": parent,
+        "change": change,
+        "parent_median": round(parent_median, 7),
+        "change_median": round(change_median, 7),
+        "relative": round((change_median - parent_median) / parent_median, 4) if parent_median else None,
+        "parent_iqr": round(iqr(parent), 7) if len(parent) > 1 else 0.0,
+    }
+    if better is not None:
+        wins = (c < p if better == "lower" else c > p for p, c in zip(parent, change))
+        summary["change_better_pairs"] = sum(wins)
+    return summary
+
+
+def run_pairs(
+    parent: Path,
+    change: Path,
+    workload: str,
+    seed: int,
+    pairs: int,
+    seconds: int,
+    command: Command = perfbench_command,
+) -> dict:
+    """The ``runs`` entry of ``pairs`` alternating pairs on one workload:
+    pair k runs the parent first when k is even, the change when it is odd."""
+    checkouts = {"parent": parent, "change": change}
+    argv = command(workload, seed, seconds)
+    first_side: list[str] = []
+    results: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for k in range(pairs):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        first_side.append(order[0])
+        for side in order:
+            result = run_side(checkouts[side], argv)
+            results[side].append(result)
+            print(f"pair {k + 1}/{pairs} {side}: attempted {result['attempted']}, failed {result['failed']}", file=sys.stderr)
+    better = directions()
+    names = results["parent"][0]["metrics"]
+    return {
+        "seconds": seconds,
+        "seed": seed,
+        "pairs": pairs,
+        "first_side": first_side,
+        "failed": {side: [r["failed"] for r in results[side]] for side in SIDES},
+        "attempted": {side: [r["attempted"] for r in results[side]] for side in SIDES},
+        "correct": all(r["correct"] for side in SIDES for r in results[side]),
+        "metrics": {
+            name: summarize({side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}, better.get(name))
+            for name in names
+        },
+    }
+
+
+def claim_result(run: dict, workload: str) -> str:
+    """Whether ``CLAIM_METRIC`` on one workload's runs meets the claim rule,
+    with the figures it was judged on."""
+    m = run["metrics"][CLAIM_METRIC]
+    pairs = run["pairs"]
+    wins = m["change_better_pairs"]
+    difference = m["parent_median"] - m["change_median"]  # the metric is better lower
+    met = wins >= math.ceil(0.9 * pairs) and difference > m["parent_iqr"]
+    failed = sum(run["failed"]["parent"]) + sum(run["failed"]["change"])
+    return (
+        f"{'met' if met else 'not met'}. Seed {run['seed']}: {workload} {CLAIM_METRIC} {m['parent_median']} -> "
+        f"{m['change_median']} ({m['relative']:+.1%}), change better in {wins}/{pairs} pairs, difference "
+        f"{difference:.7g} against a parent IQR of {m['parent_iqr']}; {failed} failed attempts, correct {run['correct']}."
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent side")
+    parser.add_argument("change", type=Path, help="checkout of the changed side")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    for checkout in (args.parent, args.change):
+        if not (checkout / "perfbench" / "run.py").is_file():
+            parser.error(f"{checkout} is not a checkout with perfbench/run.py")
+    try:
+        run = run_pairs(args.parent.resolve(), args.change.resolve(), args.workload, args.seed, args.pairs, args.seconds)
+    except (RuntimeError, subprocess.TimeoutExpired) as problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
+    shown = " ".join(perfbench_command(args.workload, args.seed, args.seconds)[1:])
+    print(json.dumps({
+        "command": f"python3 {shown}",
+        "runs": {f"seed_{args.seed}": {args.workload: run}},
+        "claim_result": claim_result(run, args.workload),
+    }, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,17 +29,22 @@ held max goes stale only when an adjustment changed its slot's members or
 completion: slots i and e, each carry slot where a swap happens or whose
 completion moves, and every slot from e on after an opening.  A carry
 slot keeps its jobs and its time when the carried job is as long as the
-hoist, which on narrow batches is most of them.  A threshold pass
-therefore evaluates a slot's jobs only when that slot changed since it was
-last judged, and the max cost of a converged schedule is read from the
-held values from the lowest nonempty slot on.  ``WarmSolver`` holds what
-this solver shares with the precedence one: the held slots, completions
-and maxima, the lowest nonempty slot, a frozen copy of each slot, the
-opening rule, the converged step and the held-state checks.  An
-adjustment marks for refreezing only the slots whose members it changed:
-i (j leaves, the hoist enters), each carry slot where a swap happens, and
-e (the hoist leaves, the carry lands).  An opening shifts times, not
-members, and marks nothing.
+hoist, which on narrow batches is most of them.  Below the maxima it holds
+each job's cost at its slot's completion, current in every slot marked
+timed, and only a moved completion clears that mark: a carry slot or e
+whose time changed, and every slot from e on after an opening.  A job is
+evaluated when it enters a timed slot or when a pass refreshes the max of
+an untimed one, and never again while both hold; a stale max of a timed
+slot, and the walk of a costly one, read the held costs.  The max cost of
+a converged schedule is read from the held maxima from the lowest
+nonempty slot on.  ``WarmSolver`` holds what this solver shares with the
+precedence one: the held slots, completions, job costs and maxima, the
+lowest nonempty slot, a frozen copy of each slot, the opening rule, the
+converged step and the held-state checks.  An adjustment marks for
+refreezing only the slots whose members it changed: i (j leaves, the
+hoist enters), each carry slot where a swap happens, and e (the hoist
+leaves, the carry lands).  An opening shifts times, not members, and
+marks nothing.
 
 A pass walks only a span of slots, outside which every slot is clean.  An
 adjustment at i marks slots at or below i, down to e, so the pass lowers
@@ -73,7 +78,9 @@ def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[list[int]]
     still-unassigned jobs admissible there (limit >= slot index), up to the
     capacity.  Returns 1-based slot lists (index 0 unused), each in
     ascending ``Instance.keys`` order, or None when some slot comes out
-    empty while lower groups still hold jobs.
+    empty while lower groups still hold jobs, the only way the fill fails:
+    a nonempty slot takes at least one job, so n nonempty slots place all
+    n jobs and no pool is left over.
 
     For limit states the solvers produce (a group index records the last
     slot whose completion the job tolerated when it moved), None means no
@@ -99,8 +106,6 @@ def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[list[int]]
         if not batch and assigned < n:
             return None  # empty slot with jobs still due further left
         assigned += take
-    if pool:
-        return None  # prefix groups exceed prefix capacity
     return slots
 
 
@@ -156,14 +161,21 @@ class WarmSolver:
     ``slots[i]`` is slot i's jobs as a list in ascending ``Instance.keys``
     order, ``completion[i]`` its batch's completion time and ``top[i]`` the
     max cost of its jobs at that time, or None when the slot changed since
-    it was last evaluated (every slot starts that way).  ``first`` is the
+    it was last evaluated (every slot starts that way).  ``cost[j]`` is job
+    j's cost at its slot's completion, current for every member of a slot
+    whose ``timed`` flag is set; a current max implies a timed slot.  A
+    subclass clears ``timed[c]`` (and ``top[c]``) wherever slot c's
+    completion moves, evaluates a job entering a timed slot into ``cost``,
+    and needs nothing for a leaving job.  ``held_max`` refreshes a stale
+    max, first evaluating the members of an untimed slot.  ``first`` is the
     lowest nonempty slot.  A subclass calls ``_open`` wherever a job opens
     an empty slot, which shifts every slot from there on by one setup,
-    marks their held maxima stale and lowers ``first``.  ``solve`` may be
-    called repeatedly with strictly smaller thresholds, each call going on
-    from the state the previous one left; after an infeasible result the
-    state is spent.  A subclass computes the initial completions with its
-    own module's ``batch_times`` and passes them in.
+    marks their held maxima stale and their job costs untimed, and lowers
+    ``first``.  ``solve`` may be called repeatedly with strictly smaller
+    thresholds, each call going on from the state the previous one left;
+    after an infeasible result the state is spent.  A subclass computes
+    the initial completions with its own module's ``batch_times`` and
+    passes them in.
 
     ``frozen[i]`` is slot i's members as a frozenset, every empty slot
     being the shared ``model._EMPTY_SLOT``, and ``dirty`` the set of slots
@@ -186,6 +198,8 @@ class WarmSolver:
         self.slots = slots
         self.completion = completion
         self.top: list[int | None] = [None] * len(slots)
+        self.cost: list[int | None] = [None] * (instance.n + 1)  # by job id
+        self.timed = [False] * len(slots)
         self.first = next(c for c in range(1, len(slots)) if slots[c])
         self.frozen = list(freeze_slots(slots))
         self.dirty: set[int] = set()
@@ -218,20 +232,39 @@ class WarmSolver:
                 raise InvariantError("held max cost differs from objectives")
         return snapshot
 
+    def held_max(self, c: int) -> int:
+        """Refresh slot c's stale held max from its members' held costs,
+        evaluating each member into ``cost`` first when the slot is not
+        timed; returns the max."""
+        batch = self.slots[c]
+        cost = self.cost
+        if not self.timed[c]:
+            value = self.instance.cost_value
+            at = self.completion[c]
+            for j in batch:
+                cost[j] = value[j](at)
+            self.timed[c] = True
+        worst = self.top[c] = max(map(cost.__getitem__, batch))
+        return worst
+
     def _open(self, x: int) -> None:
         """A job opened the empty slot x: every slot from x on completes one
-        setup later, its held max goes stale, and x becomes ``first``."""
+        setup later, its held max and its members' held costs go stale, and
+        x becomes ``first``."""
         setup = self.instance.setup
         for c in range(x, len(self.completion)):
             self.completion[c] += setup
-        self.top[x:] = [None] * (len(self.top) - x)
+        stale = len(self.top) - x
+        self.top[x:] = [None] * stale
+        self.timed[x:] = [False] * stale
         self.first = x
 
     def check_held(self, before: list[int] | None) -> None:
         """Check mode: the held completions equal a ``batch_times`` of the
-        held slots, none is earlier than in ``before`` (when given), and
-        every held max equals a fresh evaluation, and ``first`` is the
-        lowest nonempty slot."""
+        held slots, none is earlier than in ``before`` (when given), every
+        held max equals a fresh evaluation, every timed slot's held job
+        costs do too, every slot with a current max is timed, and ``first``
+        is the lowest nonempty slot."""
         instance = self.instance
         slots = self.slots
         completion = self.completion
@@ -246,6 +279,12 @@ class WarmSolver:
         for i, worst in enumerate(self.top):
             if worst is not None and worst != max([value[j](completion[i]) for j in slots[i]], default=None):
                 raise InvariantError(f"held max cost of slot {i} differs from a fresh evaluation")
+        cost = self.cost
+        for i, timed in enumerate(self.timed):
+            if timed and any(cost[j] != value[j](completion[i]) for j in slots[i]):
+                raise InvariantError(f"held job costs of slot {i} differ from a fresh evaluation")
+            if not timed and self.top[i] is not None:
+                raise InvariantError(f"slot {i} holds a current max but its job costs are not timed")
 
 
 class BoundedSolver(WarmSolver):
@@ -276,11 +315,16 @@ class BoundedSolver(WarmSolver):
     A held max goes stale only when the adjustment changed its slot's
     members or completion: i, e, each carry slot where a swap happens or
     whose completion moves (the carried job and the hoist differ in p), and
-    every slot from e on when it opened a batch.  A pass evaluates a stale
-    slot when it reaches it and skips the slot outright when the held max
-    is below the threshold.  Thresholds only shrink, so a new step's first
-    pass reuses every held value.  It adds to ``dirty`` only i, e and the
-    carry slots where a swap happens.
+    every slot from e on when it opened a batch.  Held job costs go stale
+    only with a moved completion: the adjustment untimes each carry slot
+    and e whose time changed (``_open`` untimes every slot from e on), and
+    evaluates once each job entering a slot that stays timed: the hoist in
+    i, a swapped carry and the carry landing in e.  A pass refreshes a
+    stale max when it reaches the slot, from the held costs when the slot
+    is timed, and skips the slot outright when the held max is below the
+    threshold.  Thresholds only shrink, so a new step's first pass reuses
+    every held value.  It adds to ``dirty`` only i, e and the carry slots
+    where a swap happens.
 
     A pass walks a span high..low, not every nonempty slot: ``_adjust``
     returns e, the pass lowers ``low`` to it, and hands the next pass the
@@ -354,13 +398,17 @@ class BoundedSolver(WarmSolver):
         i are walked in this sweep.  Times are refreshed after every
         adjustment, so jobs later in the sweep are judged against current
         completions; a job hoisted into an already-swept slot is caught by
-        the next sweep.  A slot's jobs are evaluated only when its held max
-        is stale, and walked longest first (over a reversed copy of the
-        key-ordered slot) only when that max reaches the threshold.
+        the next sweep.  A slot's stale max is refreshed by ``held_max``,
+        and the slot is walked longest first (over a reversed copy of the
+        key-ordered slot) only when that max reaches the threshold.  The
+        walk reads held costs, the slot being timed once its max is
+        current, and evaluates live once an opening has untimed slot i.
         """
         slots = self.slots
         completion = self.completion  # updated in place by _adjust
         top = self.top  # marked stale in place by _adjust
+        cost = self.cost  # refreshed in place by _adjust
+        timed = self.timed  # cleared in place by _adjust
         value = self.instance.cost_value
         first = self.first  # lowered by an opening
         upper = lower = 0  # the first and the last slot adjusted
@@ -369,13 +417,15 @@ class BoundedSolver(WarmSolver):
             i -= 1
             worst = top[i]
             if worst is None:
-                at = completion[i]
-                worst = top[i] = max([value[j](at) for j in slots[i]])
+                worst = self.held_max(i)
             if worst < threshold:
                 continue  # a clean slot needs no walk
             for j in slots[i][::-1]:
-                if value[j](completion[i]) < threshold:
-                    continue
+                if timed[i]:
+                    if cost[j] < threshold:
+                        continue
+                elif value[j](completion[i]) < threshold:
+                    continue  # an opening retimed slot i mid-walk
                 if i == 1:
                     return None  # nothing further left exists
                 e = self._adjust(j, i)
@@ -469,7 +519,12 @@ class BoundedSolver(WarmSolver):
         # that setup to every slot from e on.
         # A carry slot keeps its held max only when no swap happens and the
         # job carried into it is as long as the hoist, so its time holds.
+        # Its members' held costs go stale only when its time moves; a job
+        # entering a slot whose time holds is evaluated there once.
         before = completion[:] if self.check else None
+        timed = self.timed
+        cost = self.cost
+        value = instance.cost_value
         shift = -p[hoist] if hoist is not None else 0
         carry = j
         for c in range(i - 1, e, -1):
@@ -483,13 +538,17 @@ class BoundedSolver(WarmSolver):
                     reach[c] = limit[carry]
                 refreeze(c)
                 top[c] = None
+                if not delta and timed[c]:
+                    cost[carry] = value[carry](completion[c])
                 carry = shortest
-            elif delta:
+            if delta:
+                completion[c] += delta
                 top[c] = None
-            else:
-                continue  # the carry is the shortest itself and the time holds
-            completion[c] += delta
-        completion[e] += shift + p[carry]
+                timed[c] = False
+        delta = shift + p[carry]
+        if delta:
+            completion[e] += delta
+            timed[e] = False
         insort(slots[e], carry, key=by_key)
         if limit[carry] > reach[e]:
             reach[e] = limit[carry]
@@ -497,6 +556,10 @@ class BoundedSolver(WarmSolver):
         top[e] = None
         if opened:
             self._open(e)
+        elif timed[e]:
+            cost[carry] = value[carry](completion[e])
+        if hoist is not None and timed[i]:
+            cost[hoist] = value[hoist](completion[i])  # after the opening, which untimes i
         if self.check:
             self._check_state(e, before)
         return e

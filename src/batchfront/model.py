@@ -69,7 +69,7 @@ class Tardiness:
         _int(self.due, "due")
 
     def value(self, t: int) -> int:
-        return max(0, t - self.due)
+        return t - self.due if t > self.due else 0
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,9 @@ class StepTable:
 
 
 CostSpec = Union[Lateness, Tardiness, WeightedCompletion, Affine, StepTable]
+# what ``Job`` checks a cost against: a plain tuple, as ``isinstance`` on
+# the ``Union`` above goes through typing's slower Python-level check
+_COST_SPECS = (Lateness, Tardiness, WeightedCompletion, Affine, StepTable)
 
 
 def eval_cost(spec: CostSpec, t: int) -> int:
@@ -155,7 +158,7 @@ class Job:
         _int(self.id, "id")
         if _int(self.p, "p") < 1:
             raise InstanceError(f"p: job {self.id}: processing time must be >= 1, got {self.p}")
-        if not isinstance(self.cost, CostSpec):
+        if not isinstance(self.cost, _COST_SPECS):
             kinds = "Lateness, Tardiness, WeightedCompletion, Affine or StepTable"
             raise InstanceError(f"cost must be a {kinds}, got {json.dumps(self.cost, default=repr)}")
 

@@ -12,8 +12,12 @@ later one) reaches its slot.
 Each pass costs what the previous one changed.  The solver holds every
 group's max cost and marks the groups holding a job whose bound fell, so a
 pass walks only changed, marked and costly groups; a move shifts only the
-completion times it changes.  Propagation reads the predecessors in
-descending sink layer and stops where no bound can fall any more.
+completion times it changes.  It also holds each job's cost at its group's
+completion, and only a move's retimed groups, or an opening, make those
+stale: a group that merely lost jobs refreshes its max from the held costs,
+and the walk of a costly group reads them.  Propagation reads the
+predecessors in descending sink layer and stops where no bound can fall any
+more.
 """
 
 from __future__ import annotations
@@ -77,13 +81,16 @@ class PrecedenceSolver(WarmSolver):
     ``slots`` holds the groups, which are the batches, and ``marked[i]``
     is set when propagation lowers the bound of a job that group i holds.
     The nonempty groups are ``first``..n, and a pass visits them from n
-    down; it walks group i only when its held max is stale, the group is
-    marked, or its held max reaches the threshold; any other group has
-    every job tolerating its completion and no job bounded below it, so
-    the walk would move nothing.  Moves land at pass end: each shifts
-    ``completion`` by the job's processing time on its target..origin-1,
-    marks those groups stale, calls ``_open`` when it opens its target,
-    and adds only its origin and target to ``dirty``.
+    down; it refreshes a stale max with ``held_max`` and walks group i
+    only when the group is marked or its held max reaches the threshold;
+    any other group has every job tolerating its completion and no job
+    bounded below it, so the walk would move nothing.  A walked group is
+    timed, so the walk reads each job's held cost.  Moves land at pass
+    end: each shifts ``completion`` by the job's processing time on its
+    target..origin-1, marks those groups' maxima stale and their job costs
+    untimed (the target is among them, so a landing job needs no
+    evaluation), calls ``_open`` when it opens its target, and adds only
+    its origin and target to ``dirty``.
     Propagation reads ``Instance.preds_by_layer`` and stops at the first
     predecessor whose sink layer is below the target: a job's limit never
     exceeds its layer, and its bound never exceeds its limit, so no
@@ -141,13 +148,14 @@ class PrecedenceSolver(WarmSolver):
         """One descending pass over the held groups n..``first``, the
         nonempty ones.
 
-        A group is walked, longest job first, only when its held max is
-        stale (evaluated here), reaches the threshold, or the group is
-        marked.  Jobs are judged against this pass's times and membership:
-        moves land at pass end (``_land``), so ``first`` holds for the
-        whole pass, and a moved job is re-inspected when a later pass
-        reaches its new group.  Returns True if anything moved, False for
-        a clean pass, None when infeasible.
+        A group's stale max is refreshed here, and the group is walked,
+        longest job first, only when that max reaches the threshold or the
+        group is marked.  Jobs are judged against this pass's times and
+        membership: moves land at pass end (``_land``), so ``first`` and
+        every walked group's held costs hold for the whole pass, and a
+        moved job is re-inspected when a later pass reaches its new group.
+        Returns True if anything moved, False for a clean pass, None when
+        infeasible.
         """
         instance = self.instance
         value = instance.cost_value
@@ -159,16 +167,16 @@ class PrecedenceSolver(WarmSolver):
         limit = limits.table
         bounds = self.bounds
         top = self.top
+        cost = self.cost
         marked = self.marked
         trace = self.trace
         moves: list[tuple[int, int, int]] = []
         targets: set[int] = set()  # groups a move of this pass refills at pass end
         for i in range(instance.n, self.first - 1, -1):
             batch = slots[i]
-            at = completion[i]
             worst = top[i]
             if worst is None:
-                worst = top[i] = max([value[j](at) for j in batch])
+                worst = self.held_max(i)
             if worst < threshold and not marked[i]:
                 if self.check:
                     self._check_skip(i, threshold)
@@ -177,7 +185,7 @@ class PrecedenceSolver(WarmSolver):
             left = len(batch)
             for j in batch[::-1]:
                 target = bounds[j]  # at most i, the job's limit
-                if value[j](at) >= threshold:
+                if cost[j] >= threshold:  # group i is timed: its max is current
                     tolerated = tolerated_slot(value[j], completion, i, threshold)
                     if tolerated < target:
                         target = tolerated
@@ -221,13 +229,15 @@ class PrecedenceSolver(WarmSolver):
         list for its target's, and slots target..origin-1 complete later by
         its processing time.  A move that opens its target calls ``_open``,
         which shifts every slot from the target on by one setup.  The held
-        maxima of the slots whose times or members changed go stale, and
-        the origin and target go to ``dirty`` for the next snapshot."""
+        maxima of the slots whose times or members changed go stale, the
+        retimed slots are untimed, and the origin and target go to
+        ``dirty`` for the next snapshot."""
         p = self.instance.p
         by_key = self.instance.keys.__getitem__
         slots = self.slots
         completion = self.completion
         top = self.top
+        timed = self.timed
         refreeze = self.dirty.add
         for j, i, target in moves:
             slots[i].remove(j)
@@ -240,6 +250,7 @@ class PrecedenceSolver(WarmSolver):
             for c in range(target, i):
                 completion[c] += pj
                 top[c] = None
+                timed[c] = False
 
     def _check_state(self, before: list[int] | None) -> None:
         """Check mode: the held state before a pass against a rebuild, and

@@ -1,0 +1,93 @@
+"""scripts/bench_pairs.py, the alternating fresh-directory pair runner,
+driven with a stub command in place of a perfbench run."""
+
+import json
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "bench_pairs.py"))
+
+# Prints a perfbench-shaped result whose values are the run's position in
+# the log, after appending the side it found in its working directory, that
+# directory, and whether the checkout's bytecode cache came along.
+STUB = """
+import json, os, sys
+log = sys.argv[1]
+with open(log, encoding="utf-8") as f:
+    k = sum(1 for _ in f)
+side = open("side.txt", encoding="utf-8").read().strip()
+with open(log, "a", encoding="utf-8") as f:
+    f.write(json.dumps([side, os.getcwd(), os.path.exists("__pycache__")]) + "\\n")
+metrics = {name: {"value": float(k), "unit": "s"} for name in ("latency_p50_s", "throughput_ips")}
+print("workload stub")
+print(json.dumps({"correct": True, "attempted": 10 + k, "failed": 0, "metrics": metrics}))
+"""
+
+
+def _checkout(root, side):
+    checkout = root / side
+    (checkout / "__pycache__").mkdir(parents=True)
+    (checkout / "side.txt").write_text(side, encoding="utf-8")
+    return checkout
+
+
+@pytest.fixture
+def pairs(tmp_path):
+    log = tmp_path / "log.jsonl"
+    log.write_text("", encoding="utf-8")
+    checkouts = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
+
+    def command(workload, seed, seconds):
+        return [sys.executable, "-c", STUB, str(log)]
+
+    run = SCRIPT["run_pairs"](*checkouts, "stub", 7, 3, 1, command=command)
+    runs = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    return run, runs, checkouts
+
+
+def test_sides_alternate_which_runs_first(pairs):
+    run, runs, _ = pairs
+    assert run["first_side"] == ["parent", "change", "parent"]
+    assert [side for side, _, _ in runs] == ["parent", "change", "change", "parent", "parent", "change"]
+    # each side's values are its own runs, in pair order
+    assert run["metrics"]["latency_p50_s"]["parent"] == [0.0, 3.0, 4.0]
+    assert run["metrics"]["latency_p50_s"]["change"] == [1.0, 2.0, 5.0]
+    assert run["attempted"] == {"parent": [10, 13, 14], "change": [11, 12, 15]}
+
+
+def test_every_run_gets_a_fresh_copy_without_caches(pairs):
+    _, runs, checkouts = pairs
+    directories = [cwd for _, cwd, _ in runs]
+    assert len(set(directories)) == len(runs)
+    assert not set(directories) & {str(checkout) for checkout in checkouts}
+    assert not any(cache for _, _, cache in runs)
+    assert not any(Path(cwd).exists() for cwd in directories)
+
+
+def test_the_output_has_the_bench_file_shape(pairs):
+    run, _, _ = pairs
+    assert set(run) == {"seconds", "seed", "pairs", "first_side", "failed", "attempted", "correct", "metrics"}
+    assert (run["seconds"], run["seed"], run["pairs"], run["correct"]) == (1, 7, 3, True)
+    assert run["failed"] == {"parent": [0, 0, 0], "change": [0, 0, 0]}
+    for summary in run["metrics"].values():
+        assert set(summary) == {
+            "parent", "change", "parent_median", "change_median", "relative", "change_better_pairs", "parent_iqr",
+        }
+        assert 0 <= summary["change_better_pairs"] <= 3
+    p50 = run["metrics"]["latency_p50_s"]
+    assert (p50["parent_median"], p50["change_median"], p50["parent_iqr"]) == (3.0, 2.0, 2.0)
+    verdict = SCRIPT["claim_result"](run, "stub")
+    assert verdict.startswith(("met. Seed 7: stub latency_p50_s 3.0 -> 2.0", "not met. Seed 7: stub latency_p50_s 3.0 -> 2.0"))
+
+
+def test_a_run_without_a_result_stops_the_pairs(tmp_path):
+    checkouts = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
+
+    def command(workload, seed, seconds):
+        return [sys.executable, "-c", "import sys; print('boom', file=sys.stderr); sys.exit(3)"]
+
+    with pytest.raises(RuntimeError, match="exited 3: boom$"):
+        SCRIPT["run_pairs"](*checkouts, "stub", 7, 2, 1, command=command)

@@ -617,6 +617,105 @@ def test_large_batches_evaluate_no_more_than_a_full_rescan():
     assert tally[0] <= 148_034
 
 
+@pytest.mark.parametrize(
+    "sweep, instance, most",
+    [
+        (pareto_bounded, gen_random(800, 1, "paper"), 20_000),
+        (pareto_precedence, gen_random(400, 1, "geo-prec"), 110_000),
+    ],
+    ids=["paper-800", "geo-prec-400"],
+)
+def test_held_job_costs_evaluate_a_job_only_where_its_slot_changed(sweep, instance, most):
+    # re-evaluating every job of a slot whose members changed at an
+    # unchanged completion, and again when a pass walked the slot, made
+    # 70,869 evaluations on paper-800 and 237,524 on geo-prec-400
+    tally = _count_cost_evaluations(instance)
+    sweep(instance)
+    assert tally[0] <= most
+
+
+class _NeverUntimed(list):
+    """Held timed flags that ignore every clearing of a single slot; an
+    opening's slice assignment still clears."""
+
+    def __setitem__(self, index, value):
+        if isinstance(index, slice) or value:
+            super().__setitem__(index, value)
+
+
+class _DropsWrites(list):
+    """Held job costs that keep no write while ``dropping`` is set."""
+
+    dropping = False
+
+    def __setitem__(self, index, value):
+        if not self.dropping:
+            super().__setitem__(index, value)
+
+
+class _LeavesRetimedSlotsTimed(BoundedSolver):
+    """A solver whose carry slots and e stay timed when their times move."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.timed = _NeverUntimed(self.timed)
+
+
+class _LeavesEnteringCostsStale(BoundedSolver):
+    """A solver whose adjustments refresh no entering job's held cost: not
+    the hoist's in i, a swapped carry's or the carry's landing in e."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cost = _DropsWrites(self.cost)
+
+    def _adjust(self, j, i):
+        self.cost.dropping = True
+        try:
+            return super()._adjust(j, i)
+        finally:
+            self.cost.dropping = False
+
+
+@pytest.mark.parametrize("mutant", [_LeavesRetimedSlotsTimed, _LeavesEnteringCostsStale], ids=["retimed", "entering"])
+def test_check_mode_catches_a_held_job_cost_left_stale_by_an_adjustment(mutant):
+    inst = gen_random(40, 2, "small", capacity=2)
+    pareto_bounded(inst, check=True)  # the real solver passes every check
+    solver = mutant.initial(inst, check=True)
+    threshold = UNBOUNDED
+    with pytest.raises(InvariantError, match="^held job costs of slot [0-9]+ differ from a fresh evaluation$"):
+        while solver.solve(threshold) is not None:
+            threshold = solver.max_cost
+
+
+def _open_keeping_timed(self, x):
+    """An opening that shifts the completions and marks the maxima stale but
+    leaves every slot's job costs timed."""
+    timed = self.timed[:]
+    _open(self, x)
+    self.timed[:] = timed
+
+
+@pytest.mark.parametrize(
+    "sweep, instance",
+    [(pareto_bounded, _opens_slot_1_on_the_third_step()), (pareto_precedence, gen_random(4, 2, "prec"))],
+    ids=["bounded", "prec"],
+)
+def test_check_mode_catches_an_opening_that_keeps_job_costs_timed(monkeypatch, sweep, instance):
+    sweep(instance, check=True)  # the real opening passes every check
+    monkeypatch.setattr(WarmSolver, "_open", _open_keeping_timed)
+    with pytest.raises(InvariantError, match="^held job costs of slot [0-9]+ differ from a fresh evaluation$"):
+        sweep(instance, check=True)
+
+
+def test_check_mode_catches_a_current_max_on_an_untimed_slot():
+    solver = BoundedSolver.initial(gen_random(12, 3, "small", capacity=3), check=True)
+    solver.solve(UNBOUNDED)
+    solver.timed[solver.first] = False
+    with pytest.raises(InvariantError, match=f"^slot {solver.first} holds a current max but its job costs are not timed$"):
+        solver.solve(solver.max_cost)
+
+
 class _StopsAtItsSpan(BoundedSolver):
     """A solver whose passes never lower their stop to where a carry ended."""
 

@@ -35,6 +35,28 @@ def test_eval_cost_definitions():
     assert eval_cost(WeightedCompletion(w=3), 7) == 21
 
 
+@pytest.mark.parametrize("due", [-7, 0, 10])
+def test_tardiness_is_lateness_clamped_at_zero(due):
+    for t in (due - 3, due - 1, due, due + 1, due + 5):
+        assert Tardiness(due).value(t) == max(0, t - due)
+
+
+_ONE_OF_EACH_SPEC = (Lateness(5), Tardiness(5), WeightedCompletion(2), Affine(1, 3), StepTable(((0, 1), (4, 2))))
+
+
+@pytest.mark.parametrize("spec", _ONE_OF_EACH_SPEC, ids=lambda spec: type(spec).__name__)
+def test_a_job_accepts_each_cost_spec(spec):
+    assert Job(1, 2, spec).cost is spec
+
+
+@pytest.mark.parametrize("cost", [5, {"type": "lateness", "due": 5}, Job(1, 2, Lateness(5))], ids=["int", "dict", "job"])
+def test_a_job_refuses_a_cost_that_is_not_a_spec(cost):
+    kinds = "Lateness, Tardiness, WeightedCompletion, Affine or StepTable"
+    with pytest.raises(InstanceError) as caught:
+        Job(1, 2, cost)
+    assert str(caught.value) == f"cost must be a {kinds}, got {json.dumps(cost, default=repr)}"
+
+
 def test_step_table_evaluation():
     step = StepTable(breakpoints=((0, -1), (5, 2), (9, 7)))
     assert eval_cost(step, 0) == -1

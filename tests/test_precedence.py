@@ -452,6 +452,33 @@ def test_step_replay_reports_a_warm_step_that_disagrees(monkeypatch):
     assert issues[0] == "threshold inf: fresh solver feasibility True != warm False"
 
 
+class _NeverUntimed(list):
+    """Held timed flags that ignore every clearing of a single slot; an
+    opening's slice assignment still clears."""
+
+    def __setitem__(self, index, value):
+        if isinstance(index, slice) or value:
+            super().__setitem__(index, value)
+
+
+class _LandsKeepingTimed(PrecedenceSolver):
+    """A solver whose moves leave target..origin-1 timed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.timed = _NeverUntimed(self.timed)
+
+
+def test_check_mode_catches_a_move_that_leaves_its_retimed_groups_timed():
+    inst = gen_random(12, 3, "prec")
+    pareto_precedence(inst, check=True)  # the real solver passes every check
+    solver = _LandsKeepingTimed.initial(inst, check=True)
+    threshold = UNBOUNDED
+    with pytest.raises(InvariantError, match="^held job costs of slot [0-9]+ differ from a fresh evaluation$"):
+        while solver.solve(threshold) is not None:
+            threshold = solver.max_cost
+
+
 def _propagating():
     # job 3 (successor of 1) leaves group 3, so job 1 must leave group 2
     return Instance(
