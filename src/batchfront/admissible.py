@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .model import Instance, InvariantError, _int
+from .model import Instance, InstanceError, InvariantError, _int
 
 
 class AdmissibleSlots:
@@ -34,8 +34,14 @@ class AdmissibleSlots:
         if len(table) != n + 1:
             raise ValueError("limits must cover job ids 1..n")
         for j in range(1, n + 1):
-            if not 1 <= _int(table[j], f"job {j}: group index") <= n:
-                raise ValueError(f"job {j}: group index {table[j]} out of range")
+            try:
+                if 1 <= _int(table[j], "") <= n:
+                    continue
+            except InstanceError:
+                pass
+            # only now is the job named: a non-integer raises here, anything else is out of range
+            _int(table[j], f"job {j}: group index")
+            raise ValueError(f"job {j}: group index {table[j]} out of range")
         self._instance = instance
         self._limit = [0, *table[1:]]
         self.relocations = 0

@@ -17,12 +17,15 @@ and carry walk over slots e..i, e being the rightmost slot left of i with
 room, that retimes slots e..i-1 as it passes them.  Slots i..n keep their
 completion times, except when the carry opens a new batch in an empty
 slot e: then ``WarmSolver._open`` shifts every slot from e on by one
-setup.  Every slot is a list in ascending ``Instance.keys`` order.  The
-carry reads a full slot's shortest job as its first entry and inserts the
-job it carries by bisection; the hoist scan stops in each slot at the
-first candidate from the long end.  Each slot also holds a limit reach, an upper bound on its
-jobs' highest limit, so the scan passes a slot that cannot hold a
-candidate without walking it.
+setup.  Every slot is a list in ascending ``Instance.keys`` order, and
+the keys are integer ranks: a job enters a slot by bisection and leaves it
+by a deletion at the bisection point of its key, never by a linear search.
+The carry reads a full slot's shortest job as its first entry and compares
+two ints to decide a swap; the hoist scan stops in each slot at the first
+candidate from the long end.  Each slot also holds a limit reach, an upper
+bound on its jobs' highest limit, so the scan passes a slot that cannot
+hold a candidate without walking it.  The solver computes the reach of
+the nonempty slots only, when it is built; an empty slot's reach is 0.
 
 The solver also holds the max cost of each slot it has evaluated, and a
 held max goes stale only when an adjustment changed its slot's members or
@@ -58,8 +61,7 @@ from the highest to the lowest slot holding it.
 
 from __future__ import annotations
 
-import heapq
-from bisect import insort
+from bisect import bisect_left, insort
 from typing import Callable
 
 from .admissible import AdmissibleSlots
@@ -76,11 +78,15 @@ def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[list[int]]
 
     Working from slot n down to slot 1, each slot takes the longest
     still-unassigned jobs admissible there (limit >= slot index), up to the
-    capacity.  Returns 1-based slot lists (index 0 unused), each in
-    ascending ``Instance.keys`` order, or None when some slot comes out
-    empty while lower groups still hold jobs, the only way the fill fails:
-    a nonempty slot takes at least one job, so n nonempty slots place all
-    n jobs and no pool is left over.
+    capacity.  The unassigned jobs are one list in ascending
+    ``Instance.keys`` order: each nonempty group is appended and the list
+    re-sorted, which merges two ascending runs, and slot i takes the list's
+    last ``cap`` entries.  The fill stops at the first empty slot once every
+    job is placed, leaving the slots left of it empty.  Returns 1-based slot
+    lists (index 0 unused), each in ascending key order, or None when some
+    slot comes out empty while lower groups still hold jobs, the only way
+    the fill fails: a nonempty slot takes at least one job, so n nonempty
+    slots place all n jobs and no pool is left over.
 
     For limit states the solvers produce (a group index records the last
     slot whose completion the job tolerated when it moved), None means no
@@ -92,20 +98,23 @@ def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[list[int]]
     """
     n = instance.n
     cap = instance.effective_capacity
-    p = instance.p
+    by_key = instance.keys.__getitem__
     slots: list[list[int]] = [[] for _ in range(n + 1)]
-    pool: list[tuple[int, int]] = []  # (-p, id): pops give largest (p, -id) first
+    pool: list[int] = []  # the unassigned jobs, in ascending key order
     assigned = 0
     groups = limits.groups()
     for i in range(n, 0, -1):
-        for j in groups[i]:
-            heapq.heappush(pool, (-p[j], j))
-        take = min(cap, len(pool))
-        batch = slots[i] = [heapq.heappop(pool)[1] for _ in range(take)]
-        batch.reverse()  # popped in descending key order
-        if not batch and assigned < n:
-            return None  # empty slot with jobs still due further left
-        assigned += take
+        group = groups[i]
+        if group:
+            pool += group
+            pool.sort(key=by_key)
+        batch = slots[i] = pool[-cap:]
+        if not batch:
+            if assigned < n:
+                return None  # empty slot with jobs still due further left
+            break  # every job is placed, and the slots left of i stay empty
+        del pool[-cap:]
+        assigned += len(batch)
     return slots
 
 
@@ -355,7 +364,8 @@ class BoundedSolver(WarmSolver):
             raise InvariantError("the greedy fill failed on the starting limits")
         super().__init__(instance, limits, slots, batch_times(slots, instance), trace, check)
         limit = limits.table
-        self.reach = [max(map(limit.__getitem__, batch), default=0) for batch in slots]
+        first = self.first  # slots first..n hold jobs, and an empty slot's reach is 0
+        self.reach = [0] * first + [max(map(limit.__getitem__, batch)) for batch in slots[first:]]
         self.due = (instance.n, self.first)
 
     @classmethod
@@ -461,7 +471,8 @@ class BoundedSolver(WarmSolver):
         limit = self.limits.table
         cap = instance.effective_capacity
         self.limits.move(j, i - 1)
-        slots[i].remove(j)
+        batch = slots[i]
+        del batch[bisect_left(batch, keys[j], key=by_key)]
         self.adjustments += 1
         refreeze = self.dirty.add
         refreeze(i)  # j leaves; the hoist, if any, enters
@@ -495,7 +506,8 @@ class BoundedSolver(WarmSolver):
 
         opened = not slots[e]  # the carry opens a batch in e (never in case 2: e holds the hoist)
         if hoist is not None:
-            slots[e].remove(hoist)
+            batch = slots[e]
+            del batch[bisect_left(batch, keys[hoist], key=by_key)]
             insort(slots[i], hoist, key=by_key)
             if limit[hoist] > reach[i]:
                 reach[i] = limit[hoist]

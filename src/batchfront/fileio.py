@@ -19,6 +19,10 @@ numeric strings and booleans are refused, never truncated, by the model
 constructors; this module checks only the JSON structure.  Parse errors
 carry the source name and either the line and column of a syntax error or
 the field, such as ``jobs[3].p``, in front of the constructor's message.
+A job row is checked by its key sets alone and goes straight to the
+constructors; only a row that fails that check, or whose constructor
+raises, has its location built and its fields checked one at a time, so
+every message names the same field it always did.
 ``parse_instance(emit_instance(x)) == x``.
 
 ``parse_instance`` pauses the cyclic garbage collector while it decodes and
@@ -57,6 +61,10 @@ _COST_FIELDS = {
     "affine": (Affine, ("a", "c")),
     "step": (StepTable, ("breakpoints",)),
 }
+# the key sets of a well-formed job row and of a well-formed cost object of
+# each type, which ``_jobs`` accepts a row by without locating it
+_JOB_KEYS = frozenset(("id", "p", "cost"))
+_COST_KEYS = {kind: frozenset(("type", *names)) for kind, (_, names) in _COST_FIELDS.items()}
 
 
 def _cost_from_obj(obj, where: str) -> CostSpec:
@@ -90,6 +98,47 @@ def _cost_to_obj(cost: CostSpec) -> dict:
     raise TypeError(f"unknown cost spec {cost!r}")
 
 
+def _job_from_row(row, where: str) -> Job:
+    """The job row at ``where`` (e.g. ``src: jobs[3]``), every field checked
+    in turn, so a problem is raised with the field it is in."""
+    if not isinstance(row, dict):
+        raise InstanceError(f"{where}: must be an object")
+    for name in ("id", "p"):
+        if name not in row:
+            raise InstanceError(f"{where}: missing field {name!r}")
+    if len(row) > 2 + ("cost" in row):  # a key besides id, p and cost
+        raise InstanceError(f"{where}: unknown fields {sorted(set(row) - {'id', 'p', 'cost'})}")
+    cost = _cost_from_obj(row.get("cost"), f"{where}.cost")
+    try:
+        return Job(row["id"], row["p"], cost)
+    except InstanceError as err:
+        raise InstanceError(f"{where}.{err}") from None
+
+
+def _jobs(rows: list, source: str) -> list[Job]:
+    """The jobs of a ``"jobs"`` array.  A row whose key set is exactly id, p
+    and cost, with a cost object of a known type whose key set is exactly
+    that type's, goes straight to the constructors.  Any other row, or one
+    whose constructor raises, goes through ``_job_from_row``, which locates
+    the problem and raises it."""
+    jobs: list[Job] = []
+    append = jobs.append
+    for row in rows:
+        try:
+            if type(row) is dict and row.keys() == _JOB_KEYS:
+                obj = row["cost"]
+                if type(obj) is dict:
+                    kind = obj.get("type")
+                    if obj.keys() == _COST_KEYS.get(kind):  # TypeError when kind is unhashable
+                        cls, names = _COST_FIELDS[kind]
+                        append(Job(row["id"], row["p"], cls(*map(obj.__getitem__, names))))
+                        continue
+        except (InstanceError, TypeError):
+            pass
+        append(_job_from_row(row, f"{source}: jobs[{len(jobs)}]"))
+    return jobs
+
+
 def parse_instance(text: str, source: str = "<string>") -> Instance:
     """Parse instance JSON; InstanceError messages carry position context."""
     was_enabled = gc.isenabled()
@@ -120,21 +169,7 @@ def _parse(text: str, source: str) -> Instance:
 
     if not isinstance(doc["jobs"], list) or not doc["jobs"]:
         raise InstanceError(f"{source}: \"jobs\" must be a non-empty array")
-    jobs = []
-    for idx, row in enumerate(doc["jobs"]):
-        where = f"{source}: jobs[{idx}]"
-        if not isinstance(row, dict):
-            raise InstanceError(f"{where}: must be an object")
-        for name in ("id", "p"):
-            if name not in row:
-                raise InstanceError(f"{where}: missing field {name!r}")
-        if len(row) > 2 + ("cost" in row):  # a key besides id, p and cost
-            raise InstanceError(f"{where}: unknown fields {sorted(set(row) - {'id', 'p', 'cost'})}")
-        cost = _cost_from_obj(row.get("cost"), f"{where}.cost")
-        try:
-            jobs.append(Job(row["id"], row["p"], cost))
-        except InstanceError as err:
-            raise InstanceError(f"{where}.{err}") from None
+    jobs = _jobs(doc["jobs"], source)
 
     if doc["capacity"] is None:  # only "unbounded" spells unbounded
         raise InstanceError(f"{source}: capacity must be an integer or \"unbounded\", got null")

@@ -240,9 +240,11 @@ class Instance:
     Per-job tables, indexed by job id (entry 0 unused), are the one home
     the solvers' loops read job data from: ``p[j]`` is the processing time,
     ``cost_value[j](t)`` the cost of completing at t (the bound ``value``
-    method of the job's cost spec) and ``keys[j]`` the priority key (p, -id),
-    by which longer jobs rank higher and ties go to the smaller id;
-    ``by_key`` lists the job ids in ascending key order.
+    method of the job's cost spec) and ``keys[j]`` the priority key: job j's
+    rank in ascending (p, -id) order, by which longer jobs rank higher and
+    ties in p go to the smaller id.  ``by_key`` lists the job ids in that
+    order, so ``keys[j]`` is j's 1-based position in it (entry 0 is 0), and
+    two jobs compare by one int each.
     ``preds[j]``/``succs[j]`` (read-only lists) hold the distinct edges in
     input order, ``layer[j]`` the sink layer that
     ``layered_limits`` starts the job in, and ``preds_by_layer[j]`` the
@@ -290,10 +292,14 @@ class Instance:
                     "precedence edges are not supported with bounded capacity; "
                     "use \"unbounded\" capacity for precedence instances"
                 )
-        object.__setattr__(self, "keys", (None, *((j.p, -j.id) for j in jobs)))
         object.__setattr__(self, "p", (0, *(j.p for j in jobs)))
         # a stable sort by p from descending ids is ascending (p, -id) order
-        object.__setattr__(self, "by_key", tuple(sorted(range(n, 0, -1), key=self.p.__getitem__)))
+        by_key = tuple(sorted(range(n, 0, -1), key=self.p.__getitem__))
+        object.__setattr__(self, "by_key", by_key)
+        keys = [0] * (n + 1)
+        for rank, j in enumerate(by_key, 1):
+            keys[j] = rank
+        object.__setattr__(self, "keys", tuple(keys))
         object.__setattr__(self, "cost_value", (None, *(j.cost.value for j in jobs)))
         if not precedence:
             no_edges = ([],) * (n + 1)

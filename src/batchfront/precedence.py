@@ -22,7 +22,7 @@ more.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 
 from .admissible import AdmissibleSlots
 from .bounded import Trace, WarmSolver, tolerated_slot
@@ -233,14 +233,16 @@ class PrecedenceSolver(WarmSolver):
         retimed slots are untimed, and the origin and target go to
         ``dirty`` for the next snapshot."""
         p = self.instance.p
-        by_key = self.instance.keys.__getitem__
+        keys = self.instance.keys
+        by_key = keys.__getitem__
         slots = self.slots
         completion = self.completion
         top = self.top
         timed = self.timed
         refreeze = self.dirty.add
         for j, i, target in moves:
-            slots[i].remove(j)
+            origin = slots[i]
+            del origin[bisect_left(origin, keys[j], key=by_key)]
             if not slots[target]:
                 self._open(target)  # no earlier move left it, so it was empty all pass
             insort(slots[target], j, key=by_key)

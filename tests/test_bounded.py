@@ -1,3 +1,4 @@
+import heapq
 import os
 import subprocess
 import sys
@@ -311,6 +312,58 @@ def test_form_batches_lists_every_slot_in_key_order(n, profile):
         assert slots[0] == []
         for batch in slots[1:]:
             assert batch == sorted(batch, key=inst.keys.__getitem__)
+
+
+def _heap_fill(instance, limits):
+    """The greedy fill through a heap of (-p, id), the way ``form_batches``
+    once built it: a reference for the key-ordered pool it keeps now."""
+    n = instance.n
+    cap = instance.effective_capacity
+    p = instance.p
+    slots = [[] for _ in range(n + 1)]
+    pool = []
+    assigned = 0
+    groups = limits.groups()
+    for i in range(n, 0, -1):
+        for j in groups[i]:
+            heapq.heappush(pool, (-p[j], j))
+        take = min(cap, len(pool))
+        batch = slots[i] = [heapq.heappop(pool)[1] for _ in range(take)]
+        batch.reverse()
+        if not batch and assigned < n:
+            return None
+        assigned += take
+    return slots
+
+
+@pytest.mark.parametrize(
+    "n, profile, capacity",
+    [(60, "small", 2), (80, "paper", 16), (60, "staged", 4), (60, "geo", 6)],
+)
+def test_form_batches_equals_a_heap_fill_on_every_step_of_a_sweep(n, profile, capacity):
+    inst = gen_random(n, seed=2_500 + n, profile=profile, capacity=capacity)
+    states = []
+    front = pareto_bounded(
+        inst, on_step=lambda before, y, sched, after: states.extend([before.copy(), after.copy()])
+    )
+    assert len(front.points) >= 2 and len(states) >= 4
+    for limits in states:
+        assert form_batches(inst, limits) == _heap_fill(inst, limits)
+
+
+def test_form_batches_equals_a_heap_fill_on_hand_made_limits():
+    # random limit tables, most outside what a sweep produces, so many trip
+    # the empty-slot rule; both fills must agree on which, and on the rest
+    rng = SplitMix64(25)
+    outcomes = set()
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        inst = gen_random(n, seed=3_000 + trial, profile="small", capacity=rng.randint(1, n))
+        limits = AdmissibleSlots(inst, [0] + [rng.randint(1, n) for _ in range(n)])
+        slots = form_batches(inst, limits)
+        assert slots == _heap_fill(inst, limits)
+        outcomes.add(slots is None)
+    assert outcomes == {True, False}
 
 
 def test_held_slots_stay_in_key_order_through_a_whole_sweep():

@@ -189,6 +189,7 @@ def test_unknown_job_fields_are_refused(second_p, fields):
 
 
 _ONE_JOB = '{"id": 1, "p": 1, "cost": {"type": "lateness", "due": 3}}'
+_TWO_JOB = '{"id": 2, "p": 1, "cost": {"type": "affine", "a": 1, "c": 0}}'
 
 
 @pytest.mark.parametrize(
@@ -233,6 +234,38 @@ _ONE_JOB = '{"id": 1, "p": 1, "cost": {"type": "lateness", "due": 3}}'
             _two_job_text(capacity='"unbounded"', extra=', "precedence": {"1": 2}'),
             '"precedence" must be an array of [pred, succ] pairs',
             id="precedence-object",
+        ),
+        pytest.param(
+            f'{{"setup": 1, "capacity": 1, "jobs": [{_ONE_JOB}, [2, 3, {{"type": "lateness", "due": 20}}]]}}',
+            "jobs[1]: must be an object",
+            id="job-array",
+        ),
+        pytest.param(
+            _two_job_text(second_cost='{"type": ["lateness"], "due": 20}'),
+            "jobs[1].cost: unknown cost type ['lateness'], expected one of "
+            "('lateness', 'tardiness', 'weighted_completion', 'affine', 'step')",
+            id="cost-type-unhashable",
+        ),
+        pytest.param(
+            _two_job_text(second_cost='{"type": null, "due": 20}'),
+            "jobs[1].cost: unknown cost type None, expected one of "
+            "('lateness', 'tardiness', 'weighted_completion', 'affine', 'step')",
+            id="cost-type-null",
+        ),
+        pytest.param(
+            _two_job_text(second_cost='null, "due": 20'), "jobs[1]: unknown fields ['due']", id="cost-null-beside-a-key"
+        ),
+        pytest.param(
+            f'{{"setup": 1, "capacity": 3, "jobs": [{_ONE_JOB}, {_TWO_JOB}, '
+            '{"id": 3, "p": 0, "cost": {"type": "tardiness", "due": 4}}]}',
+            "jobs[2].p: job 3: processing time must be >= 1, got 0",
+            id="last-job-constructor",
+        ),
+        pytest.param(
+            f'{{"setup": 1, "capacity": 3, "jobs": [{_ONE_JOB}, {_TWO_JOB}, '
+            '{"id": 3, "p": 2, "cost": {"type": "step", "breakpoints": [[0, 5], [0, 6]]}}]}',
+            "jobs[2].cost.breakpoints: step cost breakpoint times must be strictly increasing",
+            id="last-cost-constructor",
         ),
     ],
 )

@@ -285,6 +285,23 @@ def test_an_instance_holds_no_object_per_edge():
     assert len({id(x) for table in tables for x in table}) <= inst.n
 
 
+@pytest.mark.parametrize("profile", ["small", "paper", "geo"])
+@pytest.mark.parametrize("n", [1, 7, 40, 150])
+def test_keys_are_ranks_in_p_then_smaller_id_order(n, profile):
+    # keys[j] is j's 1-based position in by_key, so two jobs compare by one
+    # int exactly as their (p, -id) pairs do, ties in p included
+    inst = gen_random(n, seed=25_000 + n, profile=profile)
+    keys, by_key, p = inst.keys, inst.by_key, inst.p
+    assert len(keys) == n + 1 and keys[0] == 0
+    assert [keys[j] for j in by_key] == list(range(1, n + 1))
+    assert list(by_key) == sorted(range(1, n + 1), key=lambda j: (p[j], -j))
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            assert (keys[a] < keys[b]) == ((p[a], -a) < (p[b], -b))
+    if n >= 40:
+        assert len(set(p[1:])) < n  # some jobs tie in p
+
+
 def test_timetable_two_jobs(two_jobs):
     together = timetable([(), (1, 2)], two_jobs)
     assert together.completion == (0, 6)
