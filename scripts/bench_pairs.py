@@ -19,13 +19,17 @@ Standard output gets one JSON object in the shape the ``BENCH_*.json``
 files use: ``command``, ``runs`` (per seed and workload: the per-pair
 ``first_side``, ``failed`` and ``attempted`` counts, ``correct``, and for
 each end-to-end metric the per-pair values with both medians, the relative
-change, the pairs the change wins and the parent's interquartile range)
-and ``claim_result``, which says whether ``latency_p50_s``, the metric
-every perf claim here is made on, meets the claim rule: the change better
-in at least nine of every ten pairs, and the medians apart in the better
-direction by more than the parent's IQR.  Which direction is better comes
-from ``BENCHMARK.json``.  Progress goes to standard error.  A run that
-exits nonzero or prints no result stops the whole and exits 1.
+change, the pairs the change wins, the parent's interquartile range and
+the regression verdict), ``claim_result``, which says whether
+``latency_p50_s``, the metric every perf claim here is made on, meets the
+claim rule: the change better in at least nine of every ten pairs, and the
+medians apart in the better direction by more than the parent's IQR, and
+``regression_result``, which names each end-to-end metric whose change
+median is worse than the parent's by more than its bound (regressed), and
+each whose runs spread wider than that bound (unresolved).  Which
+direction is better, and each bound, come from ``BENCHMARK.json``.
+Progress goes to standard error.  A run that exits nonzero or prints no
+result stops the whole and exits 1.
 """
 
 from __future__ import annotations
@@ -58,10 +62,12 @@ def perfbench_command(workload: str, seed: int, seconds: int) -> list[str]:
     ]
 
 
-def directions() -> dict[str, str]:
-    """``better`` ("lower" or "higher") of each end-to-end metric."""
+def end_to_end() -> dict[str, dict]:
+    """Each end-to-end metric's entry in ``BENCHMARK.json``, by name: its
+    ``better`` ("lower" or "higher") and its ``bound``, the relative change
+    for the worse that counts as a regression."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    return {metric["name"]: metric for metric in spec["end_to_end"]}
 
 
 def run_side(checkout: Path, argv: list[str]) -> dict:
@@ -83,10 +89,10 @@ def iqr(values: list[float]) -> float:
     return upper - lower
 
 
-def summarize(values: dict[str, list[float]], better: str | None) -> dict:
+def summarize(values: dict[str, list[float]], metric: dict | None) -> dict:
     """Per-pair values of one metric with their medians, the relative
-    change of the medians, the parent's IQR and, when the metric has a
-    better direction, the pairs the change wins."""
+    change of the medians, the parent's IQR and, for an end-to-end
+    ``metric``, the pairs the change wins and its regression verdict."""
     parent, change = values["parent"], values["change"]
     parent_median, change_median = statistics.median(parent), statistics.median(change)
     summary = {
@@ -97,10 +103,29 @@ def summarize(values: dict[str, list[float]], better: str | None) -> dict:
         "relative": round((change_median - parent_median) / parent_median, 4) if parent_median else None,
         "parent_iqr": round(iqr(parent), 7) if len(parent) > 1 else 0.0,
     }
-    if better is not None:
-        wins = (c < p if better == "lower" else c > p for p, c in zip(parent, change))
+    if metric is not None:
+        lower = metric["better"] == "lower"
+        wins = (c < p if lower else c > p for p, c in zip(parent, change))
         summary["change_better_pairs"] = sum(wins)
+        summary["bound"] = bound = metric["bound"]
+        summary["regression"] = regression(parent, change, lower, bound)
     return summary
+
+
+def regression(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """"regressed" when the change's median is worse than the parent's by
+    more than ``bound``, relative to the parent's median; otherwise
+    "unresolved" when either side's IQR exceeds ``bound`` of that median
+    and some change run reads no better than some parent run; otherwise
+    "within bound"."""
+    parent_median = statistics.median(parent)
+    scale = abs(parent_median) or 1.0
+    worse = (statistics.median(change) - parent_median) / scale
+    if (worse if lower else -worse) > bound:
+        return "regressed"
+    spread = max(iqr(side) if len(side) > 1 else 0.0 for side in (parent, change)) / scale
+    all_better = max(change) < min(parent) if lower else min(change) > max(parent)
+    return "unresolved" if spread > bound and not all_better else "within bound"
 
 
 def run_pairs(
@@ -125,7 +150,7 @@ def run_pairs(
             result = run_side(checkouts[side], argv)
             results[side].append(result)
             print(f"pair {k + 1}/{pairs} {side}: attempted {result['attempted']}, failed {result['failed']}", file=sys.stderr)
-    better = directions()
+    metrics = end_to_end()
     names = results["parent"][0]["metrics"]
     return {
         "seconds": seconds,
@@ -136,7 +161,7 @@ def run_pairs(
         "attempted": {side: [r["attempted"] for r in results[side]] for side in SIDES},
         "correct": all(r["correct"] for side in SIDES for r in results[side]),
         "metrics": {
-            name: summarize({side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}, better.get(name))
+            name: summarize({side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}, metrics.get(name))
             for name in names
         },
     }
@@ -155,6 +180,25 @@ def claim_result(run: dict, workload: str) -> str:
         f"{'met' if met else 'not met'}. Seed {run['seed']}: {workload} {CLAIM_METRIC} {m['parent_median']} -> "
         f"{m['change_median']} ({m['relative']:+.1%}), change better in {wins}/{pairs} pairs, difference "
         f"{difference:.7g} against a parent IQR of {m['parent_iqr']}; {failed} failed attempts, correct {run['correct']}."
+    )
+
+
+def regression_result(run: dict, workload: str) -> str:
+    """The end-to-end metrics of one workload's runs that regressed or are
+    unresolved under their ``BENCHMARK.json`` bounds."""
+    verdicts = {name: m for name, m in run["metrics"].items() if "regression" in m}
+    parts = []
+    for verdict in ("regressed", "unresolved"):
+        named = [
+            f"{name} {m['parent_median']} -> {m['change_median']} (bound {m['bound']:.1%})"
+            for name, m in verdicts.items()
+            if m["regression"] == verdict
+        ]
+        parts.append(f"{verdict}: {', '.join(named) or 'none'}")
+    regressed = any(m["regression"] == "regressed" for m in verdicts.values())
+    return (
+        f"{'regressed' if regressed else 'no regression'}. Seed {run['seed']}: {workload}, "
+        f"{len(verdicts)} end-to-end metrics; {'; '.join(parts)}."
     )
 
 
@@ -182,6 +226,7 @@ def main(argv=None) -> int:
         "command": f"python3 {shown}",
         "runs": {f"seed_{args.seed}": {args.workload: run}},
         "claim_result": claim_result(run, args.workload),
+        "regression_result": regression_result(run, args.workload),
     }, indent=1))
     return 0
 

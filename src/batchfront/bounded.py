@@ -42,12 +42,10 @@ slot, and the walk of a costly one, read the held costs.  The max cost of
 a converged schedule is read from the held maxima from the lowest
 nonempty slot on.  ``WarmSolver`` holds what this solver shares with the
 precedence one: the held slots, completions, job costs and maxima, the
-lowest nonempty slot, a frozen copy of each slot, the opening rule, the
-converged step and the held-state checks.  An adjustment marks for
-refreezing only the slots whose members it changed: i (j leaves, the
-hoist enters), each carry slot where a swap happens, and e (the hoist
-leaves, the carry lands).  An opening shifts times, not members, and
-marks nothing.
+lowest nonempty slot, the opening rule, the converged step and the
+held-state checks.  A converged step returns only its makespan: its
+schedule is ``form_batches`` of the limits it left, which the frontier
+sweep rebuilds for the steps it keeps.
 
 A pass walks only a span of slots, outside which every slot is clean.  An
 adjustment at i marks slots at or below i, down to e, so the pass lowers
@@ -65,7 +63,7 @@ from bisect import bisect_left, insort
 from typing import Callable
 
 from .admissible import AdmissibleSlots
-from .model import Instance, InvariantError, Schedule, batch_times, eval_cost, freeze_slots, objectives, timetable
+from .model import Instance, InvariantError, Schedule, batch_times, eval_cost, objectives, timetable
 
 Trace = Callable[[str], None]
 
@@ -181,16 +179,12 @@ class WarmSolver:
     an empty slot, which shifts every slot from there on by one setup,
     marks their held maxima stale and their job costs untimed, and lowers
     ``first``.  ``solve`` may be called repeatedly with strictly smaller
-    thresholds, each call going on from the state the previous one left;
-    after an infeasible result the state is spent.  A subclass computes
-    the initial completions with its own module's ``batch_times`` and
-    passes them in.
-
-    ``frozen[i]`` is slot i's members as a frozenset, every empty slot
-    being the shared ``model._EMPTY_SLOT``, and ``dirty`` the set of slots
-    whose members changed since the last snapshot.  A subclass adds a slot
-    to ``dirty`` wherever a job leaves or enters it; ``converged`` refreezes
-    only those, so a snapshot costs one tuple copy plus the changed slots.
+    thresholds, each call going on from the state the previous one left,
+    and returns the converged makespan, or None when the threshold is
+    unattainable; after an infeasible result the state is spent.  A
+    converged step's schedule is a function of its limits, so the solver
+    builds none.  A subclass computes the initial completions with its own
+    module's ``batch_times`` and passes them in.
     """
 
     def __init__(
@@ -210,36 +204,27 @@ class WarmSolver:
         self.cost: list[int | None] = [None] * (instance.n + 1)  # by job id
         self.timed = [False] * len(slots)
         self.first = next(c for c in range(1, len(slots)) if slots[c])
-        self.frozen = list(freeze_slots(slots))
-        self.dirty: set[int] = set()
         self.max_cost: int | None = None
         self.trace = trace
         self.check = check
         self.adjustments = 0
         self.passes = 0
 
-    def converged(self) -> Schedule:
-        """After a clean pass: set ``max_cost`` from the held maxima, refreeze
-        the dirty slots and return a snapshot of the frozen slots and held
-        completions.  Check mode compares the snapshot with a ``timetable``
-        of the held slots and ``max_cost`` with ``objectives``."""
+    def converged(self) -> int:
+        """After a clean pass: set ``max_cost`` from the held maxima and
+        return the makespan.  Check mode compares the held completions with
+        a ``timetable`` of the held slots and ``max_cost`` with
+        ``objectives``."""
         # a clean pass left every nonempty slot's entry current
         self.max_cost = max(self.top[self.first :])
-        instance = self.instance
-        slots = self.slots
-        frozen = self.frozen
-        # a step that empties a slot is infeasible, so a dirty slot holds
-        # jobs and every empty slot keeps the shared empty set
-        for c in self.dirty:
-            frozen[c] = frozenset(slots[c])
-        self.dirty.clear()
-        snapshot = Schedule(tuple(frozen[1:]), tuple(self.completion[1:]), instance.setup)
         if self.check:
-            if snapshot != timetable(slots[1:], instance):
-                raise InvariantError("snapshot differs from a timetable of its slots")
-            if self.max_cost != objectives(snapshot, instance)[1]:
+            instance = self.instance
+            held = timetable(self.slots[1:], instance)
+            if list(held.completion) != self.completion[1:]:
+                raise InvariantError("held completions differ from a timetable of their slots")
+            if self.max_cost != objectives(held, instance)[1]:
                 raise InvariantError("held max cost differs from objectives")
-        return snapshot
+        return self.completion[-1]
 
     def held_max(self, c: int) -> int:
         """Refresh slot c's stale held max from its members' held costs,
@@ -332,8 +317,7 @@ class BoundedSolver(WarmSolver):
     stale max when it reaches the slot, from the held costs when the slot
     is timed, and skips the slot outright when the held max is below the
     threshold.  Thresholds only shrink, so a new step's first pass reuses
-    every held value.  It adds to ``dirty`` only i, e and the carry slots
-    where a swap happens.
+    every held value.
 
     A pass walks a span high..low, not every nonempty slot: ``_adjust``
     returns e, the pass lowers ``low`` to it, and hands the next pass the
@@ -373,9 +357,10 @@ class BoundedSolver(WarmSolver):
         """Solver over unrestricted limits; the greedy fill never fails there."""
         return cls(instance, AdmissibleSlots.unrestricted(instance), trace, check)
 
-    def solve(self, threshold) -> Schedule | None:
-        """Minimum-makespan schedule with every cost strictly below the
-        threshold, or None when the current limits admit none.
+    def solve(self, threshold) -> int | None:
+        """Makespan of the minimum-makespan schedule with every cost
+        strictly below the threshold, which the held slots then form, or
+        None when the current limits admit none.
 
         A step to the last converged max cost starts on ``due``, the span
         from the highest down to the lowest slot holding that max: every
@@ -390,10 +375,10 @@ class BoundedSolver(WarmSolver):
             if not span:
                 if self.check:
                     self._check_clean(threshold)
-                snapshot = self.converged()
+                makespan = self.converged()
                 top, worst = self.top, self.max_cost
                 self.due = (len(top) - 1 - top[::-1].index(worst), top.index(worst, self.first))
-                return snapshot
+                return makespan
 
     def _adjust_pass(self, threshold, high: int, low: int) -> tuple[int, int] | tuple[()] | None:
         """One descending sweep over slots high..low.
@@ -474,8 +459,6 @@ class BoundedSolver(WarmSolver):
         batch = slots[i]
         del batch[bisect_left(batch, keys[j], key=by_key)]
         self.adjustments += 1
-        refreeze = self.dirty.add
-        refreeze(i)  # j leaves; the hoist, if any, enters
         top = self.top
         top[i] = None
 
@@ -548,7 +531,6 @@ class BoundedSolver(WarmSolver):
                 insort(batch, carry, key=by_key)
                 if limit[carry] > reach[c]:
                     reach[c] = limit[carry]
-                refreeze(c)
                 top[c] = None
                 if not delta and timed[c]:
                     cost[carry] = value[carry](completion[c])
@@ -564,7 +546,6 @@ class BoundedSolver(WarmSolver):
         insort(slots[e], carry, key=by_key)
         if limit[carry] > reach[e]:
             reach[e] = limit[carry]
-        refreeze(e)  # the hoist, if any, leaves; the carry lands
         top[e] = None
         if opened:
             self._open(e)

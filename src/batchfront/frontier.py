@@ -9,7 +9,9 @@ frontier point and the minimizer of max cost alone.
 Because the makespan of any schedule is (number of nonempty batches) *
 setup + total processing time, consecutive solutions with equal makespan
 differ only in cost; only the last of such a run is recorded, so the
-output never contains a dominated pair.
+output never contains a dominated pair.  A solver step yields only its
+makespan and max cost; the sweep builds a point's schedule from the limits
+that step left, and only for the steps it records.
 """
 
 from __future__ import annotations
@@ -18,15 +20,21 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .admissible import AdmissibleSlots
-from .bounded import UNBOUNDED, BoundedSolver, Trace, solve_reference
-from .model import Instance, InstanceError, InvariantError, Schedule, objectives
+from .bounded import UNBOUNDED, BoundedSolver, Trace, form_batches, solve_reference
+from .model import Instance, InstanceError, InvariantError, Schedule, batch_times, freeze_slots, objectives
 from .precedence import PrecedenceSolver
 
-# on_step(limits before the call, threshold, result or None, limits after):
+# on_step(limits before the call, threshold, schedule or None, limits after):
 # one invocation per threshold step, for differential verification.  The
-# limits before are a copy made for the hook, which owns it and may change
-# it; the limits after are the solver's own and must be left as they are.
+# schedule is the one the sweep builds from the limits after, None when the
+# step is infeasible.  The limits before are the sweep's copy, which the
+# hook owns and may change once the sweep has read it; the limits after are
+# the solver's own and must be left as they are.
 StepHook = Callable[[AdmissibleSlots, object, Schedule | None, AdmissibleSlots], None]
+
+# fill(instance, limits): the 1-based slot lists (index 0 unused) that a
+# converged step holds under those limits.
+Fill = Callable[[Instance, AdmissibleSlots], list]
 
 
 @dataclass(frozen=True)
@@ -73,24 +81,45 @@ def frontier_csv(rows: Iterable[tuple[int, int, Schedule]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep(instance: Instance, solver, on_step: StepHook | None) -> ParetoFront:
+def _groups(instance: Instance, limits: AdmissibleSlots) -> list[list[int]]:
+    """The fill of the unbounded model: every group is its own batch."""
+    return limits.groups()
+
+
+def _timed(instance: Instance, fill: Fill, limits: AdmissibleSlots) -> Schedule:
+    """The schedule a converged step holds: ``fill`` of the limits it left,
+    with its times.  Check mode holds the solvers' slots to that fill, so
+    ``timetable``'s shape check is not repeated here."""
+    slots = fill(instance, limits)
+    return Schedule(freeze_slots(slots[1:]), tuple(batch_times(slots, instance)[1:]), instance.setup)
+
+
+def _sweep(instance: Instance, solver, fill: Fill, on_step: StepHook | None) -> ParetoFront:
     """Run the threshold sweep on a solver that has ``limits``,
-    ``solve(threshold)`` and ``max_cost``, the max cost of the schedule its
-    last solve returned."""
+    ``solve(threshold)``, which returns the converged makespan or None, and
+    ``max_cost``, the max cost of the step it last converged.
+
+    Each step starts from a copy of the limits, which are the ones the
+    previous step left.  When a step raises the makespan or is infeasible,
+    the previous step is a point, and its schedule is built from that copy
+    with ``fill``; the hook's schedule is built from the limits the step
+    left the same way."""
     points: list[ParetoPoint] = []
     threshold = UNBOUNDED
-    prev: ParetoPoint | None = None
+    last: tuple[int, int] | None = None  # (makespan, max cost) of the previous step
     steps = 0
     while True:
-        before = solver.limits.copy() if on_step else None
-        schedule = solver.solve(threshold)
+        before = solver.limits.copy()
+        makespan = solver.solve(threshold)
         steps += 1
+        if last is not None and (makespan is None or makespan > last[0]):
+            points.append(ParetoPoint(*last, _timed(instance, fill, before)))
         if on_step:
+            schedule = None if makespan is None else _timed(instance, fill, solver.limits)
             on_step(before, threshold, schedule, solver.limits)
-        if schedule is None:
-            if prev is None:
+        if makespan is None:
+            if last is None:
                 raise InvariantError("the uncapped solve failed on a valid instance")
-            points.append(prev)
             if len(points) > instance.n:
                 raise InvariantError(f"{len(points)} frontier points for {instance.n} jobs")
             return ParetoFront(
@@ -98,12 +127,10 @@ def _sweep(instance: Instance, solver, on_step: StepHook | None) -> ParetoFront:
                 relocations=solver.limits.relocations,
                 threshold_steps=steps,
             )
-        makespan, max_cost = schedule.makespan, solver.max_cost
+        max_cost = solver.max_cost
         if not max_cost < threshold:
             raise InvariantError(f"max cost {max_cost} is not below the threshold {threshold}")
-        if prev is not None and makespan > prev.makespan:
-            points.append(prev)
-        prev = ParetoPoint(makespan, max_cost, schedule)
+        last = makespan, max_cost
         threshold = max_cost
 
 
@@ -117,7 +144,7 @@ def pareto_bounded(
     if not instance.bounded:
         raise InstanceError("bounded frontier requires an instance with integer capacity")
     solver = BoundedSolver.initial(instance, trace=trace, check=check)
-    return _sweep(instance, solver, on_step)
+    return _sweep(instance, solver, form_batches, on_step)
 
 
 def pareto_bounded_naive(instance: Instance) -> ParetoFront:
@@ -133,16 +160,19 @@ def pareto_bounded_naive(instance: Instance) -> ParetoFront:
 
     class _Restarting:
         def __init__(self):
-            self.limits = AdmissibleSlots.unrestricted(instance)  # carries the move total
+            self.limits = AdmissibleSlots.unrestricted(instance)
 
         def solve(self, threshold):
             fresh = AdmissibleSlots.unrestricted(instance)
             result = solve_reference(instance, fresh, threshold)
-            self.limits.relocations += fresh.relocations
-            self.max_cost = None if result is None else objectives(result, instance)[1]
-            return result
+            fresh.relocations += self.limits.relocations  # the final limits carry the move total
+            self.limits = fresh
+            if result is None:
+                return None
+            self.max_cost = objectives(result, instance)[1]
+            return result.makespan
 
-    return _sweep(instance, _Restarting(), None)
+    return _sweep(instance, _Restarting(), form_batches, None)
 
 
 def pareto_precedence(
@@ -155,7 +185,7 @@ def pareto_precedence(
     if instance.bounded:
         raise InstanceError("precedence frontier requires unbounded capacity")
     solver = PrecedenceSolver.initial(instance, trace=trace, check=check)
-    return _sweep(instance, solver, on_step)
+    return _sweep(instance, solver, _groups, on_step)
 
 
 def pareto_front(

@@ -402,12 +402,14 @@ class Schedule:
 def batch_times(slots, instance: Instance) -> list[int]:
     """No-idle completion times for 1-based slot sets (index 0 unused)."""
     n = instance.n
-    p = instance.p
+    setup = instance.setup
+    p = instance.p.__getitem__
     completion = [0] * (n + 1)
     t = 0
     for i in range(1, n + 1):
-        if slots[i]:
-            t += instance.setup + sum(p[j] for j in slots[i])
+        batch = slots[i]
+        if batch:
+            t += setup + sum(map(p, batch))
         completion[i] = t
     return completion
 
@@ -452,7 +454,7 @@ _EMPTY_SLOT: frozenset[int] = frozenset()
 
 def freeze_slots(slots: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
     """Slot contents as a tuple of frozensets, every empty slot being one
-    shared empty set: a snapshot of n slots with few nonempty ones then
+    shared empty set: a schedule of n slots with few nonempty ones then
     allocates a set only per batch."""
     return tuple([frozenset(batch) if batch else _EMPTY_SLOT for batch in slots])
 

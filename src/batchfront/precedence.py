@@ -26,7 +26,7 @@ from bisect import bisect_left, insort
 
 from .admissible import AdmissibleSlots
 from .bounded import Trace, WarmSolver, tolerated_slot
-from .model import Instance, InvariantError, Schedule, batch_times
+from .model import Instance, InvariantError, batch_times
 from .model import timetable  # noqa: F401 - unused here; perfbench/tracer.py times calls through this name
 from .model import eval_cost  # noqa: F401 - unused here; perfbench/tracer.py counts calls through this name
 
@@ -89,8 +89,7 @@ class PrecedenceSolver(WarmSolver):
     end: each shifts ``completion`` by the job's processing time on its
     target..origin-1, marks those groups' maxima stale and their job costs
     untimed (the target is among them, so a landing job needs no
-    evaluation), calls ``_open`` when it opens its target, and adds only
-    its origin and target to ``dirty``.
+    evaluation), and calls ``_open`` when it opens its target.
     Propagation reads ``Instance.preds_by_layer`` and stops at the first
     predecessor whose sink layer is below the target: a job's limit never
     exceeds its layer, and its bound never exceeds its limit, so no
@@ -127,9 +126,10 @@ class PrecedenceSolver(WarmSolver):
     ) -> "PrecedenceSolver":
         return cls(instance, layered_limits(instance, PrecGraph(instance)), trace, check)
 
-    def solve(self, threshold) -> Schedule | None:
-        """Minimum-makespan schedule satisfying limits, precedence, and the
-        strict cost cap, or None when none exists."""
+    def solve(self, threshold) -> int | None:
+        """Makespan of the minimum-makespan schedule satisfying limits,
+        precedence, and the strict cost cap, whose batches the held groups
+        then are, or None when none exists."""
         before: list[int] | None = None
         while True:
             # the nonempty groups are first..n: moves land only on an
@@ -229,9 +229,8 @@ class PrecedenceSolver(WarmSolver):
         list for its target's, and slots target..origin-1 complete later by
         its processing time.  A move that opens its target calls ``_open``,
         which shifts every slot from the target on by one setup.  The held
-        maxima of the slots whose times or members changed go stale, the
-        retimed slots are untimed, and the origin and target go to
-        ``dirty`` for the next snapshot."""
+        maxima of the slots whose times or members changed go stale, and
+        the retimed slots are untimed."""
         p = self.instance.p
         keys = self.instance.keys
         by_key = keys.__getitem__
@@ -239,15 +238,12 @@ class PrecedenceSolver(WarmSolver):
         completion = self.completion
         top = self.top
         timed = self.timed
-        refreeze = self.dirty.add
         for j, i, target in moves:
             origin = slots[i]
             del origin[bisect_left(origin, keys[j], key=by_key)]
             if not slots[target]:
                 self._open(target)  # no earlier move left it, so it was empty all pass
             insort(slots[target], j, key=by_key)
-            refreeze(i)
-            refreeze(target)
             pj = p[j]
             for c in range(target, i):
                 completion[c] += pj

@@ -75,12 +75,42 @@ def test_the_output_has_the_bench_file_shape(pairs):
     for summary in run["metrics"].values():
         assert set(summary) == {
             "parent", "change", "parent_median", "change_median", "relative", "change_better_pairs", "parent_iqr",
+            "bound", "regression",
         }
         assert 0 <= summary["change_better_pairs"] <= 3
     p50 = run["metrics"]["latency_p50_s"]
     assert (p50["parent_median"], p50["change_median"], p50["parent_iqr"]) == (3.0, 2.0, 2.0)
     verdict = SCRIPT["claim_result"](run, "stub")
     assert verdict.startswith(("met. Seed 7: stub latency_p50_s 3.0 -> 2.0", "not met. Seed 7: stub latency_p50_s 3.0 -> 2.0"))
+
+
+def test_each_metric_is_judged_against_its_bound(pairs):
+    # latency_p50_s (better lower, bound 25%) reads 3.0 -> 2.0, better, but
+    # the parent's IQR of 2.0 is 67% of its median; throughput_ips (better
+    # higher, bound 25%) reads 3.0 -> 2.0, 33% worse
+    run, _, _ = pairs
+    assert run["metrics"]["latency_p50_s"]["regression"] == "unresolved"
+    assert run["metrics"]["throughput_ips"]["regression"] == "regressed"
+    assert SCRIPT["regression_result"](run, "stub") == (
+        "regressed. Seed 7: stub, 2 end-to-end metrics; regressed: throughput_ips 3.0 -> 2.0 (bound 25.0%); "
+        "unresolved: latency_p50_s 3.0 -> 2.0 (bound 25.0%)."
+    )
+
+
+@pytest.mark.parametrize(
+    "parent, change, verdict",
+    [
+        ([1.0, 1.01, 0.99, 1.0, 1.02], [1.2, 1.21, 1.19, 1.2, 1.22], "within bound"),
+        ([1.0, 1.01, 0.99, 1.0, 1.02], [1.3, 1.31, 1.29, 1.3, 1.32], "regressed"),
+        ([1.0, 1.5, 0.5, 1.0, 2.0], [1.1, 1.6, 0.6, 1.1, 2.1], "unresolved"),
+        ([1.0, 1.5, 0.7, 1.0, 2.0], [0.5, 0.6, 0.4, 0.5, 0.6], "within bound"),
+    ],
+    ids=["close", "worse", "spread", "spread-but-every-run-better"],
+)
+def test_regression_verdicts_of_a_lower_is_better_metric(parent, change, verdict):
+    assert SCRIPT["regression"](parent, change, True, 0.25) == verdict
+    # the same runs of a higher-is-better metric, negated
+    assert SCRIPT["regression"]([-v for v in parent], [-v for v in change], False, 0.25) == verdict
 
 
 def test_a_run_without_a_result_stops_the_pairs(tmp_path):

@@ -81,12 +81,10 @@ def test_reference_solver_refuses_limits_whose_prefix_outgrows_its_slots():
 
 def test_incremental_solver_warm_ladder(two_jobs):
     solver = BoundedSolver.initial(two_jobs, check=True)
-    first = solver.solve(UNBOUNDED)
-    assert objectives(first, two_jobs) == (6, 3)
+    assert (solver.solve(UNBOUNDED), solver.max_cost) == (6, 3)
 
-    second = solver.solve(3)
-    assert second.slots == (frozenset({1}), frozenset({2}))
-    assert objectives(second, two_jobs) == (8, 0)
+    assert (solver.solve(3), solver.max_cost) == (8, 0)
+    assert solver.slots == [[], [1], [2]]
 
     assert solver.solve(0) is None
 
@@ -94,14 +92,15 @@ def test_incremental_solver_warm_ladder(two_jobs):
 def test_unbounded_threshold_changes_nothing(two_jobs):
     solver = BoundedSolver.initial(two_jobs)
     before = timetable(solver.slots[1:], two_jobs)
-    assert solver.solve(UNBOUNDED) == before
+    assert solver.solve(UNBOUNDED) == before.makespan
+    assert timetable(solver.slots[1:], two_jobs) == before
     assert solver.limits.relocations == 0
 
 
 def test_violation_in_first_slot_is_infeasible():
     inst = Instance(jobs=(Job(1, 2, Lateness(1)),), setup=1, capacity=1)
     solver = BoundedSolver.initial(inst)
-    assert objectives(solver.solve(UNBOUNDED), inst) == (3, 2)
+    assert (solver.solve(UNBOUNDED), solver.max_cost) == (3, 2)
     assert solver.solve(2) is None
 
 
@@ -215,8 +214,9 @@ def test_incremental_agrees_with_reference_on_step_costs():
 @pytest.mark.parametrize("profile", ["small", "geo", "staged"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_every_main1_step_matches_the_reference_beyond_the_oracle(profile, seed):
-    # check mode on, every step replayed by the from-scratch reference
-    # solver and the schedule compared with a rebuild of the limits it left
+    # check mode on, which compares the held slots with a rebuild of the
+    # limits after every adjustment, and every step replayed by the
+    # from-scratch reference solver
     assert check_instance(gen_random(60, seed, profile, capacity=2)) == []
 
 
@@ -229,9 +229,9 @@ def test_spent_solver_state_is_documented_behaviour(two_jobs):
 def test_incremental_times_match_a_full_retime(two_jobs):
     solver = BoundedSolver.initial(two_jobs)
     solver.solve(UNBOUNDED)
-    slots = solver.solve(3).slots  # opens a batch in the empty slot 1
+    assert solver.solve(3) == 8  # opens a batch in the empty slot 1
     assert solver.completion == [0, 3, 8]
-    assert solver.completion == batch_times([set()] + [set(s) for s in slots], two_jobs)
+    assert solver.completion == batch_times([set(s) for s in solver.slots], two_jobs)
 
 
 _CORRUPTED_COMPLETION = textwrap.dedent(
@@ -374,10 +374,10 @@ def test_held_slots_stay_in_key_order_through_a_whole_sweep():
     assert _in_key_order(inst, solver.slots)
     threshold, steps = UNBOUNDED, 0
     while True:
-        schedule = solver.solve(threshold)
+        makespan = solver.solve(threshold)
         steps += 1
         assert _in_key_order(inst, solver.slots), f"step {steps}"
-        if schedule is None:
+        if makespan is None:
             break
         threshold = solver.max_cost
     assert steps == 314
@@ -398,10 +398,10 @@ def test_reach_stays_an_upper_bound_through_a_whole_sweep():
     assert solver.reach == [max((limit[x] for x in batch), default=0) for batch in solver.slots]
     threshold, steps = UNBOUNDED, 0
     while True:
-        schedule = solver.solve(threshold)
+        makespan = solver.solve(threshold)
         steps += 1
         assert _reach_misses(solver) == [], f"step {steps}"
-        if schedule is None:
+        if makespan is None:
             break
         threshold = solver.max_cost
     assert steps == 314
@@ -437,14 +437,14 @@ def test_check_mode_catches_a_slot_out_of_key_order():
         solver.solve(solver.max_cost)
 
 
-def test_check_mode_catches_a_snapshot_off_its_times(two_jobs):
+def test_check_mode_catches_held_completions_off_a_timetable_of_their_slots(two_jobs):
     solver = BoundedSolver.initial(two_jobs, check=True)
-    solver.completion[2] += 1  # the uncapped solve adjusts nothing, so only the snapshot can notice
-    with pytest.raises(InvariantError, match="^snapshot differs from a timetable of its slots$"):
+    solver.completion[2] += 1  # the uncapped solve adjusts nothing, so only the converged step can notice
+    with pytest.raises(InvariantError, match="^held completions differ from a timetable of their slots$"):
         solver.solve(UNBOUNDED)
     unchecked = BoundedSolver.initial(two_jobs)
     unchecked.completion[2] += 1
-    assert unchecked.solve(UNBOUNDED).makespan == 7
+    assert unchecked.solve(UNBOUNDED) == 7
 
 
 def test_check_mode_catches_a_corrupted_held_slot_max(two_jobs):
@@ -470,41 +470,6 @@ def test_check_mode_catches_a_corrupted_held_slot_max(two_jobs):
     solver.top[2] -= 1
     with pytest.raises(InvariantError, match="^held max cost differs from objectives$"):
         solver.solve(3)
-
-
-def _drop_refreezes(monkeypatch, dropped):
-    """Make every adjustment take back the refreeze marks it made on the
-    slots ``dropped(changed)`` picks from the ascending slots whose members
-    it changed; a slot already marked earlier in the step keeps its mark."""
-    adjust = BoundedSolver._adjust
-
-    def adjust_dropping(self, j, i):
-        members = [set(batch) for batch in self.slots]
-        marked = set(self.dirty)
-        feasible = adjust(self, j, i)
-        changed = [c for c, batch in enumerate(self.slots) if set(batch) != members[c]]
-        self.dirty -= set(dropped(changed)) - marked
-        return feasible
-
-    monkeypatch.setattr(BoundedSolver, "_adjust", adjust_dropping)
-
-
-# the lowest slot an adjustment changes is e, where the carry lands; the
-# ones between e and i are the carry slots where a swap happened
-@pytest.mark.parametrize("dropped", [lambda changed: changed[:1], lambda changed: changed[1:-1]], ids=["e", "swaps"])
-def test_check_mode_catches_a_dropped_refreeze(monkeypatch, dropped):
-    inst = gen_random(40, 2, "small", capacity=2)
-    _drop_refreezes(monkeypatch, dropped)
-    with pytest.raises(InvariantError, match="^snapshot differs from a timetable of its slots$"):
-        pareto_bounded(inst, check=True)
-    # unchecked, the same sweep returns snapshots whose slots lag behind
-    # the held ones
-    solver = BoundedSolver.initial(inst)
-    threshold, stale = UNBOUNDED, 0
-    while (schedule := solver.solve(threshold)) is not None:
-        stale += schedule.slots != timetable(solver.slots[1:], inst).slots
-        threshold = solver.max_cost
-    assert stale
 
 
 class _IgnoresSliceAssignment(list):
@@ -539,9 +504,9 @@ def test_an_opening_re_evaluates_the_slots_it_shifts():
     # 3, right of the adjustment, completes a setup later: its held max
     # must be re-evaluated too (-4 at 25, -1 at 28)
     solver = BoundedSolver.initial(_opens_slot_1_on_the_third_step(), check=True)
-    assert solver.solve(UNBOUNDED).completion == (0, 7, 25) and solver.max_cost == 21
-    assert solver.solve(21).completion == (0, 14, 25) and solver.top == [None, None, 17, -4]
-    assert solver.solve(17).completion == (7, 17, 28)
+    assert solver.solve(UNBOUNDED) == 25 and solver.completion == [0, 0, 7, 25] and solver.max_cost == 21
+    assert solver.solve(21) == 25 and solver.completion == [0, 0, 14, 25] and solver.top == [None, None, 17, -4]
+    assert solver.solve(17) == 28 and solver.completion == [0, 7, 17, 28]
     assert solver.top == [None, 10, 13, -1] and solver.max_cost == 13
 
 

@@ -1,9 +1,11 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from batchfront import verify
 from batchfront.admissible import AdmissibleSlots
-from batchfront.bounded import UNBOUNDED, BoundedSolver
+from batchfront.bounded import UNBOUNDED, BoundedSolver, form_batches, solve_reference
 from batchfront.frontier import (
     _sweep,
     pareto_bounded,
@@ -11,7 +13,7 @@ from batchfront.frontier import (
     pareto_front,
     pareto_precedence,
 )
-from batchfront.generate import gen_random
+from batchfront.generate import SplitMix64, gen_random
 from batchfront.model import (
     _EMPTY_SLOT,
     Instance,
@@ -129,7 +131,7 @@ class _StubSolver:
 
     def __init__(self, instance, result):
         self.limits = AdmissibleSlots.unrestricted(instance)
-        self.result = result
+        self.result = None if result is None else result.makespan
         self.max_cost = None if result is None else objectives(result, instance)[1]
 
     def solve(self, threshold):
@@ -139,10 +141,10 @@ class _StubSolver:
 def test_sweep_invariants_are_not_asserts(two_jobs):
     # plain asserts, which python -O strips, guarded these two before
     with pytest.raises(InvariantError, match="uncapped solve failed"):
-        _sweep(two_jobs, _StubSolver(two_jobs, None), None)
+        _sweep(two_jobs, _StubSolver(two_jobs, None), form_batches, None)
     same_schedule = timetable([(), (1, 2)], two_jobs)  # max cost 3 at every threshold
     with pytest.raises(InvariantError, match="max cost 3 is not below the threshold 3"):
-        _sweep(two_jobs, _StubSolver(two_jobs, same_schedule), None)
+        _sweep(two_jobs, _StubSolver(two_jobs, same_schedule), form_batches, None)
 
 
 def _sweep_cases(profile, n, seeds=(1, 2, 3)):
@@ -156,9 +158,9 @@ def _sweep_cases(profile, n, seeds=(1, 2, 3)):
 
 @pytest.mark.parametrize("n", [5, 9, 17, 33, 60])
 @pytest.mark.parametrize("profile", ["small", "paper", "prec"])
-def test_solver_snapshots_equal_a_timetable_of_their_slots(profile, n):
-    # with check mode off, the solvers time their snapshots from the state
-    # they hold; every threshold step's schedule must still be exactly what
+def test_step_schedules_equal_a_timetable_of_their_slots(profile, n):
+    # the hook gets one schedule per feasible threshold step, which the
+    # sweep builds from the limits the step left; each must be exactly what
     # timetable makes of its slots
     for sweep, inst in _sweep_cases(profile, n):
         snapshots = []
@@ -169,11 +171,9 @@ def test_solver_snapshots_equal_a_timetable_of_their_slots(profile, n):
 
 
 @pytest.mark.parametrize("sweep, profile, steps", [(pareto_bounded, "geo", 343), (pareto_precedence, "geo-prec", 31)])
-def test_held_snapshots_keep_the_slots_and_times_they_were_returned_with(sweep, profile, steps):
-    # the solvers refreeze only the slots a step changed and share every
-    # other frozen slot with the snapshots before it; no later step may
-    # change what an earlier snapshot holds, and every empty slot stays the
-    # one shared empty set
+def test_step_schedules_keep_the_slots_and_times_they_were_handed_with(sweep, profile, steps):
+    # no later step may change what an earlier step's schedule holds, and
+    # every empty slot is the one shared empty set
     inst = gen_random(60, 1, profile)
     held = []
 
@@ -194,8 +194,7 @@ def test_held_snapshots_keep_the_slots_and_times_they_were_returned_with(sweep, 
 @pytest.mark.parametrize("n", [5, 17, 60])
 @pytest.mark.parametrize("profile", ["small", "paper", "prec"])
 def test_derived_starts_follow_the_processing_times(profile, n):
-    # a schedule stores no starts; whether it comes from timetable or from a
-    # solver's held completions, a nonempty slot must start exactly its
+    # a schedule stores no starts; a nonempty slot must start exactly its
     # processing time before it completes, and the empty prefix at 0
     assert [f.name for f in dataclasses.fields(Schedule)] == ["slots", "completion", "setup"]
     for sweep, inst in _sweep_cases(profile, n, seeds=(1, 2)):
@@ -213,18 +212,18 @@ def test_derived_starts_follow_the_processing_times(profile, n):
 @pytest.mark.parametrize("n", [5, 9, 17, 33, 60])
 @pytest.mark.parametrize("profile", ["small", "paper", "prec"])
 def test_solver_max_cost_equals_objectives_at_every_step(profile, n):
-    # with check mode off, each warm solver reports the max cost of the
-    # schedule it returns from the values it already holds; driving the
-    # next threshold from that report must give the full evaluation's value
-    # at every feasible step, and the sweep's step count
+    # with check mode off, each warm solver reports the makespan and the
+    # max cost of the slots it holds from the values it already holds;
+    # driving the next threshold from that report must give the full
+    # evaluation's values at every feasible step, and the sweep's step count
     solvers = {pareto_bounded: BoundedSolver, pareto_precedence: PrecedenceSolver}
     for sweep, inst in _sweep_cases(profile, n):
         solver = solvers[sweep].initial(inst)
         threshold = UNBOUNDED
         steps = 0
-        while (sched := solver.solve(threshold)) is not None:
+        while (makespan := solver.solve(threshold)) is not None:
             steps += 1
-            assert solver.max_cost == objectives(sched, inst)[1]
+            assert (makespan, solver.max_cost) == objectives(timetable(solver.slots[1:], inst), inst)
             threshold = solver.max_cost
         assert steps + 1 == sweep(inst).threshold_steps
 
@@ -239,3 +238,68 @@ def test_capacity_n_and_no_edges_give_both_models_one_frontier(profile, n):
         bounded = gen_random(n, seed, profile, capacity=n)
         unbounded = Instance(jobs=bounded.jobs, setup=bounded.setup, capacity=None)
         assert pareto_bounded(bounded).points == pareto_precedence(unbounded).points
+
+
+def _held_points(solver, inst):
+    """Drive a solver by hand through the sweep's thresholds: the makespan,
+    max cost and a timetable of the held slots of the last step of each
+    makespan run."""
+    points = []
+    threshold = UNBOUNDED
+    last = None
+    while (makespan := solver.solve(threshold)) is not None:
+        if last is not None and makespan > last[0]:
+            points.append(last)
+        last = (makespan, solver.max_cost, timetable(solver.slots[1:], inst))
+        threshold = solver.max_cost
+    return points + [last]
+
+
+@pytest.mark.parametrize("n", [5, 17, 60])
+@pytest.mark.parametrize(
+    "profile, capacity",
+    [("small", 2), ("small", "n // 5"), ("paper", None), ("geo", None), ("staged", None), ("prec", None), ("geo-prec", None)],
+)
+def test_every_witness_equals_the_solver_held_state(profile, capacity, n):
+    # the sweep rebuilds each point's schedule from the limits its step
+    # left; that must be the schedule the solver held at that step
+    for seed in (1, 2, 3):
+        if profile in ("prec", "geo-prec"):
+            inst = gen_random(n, seed, profile)
+            solver, sweep = PrecedenceSolver.initial(inst), pareto_precedence
+        else:
+            b = max(1, n // 5) if capacity == "n // 5" else capacity
+            inst = gen_random(n, seed, profile, capacity=b)
+            solver, sweep = BoundedSolver.initial(inst), pareto_bounded
+        front = sweep(inst)
+        assert [(pt.makespan, pt.max_cost, pt.schedule) for pt in front.points] == _held_points(solver, inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    profile=st.sampled_from(["small", "paper", "geo", "staged", "prec", "geo-prec"]),
+    n=st.integers(4, 60),
+    capacity=st.sampled_from([None, 2, 3]),
+    seed=st.integers(0, 2**32),
+)
+def test_warm_solvers_meet_their_contract_below_the_last_max_cost(profile, n, capacity, seed):
+    # ``solve`` promises any strictly smaller threshold, not only the last
+    # max cost: each step drops below it by 0-5, in check mode, and is
+    # replayed from a copy of the limits it started from
+    unbounded = profile in ("prec", "geo-prec")
+    inst = gen_random(n, seed, profile, capacity=None if unbounded else capacity)
+    solver = (PrecedenceSolver if unbounded else BoundedSolver).initial(inst, check=True)
+    drops = SplitMix64(seed)
+    threshold = UNBOUNDED
+    while True:
+        before = solver.limits.copy()
+        makespan = solver.solve(threshold)
+        schedule = None if makespan is None else timetable(solver.slots[1:], inst)
+        if unbounded:
+            assert verify._replay_fresh(inst, before, threshold, schedule, solver.limits) == []
+        else:
+            assert solve_reference(inst, before, threshold) == schedule
+        if makespan is None:
+            break
+        assert objectives(schedule, inst) == (makespan, solver.max_cost)
+        threshold = solver.max_cost - drops.randint(0, 5)

@@ -348,12 +348,14 @@ def test_timetable_is_idempotent(two_jobs):
 
 
 @pytest.mark.parametrize("solver_class, profile", [(BoundedSolver, "paper"), (PrecedenceSolver, "prec")])
-def test_snapshots_share_one_empty_slot_and_equal_a_timetable_of_their_slots(solver_class, profile):
-    # n = 60 leaves dozens of empty slots in every snapshot of either solver
+def test_timetables_of_held_slots_share_one_empty_slot_and_equal_the_held_times(solver_class, profile):
+    # n = 60 leaves dozens of empty slots at every step of either solver
     inst = gen_random(60, 3, profile)
     solver = solver_class.initial(inst)
     threshold, snapshots = UNBOUNDED, []
-    while (schedule := solver.solve(threshold)) is not None:
+    while (makespan := solver.solve(threshold)) is not None:
+        schedule = timetable(solver.slots[1:], inst)
+        assert schedule.completion == tuple(solver.completion[1:]) and schedule.makespan == makespan
         snapshots.append(schedule)
         threshold = solver.max_cost
     retimed = [timetable(schedule.slots, inst) for schedule in snapshots]

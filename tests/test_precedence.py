@@ -240,9 +240,8 @@ class TestLayering:
 class TestPrecedenceSolver:
     def test_fork_unconstrained(self, fork):
         solver = PrecedenceSolver.initial(fork, check=True)
-        sched = solver.solve(UNBOUNDED)
-        assert sched.slots == (frozenset(), frozenset({1}), frozenset({2, 3}))
-        assert objectives(sched, fork) == (6, 0)
+        assert (solver.solve(UNBOUNDED), solver.max_cost) == (6, 0)
+        assert timetable(solver.slots[1:], fork).slots == (frozenset(), frozenset({1}), frozenset({2, 3}))
 
     def test_fork_zero_cap_is_infeasible(self, fork):
         solver = PrecedenceSolver.initial(fork)
@@ -255,18 +254,17 @@ class TestPrecedenceSolver:
             setup=1,
             capacity=None,
         )
-        sched = PrecedenceSolver.initial(inst).solve(UNBOUNDED)
-        assert sched.slots == (frozenset(), frozenset({1, 2}))
+        solver = PrecedenceSolver.initial(inst)
+        assert solver.solve(UNBOUNDED) == 4
+        assert timetable(solver.slots[1:], inst).slots == (frozenset(), frozenset({1, 2}))
 
     def test_returned_schedules_respect_precedence(self):
         for seed in range(80):
             inst = gen_random(2 + seed % 6, seed=40_000 + seed, profile="prec")
             solver = PrecedenceSolver.initial(inst, check=True)
             threshold = UNBOUNDED
-            while True:
-                sched = solver.solve(threshold)
-                if sched is None:
-                    break
+            while solver.solve(threshold) is not None:
+                sched = timetable(solver.slots[1:], inst)
                 assert validate(sched, inst) == []
                 threshold = objectives(sched, inst)[1]
             assert solver.limits.relocations <= inst.n * (inst.n - 1)
@@ -297,8 +295,8 @@ class TestPrecedenceSolver:
 
     def test_single_job(self):
         inst = Instance(jobs=(Job(1, 4, Lateness(2)),), setup=3, capacity=None)
-        sched = PrecedenceSolver.initial(inst).solve(UNBOUNDED)
-        assert objectives(sched, inst) == (7, 5)
+        solver = PrecedenceSolver.initial(inst)
+        assert (solver.solve(UNBOUNDED), solver.max_cost) == (7, 5)
 
     def test_zero_setup_single_frontier_point(self):
         # with no setup every schedule has the same makespan, so only the
@@ -316,19 +314,19 @@ class TestPrecedenceSolver:
         assert front.pairs() == list(oracle_pareto(inst).points)
 
 
-def test_check_mode_catches_a_snapshot_off_its_times(fork, monkeypatch):
+def test_check_mode_catches_held_completions_off_a_timetable_of_their_slots(fork, monkeypatch):
     def skewed(slots, instance):
         completion = batch_times(slots, instance)
-        completion[-1] += 1  # an uncapped pass tolerates any completion, so only the snapshot can notice
+        completion[-1] += 1  # an uncapped pass tolerates any completion, so only the converged step can notice
         return completion
 
     # the held-state check retimes through the bounded module's name
     monkeypatch.setattr("batchfront.precedence.batch_times", skewed)
     monkeypatch.setattr("batchfront.bounded.batch_times", skewed)
-    with pytest.raises(InvariantError, match="^snapshot differs from a timetable of its slots$"):
+    with pytest.raises(InvariantError, match="^held completions differ from a timetable of their slots$"):
         PrecedenceSolver.initial(fork, check=True).solve(UNBOUNDED)
-    unchecked = PrecedenceSolver.initial(fork).solve(UNBOUNDED)
-    assert unchecked.makespan == timetable(unchecked.slots, fork).makespan + 1
+    unchecked = PrecedenceSolver.initial(fork)
+    assert unchecked.solve(UNBOUNDED) == timetable(unchecked.slots[1:], fork).makespan + 1
 
 
 def test_check_mode_catches_a_max_cost_off_the_schedule(fork, monkeypatch):
@@ -345,31 +343,8 @@ def test_check_mode_catches_a_max_cost_off_the_schedule(fork, monkeypatch):
     with pytest.raises(InvariantError, match="^held max cost differs from objectives$"):
         PrecedenceSolver.initial(fork, check=True).solve(UNBOUNDED)
     unchecked = PrecedenceSolver.initial(fork)
-    assert objectives(unchecked.solve(UNBOUNDED), fork) == (6, unchecked.max_cost + 1)
-
-
-def test_check_mode_catches_a_dropped_refreeze_of_a_move_target(monkeypatch):
-    land = PrecedenceSolver._land
-
-    def land_dropping(self, moves):
-        # take back the target marks, except on slots that another move of
-        # the pass left or an earlier pass marked
-        marked = set(self.dirty)
-        land(self, moves)
-        self.dirty -= {target for _, _, target in moves} - {origin for _, origin, _ in moves} - marked
-
-    monkeypatch.setattr(PrecedenceSolver, "_land", land_dropping)
-    inst = gen_random(12, 3, "prec")
-    with pytest.raises(InvariantError, match="^snapshot differs from a timetable of its slots$"):
-        pareto_precedence(inst, check=True)
-    # unchecked, the same sweep returns snapshots whose slots lag behind
-    # the held ones
-    solver = PrecedenceSolver.initial(inst)
-    threshold, stale = UNBOUNDED, 0
-    while (schedule := solver.solve(threshold)) is not None:
-        stale += schedule.slots != timetable(solver.slots[1:], inst).slots
-        threshold = solver.max_cost
-    assert stale
+    unchecked.solve(UNBOUNDED)
+    assert objectives(timetable(unchecked.slots[1:], fork), fork) == (6, unchecked.max_cost + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17, 60])
@@ -545,9 +520,9 @@ class _LowersABoundOnConverging(PrecedenceSolver):
     """A solver that lowers job 1's bound after every converged step."""
 
     def converged(self):
-        snapshot = super().converged()
+        makespan = super().converged()
         self.bounds[1] -= 1
-        return snapshot
+        return makespan
 
 
 def test_check_mode_catches_bounds_off_the_limits_at_a_step_start():
@@ -577,10 +552,10 @@ def test_held_state_matches_a_rebuild_after_every_step():
     inst = gen_random(150, 2, "prec")
     solver = PrecedenceSolver.initial(inst)
     threshold = UNBOUNDED
-    while (schedule := solver.solve(threshold)) is not None:
+    while (makespan := solver.solve(threshold)) is not None:
         assert solver.slots == solver.limits.groups()
         assert solver.completion == batch_times(solver.slots, inst)
         assert solver.bounds == solver.limits.table
         assert not any(solver.marked)
-        assert objectives(schedule, inst)[1] == solver.max_cost
+        assert objectives(timetable(solver.slots[1:], inst), inst) == (makespan, solver.max_cost)
         threshold = solver.max_cost
