@@ -5,6 +5,10 @@ Runs without pytest or any other third-party package::
     python3 scripts/bench_pairs.py PARENT CHANGE --workload paper-800 \\
         --seed 23 --pairs 10 --seconds 8 > pairs.json
 
+``--workload`` names one workload, a comma-separated list of them, or
+``all``, every workload ``BENCHMARK.json`` declares, in its order.  The
+workloads run one after another, each with its own alternating pairs.
+
 PARENT and CHANGE are two checkouts of the repository (say, a ``git
 archive`` of the parent commit and the working tree).  For each pair, each
 side is copied into a fresh temporary directory and runs::
@@ -21,12 +25,13 @@ files use: ``command``, ``runs`` (per seed and workload: the per-pair
 each end-to-end metric the per-pair values with both medians, the relative
 change, the pairs the change wins, the parent's interquartile range and
 the regression verdict), ``claim_result``, which says whether
-``latency_p50_s``, the metric every perf claim here is made on, meets the
-claim rule: the change better in at least nine of every ten pairs, and the
-medians apart in the better direction by more than the parent's IQR, and
-``regression_result``, which names each end-to-end metric whose change
-median is worse than the parent's by more than its bound (regressed), and
-each whose runs spread wider than that bound (unresolved).  Which
+``latency_p50_s`` on the first workload named, the metric every perf claim
+here is made on, meets the claim rule: the change better in at least nine
+of every ten pairs, and the medians apart in the better direction by more
+than the parent's IQR, and ``regression_result``, which names, on every
+workload, each end-to-end metric whose change median is worse than the
+parent's by more than its bound (regressed), and each whose runs spread
+wider than that bound (unresolved).  Which
 direction is better, and each bound, come from ``BENCHMARK.json``.
 Progress goes to standard error.  A run that exits nonzero or prints no
 result stops the whole and exits 1.
@@ -62,12 +67,24 @@ def perfbench_command(workload: str, seed: int, seconds: int) -> list[str]:
     ]
 
 
+def benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
 def end_to_end() -> dict[str, dict]:
     """Each end-to-end metric's entry in ``BENCHMARK.json``, by name: its
     ``better`` ("lower" or "higher") and its ``bound``, the relative change
     for the worse that counts as a regression."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {metric["name"]: metric for metric in spec["end_to_end"]}
+    return {metric["name"]: metric for metric in benchmark()["end_to_end"]}
+
+
+def workloads_named(spec: str) -> list[str]:
+    """The workloads a ``--workload`` value names: ``all`` is every
+    workload of ``BENCHMARK.json``, in its order; anything else is a
+    comma-separated list."""
+    if spec == "all":
+        return [workload["name"] for workload in benchmark()["workloads"]]
+    return [name for name in spec.split(",") if name]
 
 
 def run_side(checkout: Path, argv: list[str]) -> dict:
@@ -149,7 +166,7 @@ def run_pairs(
         for side in order:
             result = run_side(checkouts[side], argv)
             results[side].append(result)
-            print(f"pair {k + 1}/{pairs} {side}: attempted {result['attempted']}, failed {result['failed']}", file=sys.stderr)
+            print(f"{workload} pair {k + 1}/{pairs} {side}: attempted {result['attempted']}, failed {result['failed']}", file=sys.stderr)
     metrics = end_to_end()
     names = results["parent"][0]["metrics"]
     return {
@@ -202,32 +219,51 @@ def regression_result(run: dict, workload: str) -> str:
     )
 
 
+def run_workloads(
+    parent: Path,
+    change: Path,
+    workloads: list[str],
+    seed: int,
+    pairs: int,
+    seconds: int,
+    command: Command = perfbench_command,
+) -> dict:
+    """The whole output for ``workloads``, run one after another:
+    ``command``, ``runs``, the claim on the first workload and the
+    regression verdicts of every workload."""
+    runs = {workload: run_pairs(parent, change, workload, seed, pairs, seconds, command) for workload in workloads}
+    shown = " ".join(command("W", seed, seconds)[1:])
+    return {
+        "command": f"python3 {shown}, for W in {', '.join(workloads)}",
+        "runs": {f"seed_{seed}": runs},
+        "claim_result": claim_result(runs[workloads[0]], workloads[0]),
+        "regression_result": " ".join(regression_result(run, workload) for workload, run in runs.items()),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent side")
     parser.add_argument("change", type=Path, help="checkout of the changed side")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="a workload, a comma-separated list, or all")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    workloads = workloads_named(args.workload)
+    if not workloads:
+        parser.error("--workload names no workload")
     for checkout in (args.parent, args.change):
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} is not a checkout with perfbench/run.py")
     try:
-        run = run_pairs(args.parent.resolve(), args.change.resolve(), args.workload, args.seed, args.pairs, args.seconds)
+        result = run_workloads(args.parent.resolve(), args.change.resolve(), workloads, args.seed, args.pairs, args.seconds)
     except (RuntimeError, subprocess.TimeoutExpired) as problem:
         print(f"error: {problem}", file=sys.stderr)
         return 1
-    shown = " ".join(perfbench_command(args.workload, args.seed, args.seconds)[1:])
-    print(json.dumps({
-        "command": f"python3 {shown}",
-        "runs": {f"seed_{args.seed}": {args.workload: run}},
-        "claim_result": claim_result(run, args.workload),
-        "regression_result": regression_result(run, args.workload),
-    }, indent=1))
+    print(json.dumps(result, indent=1))
     return 0
 
 

@@ -27,6 +27,11 @@ class AdmissibleSlots:
     state next to ``relocations``, which counts every move performed over
     the structure's lifetime.  The constructor takes a table of the same
     shape, indexed by job id with entry 0 unused, and keeps a copy.
+
+    Every move also logs the job and its origin, so the state at the last
+    ``checkpoint()`` stays at hand without a copy of the table:
+    ``at_checkpoint()`` builds it by undoing the log on a copy.  A
+    checkpoint clears the log, and a copy starts with an empty one.
     """
 
     def __init__(self, instance: Instance, table: Sequence[int]):
@@ -45,6 +50,7 @@ class AdmissibleSlots:
         self._instance = instance
         self._limit = [0, *table[1:]]
         self.relocations = 0
+        self._undo: list[tuple[int, int]] = []  # (job, origin) of each move since the checkpoint
 
     @classmethod
     def unrestricted(cls, instance: Instance) -> "AdmissibleSlots":
@@ -68,7 +74,22 @@ class AdmissibleSlots:
         if not 1 <= to < origin:
             raise InvariantError(f"job {job_id}: move {origin} -> {to} is not strictly left")
         self._limit[job_id] = to
+        self._undo.append((job_id, origin))
         self.relocations += 1
+
+    def checkpoint(self) -> None:
+        """Mark the current state as the one ``at_checkpoint`` returns."""
+        self._undo.clear()
+
+    def at_checkpoint(self) -> "AdmissibleSlots":
+        """A copy of the state at the last checkpoint (or at construction):
+        this one's copy with the moves since undone, last first."""
+        clone = self.copy()
+        limit = clone._limit
+        for job_id, origin in reversed(self._undo):
+            limit[job_id] = origin
+        clone.relocations -= len(self._undo)
+        return clone
 
     def groups(self) -> list[list[int]]:
         """Every group as a list indexed by group (entry 0 empty), each in
@@ -84,6 +105,7 @@ class AdmissibleSlots:
         clone._instance = self._instance
         clone._limit = list(self._limit)
         clone.relocations = self.relocations
+        clone._undo = []
         return clone
 
     def dump(self) -> str:

@@ -12,20 +12,27 @@ standing schedule is maintained to be exactly what ``form_batches`` would
 build from the current limits, which is what lets a frontier sweep reuse
 all prior work as the cost cap shrinks.
 
-One repair (an adjustment) expels a job from slot i and is local: a hoist
-and carry walk over slots e..i, e being the rightmost slot left of i with
-room, that retimes slots e..i-1 as it passes them.  Slots i..n keep their
-completion times, except when the carry opens a new batch in an empty
-slot e: then ``WarmSolver._open`` shifts every slot from e on by one
-setup.  Every slot is a list in ascending ``Instance.keys`` order, and
-the keys are integer ranks: a job enters a slot by bisection and leaves it
-by a deletion at the bisection point of its key, never by a linear search.
-The carry reads a full slot's shortest job as its first entry and compares
-two ints to decide a swap; the hoist scan stops in each slot at the first
-candidate from the long end.  Each slot also holds a limit reach, an upper
-bound on its jobs' highest limit, so the scan passes a slot that cannot
-hold a candidate without walking it.  The solver computes the reach of
-the nonempty slots only, when it is built; an empty slot's reach is 0.
+One repair (an adjustment) expels a job from slot i and is local: one
+walk down from i - 1 to e, the rightmost slot left of i with room or with
+a job still admissible at i, finds the hoist and makes the carry's swaps
+as it passes.  Between two swaps one job is carried, so the slots it
+passed move in stretches by one delta each, and only a stretch that moves
+is walked again, to retime it.  Slots i..n keep their completion times,
+except when the carry opens a new batch in an empty slot e: then
+``WarmSolver._open`` shifts every slot from e on by one setup.  Every slot
+is a list in ascending ``Instance.keys`` order, and the keys are integer
+ranks: a job enters a slot by bisection and leaves it by ``list.remove``
+when the slot is small, else by a deletion at the bisection point of its
+key.  The carry reads a full slot's shortest job as its first entry and
+compares two ints to decide a swap; the hoist scan stops in each slot at
+the first candidate from the long end.  When the last adjustment was at
+the same i and took its hoist from slot e, the walk starts at e unless the
+carried job outranks the shortest job of a slot it would pass, and a scan
+of a large slot e resumes below that hoist's key.  Each slot also holds a
+limit reach, an upper bound on its jobs' highest limit, so the scan
+passes a slot that cannot hold a candidate without walking it.  The
+solver computes the reach of the nonempty slots only, when it is built;
+an empty slot's reach is 0.
 
 The solver also holds the max cost of each slot it has evaluated, and a
 held max goes stale only when an adjustment changed its slot's members or
@@ -69,6 +76,14 @@ Trace = Callable[[str], None]
 
 # Threshold value meaning "no cost cap"; compares exactly against any int.
 UNBOUNDED = float("inf")
+
+# A job leaves a slot of at most this many jobs by ``list.remove``, and a
+# larger one by a deletion at the bisection point of its key.  By ``timeit``
+# on CPython 3.11 (copy of the slot, then the deletion of its last job):
+# 160 against 360 ns on a 2-job slot, 340 against 500 ns on a 16-job one,
+# and the two meet near 32 jobs.  The hoist scan resumes only in a larger
+# slot: a small one is scanned in full for less than the resume costs.
+SMALL_SLOT = 16
 
 
 def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[list[int]] | None:
@@ -173,18 +188,18 @@ class WarmSolver:
     whose ``timed`` flag is set; a current max implies a timed slot.  A
     subclass clears ``timed[c]`` (and ``top[c]``) wherever slot c's
     completion moves, evaluates a job entering a timed slot into ``cost``,
-    and needs nothing for a leaving job.  ``held_max`` refreshes a stale
-    max, first evaluating the members of an untimed slot.  ``first`` is the
-    lowest nonempty slot.  A subclass calls ``_open`` wherever a job opens
-    an empty slot, which shifts every slot from there on by one setup,
-    marks their held maxima stale and their job costs untimed, and lowers
-    ``first``.  ``solve`` may be called repeatedly with strictly smaller
-    thresholds, each call going on from the state the previous one left,
-    and returns the converged makespan, or None when the threshold is
-    unattainable; after an infeasible result the state is spent.  A
-    converged step's schedule is a function of its limits, so the solver
-    builds none.  A subclass computes the initial completions with its own
-    module's ``batch_times`` and passes them in.
+    and needs nothing for a leaving job.  ``held_max`` refreshes a stale max,
+    evaluating the members of an untimed slot and taking their max in one
+    loop.  ``first`` is the lowest nonempty slot.  A subclass calls ``_open``
+    wherever a job opens an empty slot, which shifts every slot from there
+    on by one setup, marks their held maxima stale and their job costs
+    untimed, and lowers ``first``.  ``solve`` may be called repeatedly with
+    strictly smaller thresholds, each call going on from the state the
+    previous one left, and returns the converged makespan, or None when the
+    threshold is unattainable; after an infeasible result the state is
+    spent.  A converged step's schedule is a function of its limits, so the
+    solver builds none.  A subclass computes the initial completions with its
+    own module's ``batch_times`` and passes them in.
     """
 
     def __init__(
@@ -227,18 +242,23 @@ class WarmSolver:
         return self.completion[-1]
 
     def held_max(self, c: int) -> int:
-        """Refresh slot c's stale held max from its members' held costs,
-        evaluating each member into ``cost`` first when the slot is not
-        timed; returns the max."""
+        """Refresh slot c's stale held max and return it: the max of its
+        members' held costs when the slot is timed, and otherwise the
+        running max of one loop that evaluates each member into ``cost``."""
         batch = self.slots[c]
         cost = self.cost
-        if not self.timed[c]:
-            value = self.instance.cost_value
-            at = self.completion[c]
-            for j in batch:
-                cost[j] = value[j](at)
-            self.timed[c] = True
-        worst = self.top[c] = max(map(cost.__getitem__, batch))
+        if self.timed[c]:
+            worst = self.top[c] = max(map(cost.__getitem__, batch))
+            return worst
+        value = self.instance.cost_value
+        at = self.completion[c]
+        worst = None
+        for j in batch:
+            x = cost[j] = value[j](at)
+            if worst is None or x > worst:
+                worst = x
+        self.timed[c] = True
+        self.top[c] = worst
         return worst
 
     def _open(self, x: int) -> None:
@@ -290,21 +310,35 @@ class BoundedSolver(WarmSolver):
     InvariantError is raised when that fill fails.
 
     An adjustment that expels a job from slot i works on slots e..i only,
-    e being the rightmost slot left of i with room: a hoist scan, then a
-    carry walk over those slots that retimes each slot it passes.  Slots
-    i..n keep their times unless the carry opens a new batch in an empty
-    slot e, and then ``_open(e)`` shifts every slot from e on by one setup.
-    The hoist scan walks each slot from its longest job down and stops at
-    the first candidate, and the carry swaps a slot's first (shortest) job
-    for the carried one, inserted in order.
+    e being the rightmost slot left of i with room or with a candidate (a
+    job still admissible at i): one walk down from i - 1 scans each slot
+    for the hoist, stops at e, and in every full slot it passes swaps the
+    slot's first (shortest) job for the carried one, inserted in order,
+    when the carried job outranks it.  It records each swap, and the
+    retiming then walks only the stretches between swaps whose delta is
+    not 0.  Slots i..n keep their times unless the carry opens a new batch
+    in an empty slot e, and then ``_open(e)`` shifts every slot from e on
+    by one setup.  An infeasible adjustment returns after the walk's
+    swaps, which leave the limits as they are.  The hoist scan walks each
+    slot from its longest job down and stops at the first candidate.
+    ``resume`` records ``(i, e, key of the hoist, lowest)`` of the last
+    adjustment when it hoisted, and None otherwise; ``lowest`` is a lower
+    bound on the shortest keys of the slots it passed.  When the next
+    adjustment is at the same i, its walk starts at e if the job it
+    carries is below ``lowest``, since it would swap nothing in slots
+    e+1..i-1 and they still hold no candidate; and when its walk reaches e
+    with ``reach[e]`` at least i, a slot of more than ``SMALL_SLOT`` jobs
+    is scanned from below that key only.  ``cap``, ``keys`` and ``limit``
+    (the live limit table) are held for the walk.
 
     ``reach[c]`` is an upper bound on the highest limit among slot c's
     jobs (0 for an empty slot), exact when the solver is built.  It is
     raised wherever a job enters a slot (the hoist into i, each carry swap
-    and the carry's landing in e) and set to the exact maximum when the
-    hoist scan walks a slot in full without finding a candidate.  Limits
-    only fall, so a job leaving a slot needs no bookkeeping.  The scan
-    passes slot c without walking it when ``reach[c]`` is below i.
+    and the carry's landing in e), set to the exact maximum when the
+    hoist scan walks a slot in full without finding a candidate, and set
+    to i - 1 when a resumed scan finds none.  Limits only fall, so a job
+    leaving a slot needs no bookkeeping.  The scan passes slot c without
+    walking it when ``reach[c]`` is below i.
 
     A held max goes stale only when the adjustment changed its slot's
     members or completion: i, e, each carry slot where a swap happens or
@@ -332,7 +366,8 @@ class BoundedSolver(WarmSolver):
     adjustment, no slot holds a limit above its reach, and the standing
     schedule equals the greedy rebuild of the current limits, slot order
     included.  That costs O(n log n) per adjustment and is meant for the
-    verification harness.  After each clean pass it also checks that every
+    verification harness.  A resumed hoist scan is compared with a scan of
+    the whole slot.  After each clean pass it also checks that every
     nonempty slot, walked or not, holds a current max below the threshold.
     """
 
@@ -347,10 +382,13 @@ class BoundedSolver(WarmSolver):
         if slots is None:
             raise InvariantError("the greedy fill failed on the starting limits")
         super().__init__(instance, limits, slots, batch_times(slots, instance), trace, check)
-        limit = limits.table
+        self.keys = instance.keys
+        self.cap = instance.effective_capacity
+        limit = self.limit = limits.table  # the live table, which ``limits.move`` updates
         first = self.first  # slots first..n hold jobs, and an empty slot's reach is 0
         self.reach = [0] * first + [max(map(limit.__getitem__, batch)) for batch in slots[first:]]
         self.due = (instance.n, self.first)
+        self.resume: tuple[int, int, int, int] | None = None  # (i, e, hoist's key, lowest) of the last hoist
 
     @classmethod
     def initial(cls, instance: Instance, trace: Trace | None = None, check: bool = False):
@@ -443,21 +481,23 @@ class BoundedSolver(WarmSolver):
         admissible at slot i, the largest such job is hoisted in to replace
         j; either way j is pushed leftward through the (necessarily full)
         intervening batches, each handing its shortest job further left,
-        until the rightmost non-full batch e absorbs the carry.  The scan
-        for the hoist skips every slot whose reach is below i, and raises
-        the reach of every slot a job enters.
+        until the rightmost non-full batch e absorbs the carry.  One walk
+        down from i - 1 finds e and makes the carry's swaps on the way;
+        the slots it passes are then retimed by stretch.  The walk skips
+        every slot whose reach is below i, and raises the reach of every
+        slot a job enters.
         """
-        instance = self.instance
         slots = self.slots
-        completion = self.completion
-        p = instance.p
-        keys = instance.keys
+        keys = self.keys
         by_key = keys.__getitem__
-        limit = self.limits.table
-        cap = instance.effective_capacity
+        limit = self.limit
+        cap = self.cap
         self.limits.move(j, i - 1)
         batch = slots[i]
-        del batch[bisect_left(batch, keys[j], key=by_key)]
+        if len(batch) <= SMALL_SLOT:
+            batch.remove(j)
+        else:
+            del batch[bisect_left(batch, keys[j], key=by_key)]
         self.adjustments += 1
         top = self.top
         top[i] = None
@@ -465,32 +505,77 @@ class BoundedSolver(WarmSolver):
         # The greedy fill passed over each candidate (a job left of i still
         # admissible at i) in favour of larger jobs at every slot between it
         # and i, so those slots are full and candidates shrink from right to
-        # left.  Scanning down from i - 1, the first slot holding a
-        # candidate holds the best one, and no candidate lies left of the
-        # first slot with room, which is e, where the carry ends.  A slot
-        # is walked from its longest job down, so the first candidate met
-        # is the slot's largest; a slot whose reach is below i holds no
-        # candidate and is not walked at all.
-        hoist = None
-        e = 0
+        # left.  Walking down from i - 1, the first slot holding a candidate
+        # holds the best one, and no candidate lies left of the first slot
+        # with room, which is e, where the carry ends.  A slot is scanned
+        # from its longest job down, so the first candidate met is the
+        # slot's largest; a slot whose reach is below i holds no candidate
+        # and is not scanned at all.  The carried job is never a candidate
+        # (j's limit is now i - 1, and a slot's shortest job leaves only a
+        # slot that holds none), so each full slot the walk passes swaps in
+        # the carried job when it outranks the slot's shortest, before e is
+        # known.  When the last adjustment was at this same i and hoisted
+        # from slot e, every job of e above the hoist's key was no candidate
+        # then, and is none now, so e's scan resumes below that key.  The
+        # slots it passed, e+1..i-1, are still full and hold no candidate,
+        # and a carry below their lowest shortest key swaps nothing there,
+        # so such a walk starts at e.
         reach = self.reach
-        for c in range(i - 1, 0, -1):
+        resume = self.resume
+        carry = j
+        carry_key = keys[j]
+        start = i - 1
+        resumed = 0
+        lowest = len(keys)  # the lowest shortest key of the full slots passed, or above every key
+        if resume is not None and resume[0] == i:
+            resumed = resume[1]
+            if carry_key < resume[3]:
+                start = resumed  # slots resumed+1..i-1 are full, hold no candidate and swap nothing
+                lowest = resume[3]
+        hoist = None
+        swaps = []  # (slot, job carried into it) for each slot where the carry swapped, then e
+        e = 0
+        for c in range(start, 0, -1):
             batch = slots[c]
             if reach[c] >= i:
-                for x in reversed(batch):
-                    if limit[x] >= i:
-                        hoist = x
-                        break
+                if c == resumed and len(batch) > SMALL_SLOT:
+                    hoist = self._resumed_hoist(batch, c, i, resume[2])
                 else:
-                    reach[c] = max(map(limit.__getitem__, batch))  # walked in full: now exact
-            if hoist is not None or len(batch) < cap:
+                    for x in reversed(batch):
+                        if limit[x] >= i:
+                            hoist = x
+                            break
+                    else:
+                        reach[c] = max(map(limit.__getitem__, batch))  # scanned in full: now exact
+                if hoist is not None:
+                    e = c
+                    break
+            if len(batch) < cap:
                 e = c
                 break
+            shortest = batch[0]
+            key = keys[shortest]
+            if carry_key > key:
+                del batch[0]
+                insort(batch, carry, key=by_key)
+                if limit[carry] > reach[c]:
+                    reach[c] = limit[carry]
+                top[c] = None
+                swaps.append((c, carry))
+                carry = shortest
+                carry_key = key
+                key = keys[batch[0]]
+            if key < lowest:
+                lowest = key
 
         opened = not slots[e]  # the carry opens a batch in e (never in case 2: e holds the hoist)
         if hoist is not None:
+            self.resume = (i, e, keys[hoist], lowest)
             batch = slots[e]
-            del batch[bisect_left(batch, keys[hoist], key=by_key)]
+            if len(batch) <= SMALL_SLOT:
+                batch.remove(hoist)
+            else:
+                del batch[bisect_left(batch, keys[hoist], key=by_key)]
             insort(slots[i], hoist, key=by_key)
             if limit[hoist] > reach[i]:
                 reach[i] = limit[hoist]
@@ -498,6 +583,7 @@ class BoundedSolver(WarmSolver):
             if self.check and self._last_nonfull(i) != e:
                 raise InvariantError("hoisted job's slot is not the rightmost non-full")
         else:
+            self.resume = None
             if not slots[i]:
                 return 0  # slot emptied while jobs remain further left
             if e == 0:
@@ -509,53 +595,61 @@ class BoundedSolver(WarmSolver):
 
         # Jobs change slots only within e..i, so slot c in e..i-1 completes
         # later by the time of the job carried into it, less that of the
-        # hoist, which crossed it going right.  Slot i stays nonempty, so
-        # completions from i on move only when e opened, and ``_open`` adds
-        # that setup to every slot from e on.
-        # A carry slot keeps its held max only when no swap happens and the
-        # job carried into it is as long as the hoist, so its time holds.
-        # Its members' held costs go stale only when its time moves; a job
-        # entering a slot whose time holds is evaluated there once.
+        # hoist, which crossed it going right.  Between two swaps one job is
+        # carried, so each stretch of slots moves by one delta, and only a
+        # stretch that moves is walked: its slots' held maxima and job costs
+        # go stale.  A swap slot, or e, whose time holds evaluates its
+        # entrant there once (an empty e is never timed).  Slot i stays
+        # nonempty, so completions from i on move only when e opened, and
+        # ``_open`` adds that setup to every slot from e on.
+        completion = self.completion
         before = completion[:] if self.check else None
         timed = self.timed
         cost = self.cost
-        value = instance.cost_value
+        value = self.instance.cost_value
+        p = self.instance.p
         shift = -p[hoist] if hoist is not None else 0
-        carry = j
-        for c in range(i - 1, e, -1):
-            delta = shift + p[carry]
-            batch = slots[c]
-            shortest = batch[0]
-            if keys[carry] > keys[shortest]:
-                del batch[0]
-                insort(batch, carry, key=by_key)
-                if limit[carry] > reach[c]:
-                    reach[c] = limit[carry]
-                top[c] = None
-                if not delta and timed[c]:
-                    cost[carry] = value[carry](completion[c])
-                carry = shortest
+        swaps.append((e, carry))  # the carry lands in e
+        high = i  # one past the stretch's highest slot
+        for c, x in swaps:
+            delta = shift + p[x]
             if delta:
-                completion[c] += delta
-                top[c] = None
-                timed[c] = False
-        delta = shift + p[carry]
-        if delta:
-            completion[e] += delta
-            timed[e] = False
+                for k in range(c, high):
+                    completion[k] += delta
+                    top[k] = None
+                    timed[k] = False
+            elif timed[c]:
+                cost[x] = value[x](completion[c])
+            high = c
         insort(slots[e], carry, key=by_key)
         if limit[carry] > reach[e]:
             reach[e] = limit[carry]
         top[e] = None
         if opened:
             self._open(e)
-        elif timed[e]:
-            cost[carry] = value[carry](completion[e])
         if hoist is not None and timed[i]:
             cost[hoist] = value[hoist](completion[i])  # after the opening, which untimes i
         if self.check:
             self._check_state(e, before)
         return e
+
+    def _resumed_hoist(self, batch: list[int], e: int, i: int, key: int) -> int | None:
+        """The largest candidate for slot i in slot e, scanning down from
+        below ``key``, the key of the hoist the last adjustment at i took
+        from e; None when e holds none, and then every job of e is below i,
+        which becomes e's reach.  Check mode compares the result with a
+        scan of the whole slot."""
+        limit = self.limit
+        for k in range(bisect_left(batch, key, key=self.keys.__getitem__) - 1, -1, -1):
+            x = batch[k]
+            if limit[x] >= i:
+                break
+        else:
+            x = None
+            self.reach[e] = i - 1
+        if self.check and x != next((y for y in reversed(batch) if limit[y] >= i), None):
+            raise InvariantError(f"resumed hoist scan of slot {e} differs from a full scan")
+        return x
 
     def _check_clean(self, threshold) -> None:
         """Check mode: after a clean pass every nonempty slot's held max is

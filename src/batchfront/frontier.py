@@ -17,24 +17,27 @@ that step left, and only for the steps it records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable
 
 from .admissible import AdmissibleSlots
 from .bounded import UNBOUNDED, BoundedSolver, Trace, form_batches, solve_reference
-from .model import Instance, InstanceError, InvariantError, Schedule, batch_times, freeze_slots, objectives
+from .model import _EMPTY_SLOT, Instance, InstanceError, InvariantError, Schedule, batch_times, freeze_slots, objectives
 from .precedence import PrecedenceSolver
 
 # on_step(limits before the call, threshold, schedule or None, limits after):
 # one invocation per threshold step, for differential verification.  The
 # schedule is the one the sweep builds from the limits after, None when the
-# step is infeasible.  The limits before are the sweep's copy, which the
-# hook owns and may change once the sweep has read it; the limits after are
-# the solver's own and must be left as they are.
+# step is infeasible.  The limits before are a copy of the step's
+# checkpoint, taken for the hook at every step, which the hook owns and may
+# change once the sweep has read it; the limits after are the solver's own
+# and must be left as they are.
 StepHook = Callable[[AdmissibleSlots, object, Schedule | None, AdmissibleSlots], None]
 
-# fill(instance, limits): the 1-based slot lists (index 0 unused) that a
-# converged step holds under those limits.
-Fill = Callable[[Instance, AdmissibleSlots], list]
+# fill(instance, limits): (first, slots), the 1-based slot lists (index 0
+# unused) that a converged step holds under those limits, every slot below
+# ``first`` being empty.
+Fill = Callable[[Instance, AdmissibleSlots], tuple[int, list]]
 
 
 @dataclass(frozen=True)
@@ -81,17 +84,32 @@ def frontier_csv(rows: Iterable[tuple[int, int, Schedule]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _groups(instance: Instance, limits: AdmissibleSlots) -> list[list[int]]:
-    """The fill of the unbounded model: every group is its own batch."""
-    return limits.groups()
+def _batches(instance: Instance, limits: AdmissibleSlots) -> tuple[int, list[list[int]]]:
+    """The fill of the bounded model, ``form_batches``, from slot 1."""
+    return 1, form_batches(instance, limits)
+
+
+def _groups(instance: Instance, limits: AdmissibleSlots) -> tuple[int, list[list[int]]]:
+    """The fill of the unbounded model: every group is its own batch.  Only
+    the groups from the lowest nonempty one on are built; each slot below
+    it is one shared empty list."""
+    limit = limits.table
+    first = min(islice(limit, 1, None))
+    n = instance.n
+    built: list[list[int]] = [[] for _ in range(n - first + 1)]
+    for j in instance.by_key:
+        built[limit[j] - first].append(j)
+    return first, [[]] * first + built
 
 
 def _timed(instance: Instance, fill: Fill, limits: AdmissibleSlots) -> Schedule:
     """The schedule a converged step holds: ``fill`` of the limits it left,
-    with its times.  Check mode holds the solvers' slots to that fill, so
-    ``timetable``'s shape check is not repeated here."""
-    slots = fill(instance, limits)
-    return Schedule(freeze_slots(slots[1:]), tuple(batch_times(slots, instance)[1:]), instance.setup)
+    with its times; the slots below the fill's first are the shared empty
+    slot and complete at 0.  Check mode holds the solvers' slots to that
+    fill, so ``timetable``'s shape check is not repeated here."""
+    first, slots = fill(instance, limits)
+    frozen = (_EMPTY_SLOT,) * (first - 1) + freeze_slots(slots[first:])
+    return Schedule(frozen, tuple(batch_times(slots, instance, first)[1:]), instance.setup)
 
 
 def _sweep(instance: Instance, solver, fill: Fill, on_step: StepHook | None) -> ParetoFront:
@@ -99,20 +117,25 @@ def _sweep(instance: Instance, solver, fill: Fill, on_step: StepHook | None) -> 
     ``solve(threshold)``, which returns the converged makespan or None, and
     ``max_cost``, the max cost of the step it last converged.
 
-    Each step starts from a copy of the limits, which are the ones the
-    previous step left.  When a step raises the makespan or is infeasible,
-    the previous step is a point, and its schedule is built from that copy
-    with ``fill``; the hook's schedule is built from the limits the step
-    left the same way."""
+    Each step starts with a checkpoint of the limits, which are the ones
+    the previous step left, so nothing is copied while the step runs.  When
+    a step raises the makespan or is infeasible, the previous step is a
+    point, and its schedule is built with ``fill`` from the limits at the
+    checkpoint; the hook's schedule is built from the limits the step left
+    the same way.  A solver may also replace its limits during a step; the
+    replaced object then still holds the step's start, with an empty log."""
     points: list[ParetoPoint] = []
     threshold = UNBOUNDED
     last: tuple[int, int] | None = None  # (makespan, max cost) of the previous step
     steps = 0
     while True:
-        before = solver.limits.copy()
+        held = solver.limits
+        held.checkpoint()
         makespan = solver.solve(threshold)
         steps += 1
-        if last is not None and (makespan is None or makespan > last[0]):
+        point = last is not None and (makespan is None or makespan > last[0])
+        before = held.at_checkpoint() if point or on_step else None
+        if point:
             points.append(ParetoPoint(*last, _timed(instance, fill, before)))
         if on_step:
             schedule = None if makespan is None else _timed(instance, fill, solver.limits)
@@ -144,7 +167,7 @@ def pareto_bounded(
     if not instance.bounded:
         raise InstanceError("bounded frontier requires an instance with integer capacity")
     solver = BoundedSolver.initial(instance, trace=trace, check=check)
-    return _sweep(instance, solver, form_batches, on_step)
+    return _sweep(instance, solver, _batches, on_step)
 
 
 def pareto_bounded_naive(instance: Instance) -> ParetoFront:
@@ -172,7 +195,7 @@ def pareto_bounded_naive(instance: Instance) -> ParetoFront:
             self.max_cost = objectives(result, instance)[1]
             return result.makespan
 
-    return _sweep(instance, _Restarting(), form_batches, None)
+    return _sweep(instance, _Restarting(), _batches, None)
 
 
 def pareto_precedence(

@@ -399,14 +399,15 @@ class Schedule:
         return [tuple(sorted(batch)) for batch in self.slots if batch]
 
 
-def batch_times(slots, instance: Instance) -> list[int]:
-    """No-idle completion times for 1-based slot sets (index 0 unused)."""
+def batch_times(slots, instance: Instance, first: int = 1) -> list[int]:
+    """No-idle completion times for 1-based slot sets (index 0 unused);
+    the slots below ``first`` must be empty, and are not read."""
     n = instance.n
     setup = instance.setup
     p = instance.p.__getitem__
     completion = [0] * (n + 1)
     t = 0
-    for i in range(1, n + 1):
+    for i in range(first, n + 1):
         batch = slots[i]
         if batch:
             t += setup + sum(map(p, batch))

@@ -85,3 +85,41 @@ class TestAdmissibleSlots:
         inst = _inst([4, 9])
         slots = AdmissibleSlots(inst, [0, 1, 2])
         assert slots.dump() == "1: [1(4)]\n2: [2(9)]"
+
+
+def _random_moves(slots, rng, count):
+    n = slots.n
+    for _ in range(count):
+        movable = [j for j in range(1, n + 1) if slots.table[j] > 1]
+        if not movable:
+            return
+        j = movable[rng.randint(0, len(movable) - 1)]
+        slots.move(j, rng.randint(1, slots.table[j] - 1))
+
+
+def test_at_checkpoint_equals_a_copy_taken_at_the_checkpoint():
+    rng = SplitMix64(11)
+    inst = gen_random(12, seed=2, profile="small")
+    slots = AdmissibleSlots.unrestricted(inst)
+    for _ in range(8):
+        taken = slots.copy()
+        slots.checkpoint()
+        assert slots._undo == []
+        _random_moves(slots, rng, rng.randint(0, 6))
+        restored = slots.at_checkpoint()
+        assert restored.table == taken.table and restored.relocations == taken.relocations
+        assert restored.groups() == taken.groups()
+        assert restored._undo == [] and slots.copy()._undo == []
+        restored.move(next(j for j in range(1, 13) if restored.table[j] > 1), 1)
+        assert slots.at_checkpoint().table == taken.table  # the copy is independent
+
+
+def test_at_checkpoint_without_a_checkpoint_is_the_state_at_construction():
+    inst = _inst([3, 1, 2])
+    slots = AdmissibleSlots(inst, [0, 3, 2, 3])
+    slots.move(1, 2)
+    slots.move(1, 1)
+    slots.move(3, 2)
+    start = slots.at_checkpoint()
+    assert start.table == [0, 3, 2, 3] and start.relocations == 0
+    assert slots.table == [0, 1, 2, 2] and slots.relocations == 3

@@ -121,3 +121,33 @@ def test_a_run_without_a_result_stops_the_pairs(tmp_path):
 
     with pytest.raises(RuntimeError, match="exited 3: boom$"):
         SCRIPT["run_pairs"](*checkouts, "stub", 7, 2, 1, command=command)
+
+
+def test_one_run_covers_every_workload_named(tmp_path):
+    log = tmp_path / "log.jsonl"
+    log.write_text("", encoding="utf-8")
+    checkouts = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
+    named = []
+
+    def command(workload, seed, seconds):
+        named.append(workload)
+        return [sys.executable, "-c", STUB, str(log)]
+
+    result = SCRIPT["run_workloads"](*checkouts, ["second", "first"], 7, 2, 1, command=command)
+    assert set(result) == {"command", "runs", "claim_result", "regression_result"}
+    assert list(result["runs"]["seed_7"]) == ["second", "first"]
+    # four runs per workload, the second workload's values going on from the first's
+    assert result["runs"]["seed_7"]["second"]["metrics"]["latency_p50_s"]["parent"] == [0.0, 3.0]
+    assert result["runs"]["seed_7"]["first"]["metrics"]["latency_p50_s"]["parent"] == [4.0, 7.0]
+    assert result["claim_result"].split(" latency_p50_s")[0].endswith("Seed 7: second")
+    verdicts = result["regression_result"]
+    assert verdicts.index("Seed 7: second,") < verdicts.index("Seed 7: first,")
+    assert result["command"].endswith(", for W in second, first")
+    assert named[:2] == ["second", "first"]  # then once more, with W, for the command shown
+
+
+def test_all_names_every_benchmark_workload_in_order():
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert SCRIPT["workloads_named"]("all") == [workload["name"] for workload in spec["workloads"]]
+    assert SCRIPT["workloads_named"]("hard-b2,paper-800") == ["hard-b2", "paper-800"]
+    assert SCRIPT["workloads_named"]("many-small") == ["many-small"]

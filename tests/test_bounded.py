@@ -809,3 +809,135 @@ def test_threshold_passes_walk_only_the_slots_that_can_be_due(monkeypatch):
     [solver] = solvers
     assert (solver.passes, solver.adjustments) == (1240, 1126)
     assert solver.top.reads <= 20_000
+
+
+class _CountsTupleReads(tuple):
+    """A processing-time table that counts its reads by integer index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        if isinstance(index, int):
+            self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_a_paper_sweep_reads_the_limit_table_only_where_it_changed(monkeypatch):
+    # paper n=800, b=160: each job expelled in turn from one slot made the
+    # hoist scan re-read every non-candidate above the last hoist, 55,503
+    # limit reads per sweep; resuming below the last hoist's key reads 3,343
+    init = BoundedSolver.__init__
+    solvers = []
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        table = self.limits._limit = _CountsIndexReads(self.limits.table)
+        self.limit = table
+        solvers.append(self)
+
+    monkeypatch.setattr(BoundedSolver, "__init__", counting_init)
+    pareto_bounded(gen_random(800, 1, "paper"))
+    [solver] = solvers
+    assert solver.limits.table.reads <= 3_500
+
+
+def test_a_carry_reads_processing_times_only_per_stretch():
+    # hard-b2's first instance: a carry walk that read p of the carried job
+    # at every slot it passed made 20,088 reads of Instance.p per sweep; the
+    # retiming reads it once per stretch between two swaps
+    inst = gen_random(150, 1, "small", capacity=2)
+    object.__setattr__(inst, "p", _CountsTupleReads(inst.p))
+    front = pareto_bounded(inst)
+    assert front.threshold_steps == 314
+    assert inst.p.reads <= 4_200
+
+
+def _counting_resumes(monkeypatch):
+    """Wrap ``BoundedSolver._resumed_hoist``; returns the list of its calls."""
+    resumed = BoundedSolver._resumed_hoist
+    calls = []
+
+    def counted(self, batch, e, i, key):
+        calls.append((e, i))
+        return resumed(self, batch, e, i, key)
+
+    monkeypatch.setattr(BoundedSolver, "_resumed_hoist", counted)
+    return calls
+
+
+_RESUMING_CORPUS = [(n, seed) for n in (60, 120, 200) for seed in range(3)]
+
+
+def test_check_mode_runs_resumed_hoist_scans(monkeypatch):
+    # paper, b = n // 5: jobs are expelled one after another from one slot,
+    # each hoisting from the same slot e; with b > SMALL_SLOT those scans
+    # resume below the last hoist's key, and check mode compares each with
+    # a scan of the whole slot
+    calls = _counting_resumes(monkeypatch)
+    for n, seed in _RESUMING_CORPUS:
+        pareto_bounded(gen_random(n, seed, "paper", capacity=n // 5), check=True)
+    assert len(calls) > 0
+
+
+class _ResumesOneKeyTooLow(BoundedSolver):
+    """A solver whose resumed hoist scans start one key below the last hoist."""
+
+    def _resumed_hoist(self, batch, e, i, key):
+        return super()._resumed_hoist(batch, e, i, key - 1)
+
+
+def test_check_mode_catches_a_hoist_scan_resumed_too_low():
+    caught = 0
+    for n, seed in _RESUMING_CORPUS:
+        solver = _ResumesOneKeyTooLow.initial(gen_random(n, seed, "paper", capacity=n // 5), check=True)
+        threshold = UNBOUNDED
+        try:
+            while solver.solve(threshold) is not None:
+                threshold = solver.max_cost
+        except InvariantError as problem:
+            assert str(problem).startswith("resumed hoist scan of slot ")
+            caught += 1
+    assert caught > 0
+
+
+class _StartsEveryRepeatWalkAtTheLastHoist(BoundedSolver):
+    """A solver whose repeat adjustments at one i start their walk at the
+    last hoist's slot even when the carried job outranks the shortest job
+    of a slot in between."""
+
+    def __setattr__(self, name, value):
+        if name == "resume" and value is not None:
+            value = (*value[:3], len(self.keys))
+        super().__setattr__(name, value)
+
+
+def test_check_mode_catches_a_walk_that_skips_a_swap():
+    # hard-b2's family at n=40: some repeat adjustment carries a job that
+    # outranks the shortest job of a slot the last walk passed
+    inst = gen_random(40, 1, "small", capacity=2)
+    pareto_bounded(inst, check=True)  # the real solver passes every check
+    solver = _StartsEveryRepeatWalkAtTheLastHoist.initial(inst, check=True)
+    threshold = UNBOUNDED
+    with pytest.raises(InvariantError, match="^standing schedule diverged from rebuild$"):
+        while solver.solve(threshold) is not None:
+            threshold = solver.max_cost
+
+
+def test_repeat_adjustments_at_one_slot_skip_the_slots_the_last_walk_passed(monkeypatch):
+    # hard-b2's first instance: most adjustments follow one at the same i,
+    # and a walk from i - 1 each time read a reach 21,085 times per sweep;
+    # starting at the last hoist's slot when the carry swaps nothing on the
+    # way reads 5,772
+    init = BoundedSolver.__init__
+    solvers = []
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.reach = _CountsIndexReads(self.reach)
+        solvers.append(self)
+
+    monkeypatch.setattr(BoundedSolver, "__init__", counting_init)
+    pareto_bounded(gen_random(150, 1, "small", capacity=2))
+    [solver] = solvers
+    assert solver.adjustments == 1126
+    assert solver.reach.reads <= 7_000
