@@ -8,6 +8,9 @@ Runs without pytest or any other third-party package::
 ``--workload`` names one workload, a comma-separated list of them, or
 ``all``, every workload ``BENCHMARK.json`` declares, in its order.  The
 workloads run one after another, each with its own alternating pairs.
+``--traced-pairs K`` adds K traced pairs per workload, run the same way
+with ``--trace 1`` after the timed ones; ``--pairs 0`` runs traced pairs
+alone.
 
 PARENT and CHANGE are two checkouts of the repository (say, a ``git
 archive`` of the parent commit and the working tree).  For each pair, each
@@ -33,8 +36,13 @@ workload, each end-to-end metric whose change median is worse than the
 parent's by more than its bound (regressed), and each whose runs spread
 wider than that bound (unresolved).  Which
 direction is better, and each bound, come from ``BENCHMARK.json``.
-Progress goes to standard error.  A run that exits nonzero or prints no
-result stops the whole and exits 1.
+Traced pairs go under ``traced``, in the shape of ``runs``, with
+``traced_command``: each per-layer metric's per-pair values, both medians,
+the relative change and the parent's IQR, and ``digests``, the frontier
+digest each run printed.  They give no claim and no regression verdict: a
+traced run times each layer under the tracer's hooks, not the chain end
+to end.  Progress goes to standard error.  A run that exits nonzero or
+prints no result stops the whole and exits 1.
 """
 
 from __future__ import annotations
@@ -59,12 +67,21 @@ CLAIM_METRIC = "latency_p50_s"
 Command = Callable[[str, int, int], list[str]]
 
 
-def perfbench_command(workload: str, seed: int, seconds: int) -> list[str]:
-    """The untraced perfbench run of one workload, from a checkout's root."""
+DIGEST = "frontier digest sha256 "
+
+
+def perfbench_command(workload: str, seed: int, seconds: int, trace: int = 0) -> list[str]:
+    """The perfbench run of one workload, from a checkout's root: untraced
+    unless ``trace`` is 1."""
     return [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0",
+        "--seconds", str(seconds), "--trace", str(trace),
     ]
+
+
+def traced_command(workload: str, seed: int, seconds: int) -> list[str]:
+    """The traced perfbench run of one workload, from a checkout's root."""
+    return perfbench_command(workload, seed, seconds, trace=1)
 
 
 def benchmark() -> dict:
@@ -89,7 +106,8 @@ def workloads_named(spec: str) -> list[str]:
 
 def run_side(checkout: Path, argv: list[str]) -> dict:
     """Copy ``checkout`` into a fresh directory, run ``argv`` there and
-    return the JSON object on the last line of its standard output."""
+    return the JSON object on the last line of its standard output, with
+    ``digest`` set from a frontier digest line when the run printed one."""
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as workdir:
         copy = Path(workdir) / "checkout"
         shutil.copytree(checkout, copy, ignore=IGNORED)
@@ -98,7 +116,11 @@ def run_side(checkout: Path, argv: list[str]) -> dict:
     if done.returncode or not lines or not lines[-1].startswith("{"):
         tail = (done.stderr or done.stdout).strip().splitlines()[-5:]
         raise RuntimeError(f"{checkout}: {' '.join(argv)} exited {done.returncode}: {' | '.join(tail)}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    for line in lines:
+        if line.startswith(DIGEST):
+            result["digest"] = line[len(DIGEST):].strip()
+    return result
 
 
 def iqr(values: list[float]) -> float:
@@ -155,7 +177,9 @@ def run_pairs(
     command: Command = perfbench_command,
 ) -> dict:
     """The ``runs`` entry of ``pairs`` alternating pairs on one workload:
-    pair k runs the parent first when k is even, the change when it is odd."""
+    pair k runs the parent first when k is even, the change when it is odd.
+    Only end-to-end metrics get a verdict, and ``digests`` is added when
+    the runs printed frontier digests."""
     checkouts = {"parent": parent, "change": change}
     argv = command(workload, seed, seconds)
     first_side: list[str] = []
@@ -169,7 +193,7 @@ def run_pairs(
             print(f"{workload} pair {k + 1}/{pairs} {side}: attempted {result['attempted']}, failed {result['failed']}", file=sys.stderr)
     metrics = end_to_end()
     names = results["parent"][0]["metrics"]
-    return {
+    run = {
         "seconds": seconds,
         "seed": seed,
         "pairs": pairs,
@@ -182,6 +206,9 @@ def run_pairs(
             for name in names
         },
     }
+    if any("digest" in r for side in SIDES for r in results[side]):
+        run["digests"] = {side: [r.get("digest") for r in results[side]] for side in SIDES}
+    return run
 
 
 def claim_result(run: dict, workload: str) -> str:
@@ -227,18 +254,33 @@ def run_workloads(
     pairs: int,
     seconds: int,
     command: Command = perfbench_command,
+    traced_pairs: int = 0,
+    traced: Command = traced_command,
 ) -> dict:
-    """The whole output for ``workloads``, run one after another:
-    ``command``, ``runs``, the claim on the first workload and the
-    regression verdicts of every workload."""
-    runs = {workload: run_pairs(parent, change, workload, seed, pairs, seconds, command) for workload in workloads}
-    shown = " ".join(command("W", seed, seconds)[1:])
-    return {
-        "command": f"python3 {shown}, for W in {', '.join(workloads)}",
-        "runs": {f"seed_{seed}": runs},
-        "claim_result": claim_result(runs[workloads[0]], workloads[0]),
-        "regression_result": " ".join(regression_result(run, workload) for workload, run in runs.items()),
-    }
+    """The whole output for ``workloads``, run one after another: with
+    timed ``pairs``, ``command``, ``runs``, the claim on the first workload
+    and the regression verdicts of every workload; with ``traced_pairs``,
+    ``traced_command`` and ``traced``, each workload's traced pairs run
+    after its timed ones."""
+    def listed(run_command: Command) -> str:
+        return f"python3 {' '.join(run_command('W', seed, seconds)[1:])}, for W in {', '.join(workloads)}"
+
+    runs, traced_runs = {}, {}
+    for workload in workloads:
+        if pairs:
+            runs[workload] = run_pairs(parent, change, workload, seed, pairs, seconds, command)
+        if traced_pairs:
+            traced_runs[workload] = run_pairs(parent, change, workload, seed, traced_pairs, seconds, traced)
+    result = {}
+    if pairs:
+        result["command"] = listed(command)
+        result["runs"] = {f"seed_{seed}": runs}
+        result["claim_result"] = claim_result(runs[workloads[0]], workloads[0])
+        result["regression_result"] = " ".join(regression_result(run, workload) for workload, run in runs.items())
+    if traced_pairs:
+        result["traced_command"] = listed(traced)
+        result["traced"] = {f"seed_{seed}": traced_runs}
+    return result
 
 
 def main(argv=None) -> int:
@@ -249,9 +291,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
+    parser.add_argument("--traced-pairs", type=int, default=0, help="traced pairs per workload, after the timed ones")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 0 or args.traced_pairs < 0 or not args.pairs + args.traced_pairs:
+        parser.error("--pairs and --traced-pairs must not be negative, and one must be at least 1")
     workloads = workloads_named(args.workload)
     if not workloads:
         parser.error("--workload names no workload")
@@ -259,7 +302,10 @@ def main(argv=None) -> int:
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} is not a checkout with perfbench/run.py")
     try:
-        result = run_workloads(args.parent.resolve(), args.change.resolve(), workloads, args.seed, args.pairs, args.seconds)
+        result = run_workloads(
+            args.parent.resolve(), args.change.resolve(), workloads, args.seed, args.pairs, args.seconds,
+            traced_pairs=args.traced_pairs,
+        )
     except (RuntimeError, subprocess.TimeoutExpired) as problem:
         print(f"error: {problem}", file=sys.stderr)
         return 1

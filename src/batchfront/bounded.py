@@ -19,20 +19,23 @@ as it passes.  Between two swaps one job is carried, so the slots it
 passed move in stretches by one delta each, and only a stretch that moves
 is walked again, to retime it.  Slots i..n keep their completion times,
 except when the carry opens a new batch in an empty slot e: then
-``WarmSolver._open`` shifts every slot from e on by one setup.  Every slot
-is a list in ascending ``Instance.keys`` order, and the keys are integer
-ranks: a job enters a slot by bisection and leaves it by ``list.remove``
-when the slot is small, else by a deletion at the bisection point of its
-key.  The carry reads a full slot's shortest job as its first entry and
-compares two ints to decide a swap; the hoist scan stops in each slot at
-the first candidate from the long end.  When the last adjustment was at
-the same i and took its hoist from slot e, the walk starts at e unless the
-carried job outranks the shortest job of a slot it would pass, and a scan
-of a large slot e resumes below that hoist's key.  Each slot also holds a
-limit reach, an upper bound on its jobs' highest limit, so the scan
-passes a slot that cannot hold a candidate without walking it.  The
-solver computes the reach of the nonempty slots only, when it is built;
-an empty slot's reach is 0.
+``WarmSolver._open`` shifts every slot from e on by one setup.  The solver
+works in rank space: a slot holds its jobs' ranks, their ``Instance.keys``,
+as an ascending list of ints, so a job enters a slot by bisection and
+leaves it by a deletion at its bisection point, both on plain ints, and
+the solver's processing-time, cost-value and held-cost tables are indexed
+by rank.  A rank becomes a job id only where the id leaves the solver: a
+limit move or read, a trace line and check mode's comparisons with the
+id-space functions.  The carry reads a full slot's shortest job as its
+first entry and compares two ranks to decide a swap; the hoist scan stops
+in each slot at the first candidate from the long end.  When the last
+adjustment was at the same i and took its hoist from slot e, the walk
+starts at e unless the carried job outranks the shortest job of a slot it
+would pass, and a scan of a large slot e resumes below that hoist's rank.
+Each slot also holds a limit reach, an upper bound on its jobs' highest
+limit, so the scan passes a slot that cannot hold a candidate without
+walking it.  The solver computes the reach of the nonempty slots only,
+when it is built; an empty slot's reach is 0.
 
 The solver also holds the max cost of each slot it has evaluated, and a
 held max goes stale only when an adjustment changed its slot's members or
@@ -77,12 +80,18 @@ Trace = Callable[[str], None]
 # Threshold value meaning "no cost cap"; compares exactly against any int.
 UNBOUNDED = float("inf")
 
-# A job leaves a slot of at most this many jobs by ``list.remove``, and a
-# larger one by a deletion at the bisection point of its key.  By ``timeit``
-# on CPython 3.11 (copy of the slot, then the deletion of its last job):
-# 160 against 360 ns on a 2-job slot, 340 against 500 ns on a 16-job one,
-# and the two meet near 32 jobs.  The hoist scan resumes only in a larger
-# slot: a small one is scanned in full for less than the resume costs.
+# The hoist scan resumes below the last hoist only in a slot of more than
+# this many jobs; a smaller one is scanned in full.  By ``timeit`` on
+# CPython 3.11, with every job above the last hoist a non-candidate, a
+# resumed scan costs 270-320 ns at any slot size and a full one 170 ns
+# plus about 20 ns per job it passes: 330 ns past 8 jobs of a 16-job slot,
+# 530 ns past 15.  The two meet near 12-16 jobs when half the slot lies
+# above the last hoist.  A job leaves a slot by a deletion at the
+# bisection point of its rank whatever the slot's size.  Against
+# ``list.remove`` of the slot's last job that costs 71 against 37 ns on a
+# 2-job slot, 86 against 94 ns on an 8-job one and 136 against 1,525 ns on
+# a 160-job one; the 35 ns it gives up on each of a hard-b2 instance's
+# roughly 1,500 deletions is under 1% of its sweep.
 SMALL_SLOT = 16
 
 
@@ -181,12 +190,16 @@ class WarmSolver:
     """The held state and the converged step that both warm sweeps share.
 
     ``slots[i]`` is slot i's jobs as a list in ascending ``Instance.keys``
-    order, ``completion[i]`` its batch's completion time and ``top[i]`` the
-    max cost of its jobs at that time, or None when the slot changed since
-    it was last evaluated (every slot starts that way).  ``cost[j]`` is job
-    j's cost at its slot's completion, current for every member of a slot
-    whose ``timed`` flag is set; a current max implies a timed slot.  A
-    subclass clears ``timed[c]`` (and ``top[c]``) wherever slot c's
+    order, each job held as the subclass's entry for it: its rank in
+    ``BoundedSolver``, its id in the precedence solver.  ``value[x]`` is
+    the cost function of the job held as x, a table the subclass sets, and
+    ``id_slots`` translates the held slots to job ids.  ``completion[i]``
+    is slot i's completion time and ``top[i]`` the max cost of its jobs at
+    that time, or None when the slot changed since it was last evaluated
+    (every slot starts that way).  ``cost[x]`` is the cost of the job held
+    as x at its slot's completion, current for every member of a slot whose
+    ``timed`` flag is set; a current max implies a timed slot.  A subclass
+    clears ``timed[c]`` (and ``top[c]``) wherever slot c's
     completion moves, evaluates a job entering a timed slot into ``cost``,
     and needs nothing for a leaving job.  ``held_max`` refreshes a stale max,
     evaluating the members of an untimed slot and taking their max in one
@@ -216,7 +229,7 @@ class WarmSolver:
         self.slots = slots
         self.completion = completion
         self.top: list[int | None] = [None] * len(slots)
-        self.cost: list[int | None] = [None] * (instance.n + 1)  # by job id
+        self.cost: list[int | None] = [None] * (instance.n + 1)  # by held entry
         self.timed = [False] * len(slots)
         self.first = next(c for c in range(1, len(slots)) if slots[c])
         self.max_cost: int | None = None
@@ -234,7 +247,7 @@ class WarmSolver:
         self.max_cost = max(self.top[self.first :])
         if self.check:
             instance = self.instance
-            held = timetable(self.slots[1:], instance)
+            held = timetable(self.id_slots()[1:], instance)
             if list(held.completion) != self.completion[1:]:
                 raise InvariantError("held completions differ from a timetable of their slots")
             if self.max_cost != objectives(held, instance)[1]:
@@ -250,11 +263,11 @@ class WarmSolver:
         if self.timed[c]:
             worst = self.top[c] = max(map(cost.__getitem__, batch))
             return worst
-        value = self.instance.cost_value
+        value = self.value
         at = self.completion[c]
         worst = None
-        for j in batch:
-            x = cost[j] = value[j](at)
+        for r in batch:
+            x = cost[r] = value[r](at)
             if worst is None or x > worst:
                 worst = x
         self.timed[c] = True
@@ -273,29 +286,37 @@ class WarmSolver:
         self.timed[x:] = [False] * stale
         self.first = x
 
+    def id_slots(self) -> list[list[int]]:
+        """The held slots as lists of job ids, in the held order: here the
+        held lists themselves, which a subclass holding other entries
+        overrides with a translation."""
+        return self.slots
+
     def check_held(self, before: list[int] | None) -> None:
         """Check mode: the held completions equal a ``batch_times`` of the
         held slots, none is earlier than in ``before`` (when given), every
         held max equals a fresh evaluation, every timed slot's held job
         costs do too, every slot with a current max is timed, and ``first``
-        is the lowest nonempty slot."""
+        is the lowest nonempty slot.  Jobs are evaluated by id, through
+        ``id_slots``."""
         instance = self.instance
         slots = self.slots
+        held = self.id_slots()
         completion = self.completion
         first = self.first
         if not slots[first] or any(slots[1:first]):
             raise InvariantError(f"held lowest nonempty slot {first} is wrong")
-        if completion != batch_times(slots, instance):
+        if completion != batch_times(held, instance):
             raise InvariantError("held completions differ from batch_times")
         if before is not None and any(map(int.__lt__, completion, before)):
             raise InvariantError("a batch completion moved earlier")
         value = instance.cost_value
         for i, worst in enumerate(self.top):
-            if worst is not None and worst != max([value[j](completion[i]) for j in slots[i]], default=None):
+            if worst is not None and worst != max([value[j](completion[i]) for j in held[i]], default=None):
                 raise InvariantError(f"held max cost of slot {i} differs from a fresh evaluation")
         cost = self.cost
         for i, timed in enumerate(self.timed):
-            if timed and any(cost[j] != value[j](completion[i]) for j in slots[i]):
+            if timed and any(cost[x] != value[j](completion[i]) for x, j in zip(slots[i], held[i])):
                 raise InvariantError(f"held job costs of slot {i} differ from a fresh evaluation")
             if not timed and self.top[i] is not None:
                 raise InvariantError(f"slot {i} holds a current max but its job costs are not timed")
@@ -309,6 +330,15 @@ class BoundedSolver(WarmSolver):
     starts as the greedy fill of the limits the solver is built on, and
     InvariantError is raised when that fill fails.
 
+    The solver works in rank space.  Each slot holds its jobs' ranks (their
+    ``Instance.keys``) as an ascending list of ints, and ``p``, ``value``
+    and ``cost`` are indexed by rank; ``ids[r]`` is the job of rank r
+    (``Instance.by_key`` behind a 0), through which the walk reads the live
+    limit table, which stays indexed by job id.  ``id_slots`` is the one id
+    view of the held slots.  Ranks become ids only where ids leave the
+    solver: ``limits.move``, the trace line and check mode's comparisons
+    with ``form_batches``, ``timetable`` and ``batch_times``.
+
     An adjustment that expels a job from slot i works on slots e..i only,
     e being the rightmost slot left of i with room or with a candidate (a
     job still admissible at i): one walk down from i - 1 scans each slot
@@ -321,15 +351,15 @@ class BoundedSolver(WarmSolver):
     by one setup.  An infeasible adjustment returns after the walk's
     swaps, which leave the limits as they are.  The hoist scan walks each
     slot from its longest job down and stops at the first candidate.
-    ``resume`` records ``(i, e, key of the hoist, lowest)`` of the last
+    ``resume`` records ``(i, e, rank of the hoist, lowest)`` of the last
     adjustment when it hoisted, and None otherwise; ``lowest`` is a lower
-    bound on the shortest keys of the slots it passed.  When the next
+    bound on the shortest ranks of the slots it passed.  When the next
     adjustment is at the same i, its walk starts at e if the job it
     carries is below ``lowest``, since it would swap nothing in slots
     e+1..i-1 and they still hold no candidate; and when its walk reaches e
     with ``reach[e]`` at least i, a slot of more than ``SMALL_SLOT`` jobs
-    is scanned from below that key only.  ``cap``, ``keys`` and ``limit``
-    (the live limit table) are held for the walk.
+    is scanned from below that rank only.  ``cap`` and ``limit`` (the live
+    limit table) are held for the walk.
 
     ``reach[c]`` is an upper bound on the highest limit among slot c's
     jobs (0 for an empty slot), exact when the solver is built.  It is
@@ -378,17 +408,23 @@ class BoundedSolver(WarmSolver):
         trace: Trace | None = None,
         check: bool = False,
     ):
-        slots = form_batches(instance, limits)
-        if slots is None:
+        filled = form_batches(instance, limits)
+        if filled is None:
             raise InvariantError("the greedy fill failed on the starting limits")
-        super().__init__(instance, limits, slots, batch_times(slots, instance), trace, check)
-        self.keys = instance.keys
+        rank = instance.keys.__getitem__  # a slot of ids in key order becomes ascending ranks
+        slots = [list(map(rank, batch)) for batch in filled]
+        super().__init__(instance, limits, slots, batch_times(filled, instance), trace, check)
+        ids = self.ids = (0, *instance.by_key)
+        p = instance.p
+        cost_value = instance.cost_value
+        self.p = [p[j] for j in ids]
+        self.value = [cost_value[j] for j in ids]
         self.cap = instance.effective_capacity
-        limit = self.limit = limits.table  # the live table, which ``limits.move`` updates
+        limit = self.limit = limits.table  # the live table, by job id, which ``limits.move`` updates
         first = self.first  # slots first..n hold jobs, and an empty slot's reach is 0
-        self.reach = [0] * first + [max(map(limit.__getitem__, batch)) for batch in slots[first:]]
+        self.reach = [0] * first + [max(map(limit.__getitem__, batch)) for batch in filled[first:]]
         self.due = (instance.n, self.first)
-        self.resume: tuple[int, int, int, int] | None = None  # (i, e, hoist's key, lowest) of the last hoist
+        self.resume: tuple[int, int, int, int] | None = None  # (i, e, hoist's rank, lowest) of the last hoist
 
     @classmethod
     def initial(cls, instance: Instance, trace: Trace | None = None, check: bool = False):
@@ -442,7 +478,7 @@ class BoundedSolver(WarmSolver):
         top = self.top  # marked stale in place by _adjust
         cost = self.cost  # refreshed in place by _adjust
         timed = self.timed  # cleared in place by _adjust
-        value = self.instance.cost_value
+        value = self.value
         first = self.first  # lowered by an opening
         upper = lower = 0  # the first and the last slot adjusted
         i = high + 1
@@ -453,15 +489,15 @@ class BoundedSolver(WarmSolver):
                 worst = self.held_max(i)
             if worst < threshold:
                 continue  # a clean slot needs no walk
-            for j in slots[i][::-1]:
+            for r in slots[i][::-1]:
                 if timed[i]:
-                    if cost[j] < threshold:
+                    if cost[r] < threshold:
                         continue
-                elif value[j](completion[i]) < threshold:
+                elif value[r](completion[i]) < threshold:
                     continue  # an opening retimed slot i mid-walk
                 if i == 1:
                     return None  # nothing further left exists
-                e = self._adjust(j, i)
+                e = self._adjust(r, i)
                 if not e:
                     return None
                 if e < low:
@@ -472,32 +508,29 @@ class BoundedSolver(WarmSolver):
             return ()
         return (self.instance.n if self.first < first else upper, lower)
 
-    def _adjust(self, j: int, i: int) -> int:
-        """Expel job j from slot i and repair the schedule; returns e, the
-        slot where the carry ended, or 0 when the step is infeasible.
+    def _adjust(self, r: int, i: int) -> int:
+        """Expel the job of rank r from slot i and repair the schedule;
+        returns e, the slot where the carry ended, or 0 when the step is
+        infeasible.
 
         The job's limit drops one group.  The repair reproduces what the
         greedy fill would now build: if some earlier-slot job is still
         admissible at slot i, the largest such job is hoisted in to replace
-        j; either way j is pushed leftward through the (necessarily full)
-        intervening batches, each handing its shortest job further left,
-        until the rightmost non-full batch e absorbs the carry.  One walk
-        down from i - 1 finds e and makes the carry's swaps on the way;
-        the slots it passes are then retimed by stretch.  The walk skips
-        every slot whose reach is below i, and raises the reach of every
-        slot a job enters.
+        the expelled one; either way that job is pushed leftward through
+        the (necessarily full) intervening batches, each handing its
+        shortest job further left, until the rightmost non-full batch e
+        absorbs the carry.  One walk down from i - 1 finds e and makes the
+        carry's swaps on the way; the slots it passes are then retimed by
+        stretch.  The walk skips every slot whose reach is below i, and
+        raises the reach of every slot a job enters.
         """
         slots = self.slots
-        keys = self.keys
-        by_key = keys.__getitem__
+        ids = self.ids
         limit = self.limit
         cap = self.cap
-        self.limits.move(j, i - 1)
+        self.limits.move(ids[r], i - 1)
         batch = slots[i]
-        if len(batch) <= SMALL_SLOT:
-            batch.remove(j)
-        else:
-            del batch[bisect_left(batch, keys[j], key=by_key)]
+        del batch[bisect_left(batch, r)]
         self.adjustments += 1
         top = self.top
         top[i] = None
@@ -511,29 +544,28 @@ class BoundedSolver(WarmSolver):
         # from its longest job down, so the first candidate met is the
         # slot's largest; a slot whose reach is below i holds no candidate
         # and is not scanned at all.  The carried job is never a candidate
-        # (j's limit is now i - 1, and a slot's shortest job leaves only a
-        # slot that holds none), so each full slot the walk passes swaps in
-        # the carried job when it outranks the slot's shortest, before e is
-        # known.  When the last adjustment was at this same i and hoisted
-        # from slot e, every job of e above the hoist's key was no candidate
-        # then, and is none now, so e's scan resumes below that key.  The
-        # slots it passed, e+1..i-1, are still full and hold no candidate,
-        # and a carry below their lowest shortest key swaps nothing there,
-        # so such a walk starts at e.
+        # (the expelled job's limit is now i - 1, and a slot's shortest job
+        # leaves only a slot that holds none), so each full slot the walk
+        # passes swaps in the carried job when it outranks the slot's
+        # shortest, before e is known.  When the last adjustment was at this
+        # same i and hoisted from slot e, every job of e above the hoist's
+        # rank was no candidate then, and is none now, so e's scan resumes
+        # below that rank.  The slots it passed, e+1..i-1, are still full
+        # and hold no candidate, and a carry below their lowest shortest
+        # rank swaps nothing there, so such a walk starts at e.
         reach = self.reach
         resume = self.resume
-        carry = j
-        carry_key = keys[j]
+        carry = r
         start = i - 1
         resumed = 0
-        lowest = len(keys)  # the lowest shortest key of the full slots passed, or above every key
+        lowest = len(ids)  # the lowest shortest rank of the full slots passed, or above every rank
         if resume is not None and resume[0] == i:
             resumed = resume[1]
-            if carry_key < resume[3]:
+            if carry < resume[3]:
                 start = resumed  # slots resumed+1..i-1 are full, hold no candidate and swap nothing
                 lowest = resume[3]
         hoist = None
-        swaps = []  # (slot, job carried into it) for each slot where the carry swapped, then e
+        swaps = []  # (slot, rank carried into it) for each slot where the carry swapped, then e
         e = 0
         for c in range(start, 0, -1):
             batch = slots[c]
@@ -542,11 +574,11 @@ class BoundedSolver(WarmSolver):
                     hoist = self._resumed_hoist(batch, c, i, resume[2])
                 else:
                     for x in reversed(batch):
-                        if limit[x] >= i:
+                        if limit[ids[x]] >= i:
                             hoist = x
                             break
                     else:
-                        reach[c] = max(map(limit.__getitem__, batch))  # scanned in full: now exact
+                        reach[c] = max(map(limit.__getitem__, map(ids.__getitem__, batch)))  # scanned in full: now exact
                 if hoist is not None:
                     e = c
                     break
@@ -554,31 +586,26 @@ class BoundedSolver(WarmSolver):
                 e = c
                 break
             shortest = batch[0]
-            key = keys[shortest]
-            if carry_key > key:
+            if carry > shortest:
                 del batch[0]
-                insort(batch, carry, key=by_key)
-                if limit[carry] > reach[c]:
-                    reach[c] = limit[carry]
+                insort(batch, carry)
+                if limit[ids[carry]] > reach[c]:
+                    reach[c] = limit[ids[carry]]
                 top[c] = None
                 swaps.append((c, carry))
                 carry = shortest
-                carry_key = key
-                key = keys[batch[0]]
-            if key < lowest:
-                lowest = key
+                shortest = batch[0]
+            if shortest < lowest:
+                lowest = shortest
 
         opened = not slots[e]  # the carry opens a batch in e (never in case 2: e holds the hoist)
         if hoist is not None:
-            self.resume = (i, e, keys[hoist], lowest)
+            self.resume = (i, e, hoist, lowest)
             batch = slots[e]
-            if len(batch) <= SMALL_SLOT:
-                batch.remove(hoist)
-            else:
-                del batch[bisect_left(batch, keys[hoist], key=by_key)]
-            insort(slots[i], hoist, key=by_key)
-            if limit[hoist] > reach[i]:
-                reach[i] = limit[hoist]
+            del batch[bisect_left(batch, hoist)]
+            insort(slots[i], hoist)
+            if limit[ids[hoist]] > reach[i]:
+                reach[i] = limit[ids[hoist]]
             case = 2
             if self.check and self._last_nonfull(i) != e:
                 raise InvariantError("hoisted job's slot is not the rightmost non-full")
@@ -591,7 +618,7 @@ class BoundedSolver(WarmSolver):
             case = 1
 
         if self.trace:
-            self.trace(f"move job={j} from={i} to={i - 1} case={case}")
+            self.trace(f"move job={ids[r]} from={i} to={i - 1} case={case}")
 
         # Jobs change slots only within e..i, so slot c in e..i-1 completes
         # later by the time of the job carried into it, less that of the
@@ -606,8 +633,8 @@ class BoundedSolver(WarmSolver):
         before = completion[:] if self.check else None
         timed = self.timed
         cost = self.cost
-        value = self.instance.cost_value
-        p = self.instance.p
+        value = self.value
+        p = self.p
         shift = -p[hoist] if hoist is not None else 0
         swaps.append((e, carry))  # the carry lands in e
         high = i  # one past the stretch's highest slot
@@ -621,9 +648,9 @@ class BoundedSolver(WarmSolver):
             elif timed[c]:
                 cost[x] = value[x](completion[c])
             high = c
-        insort(slots[e], carry, key=by_key)
-        if limit[carry] > reach[e]:
-            reach[e] = limit[carry]
+        insort(slots[e], carry)
+        if limit[ids[carry]] > reach[e]:
+            reach[e] = limit[ids[carry]]
         top[e] = None
         if opened:
             self._open(e)
@@ -633,23 +660,30 @@ class BoundedSolver(WarmSolver):
             self._check_state(e, before)
         return e
 
-    def _resumed_hoist(self, batch: list[int], e: int, i: int, key: int) -> int | None:
+    def _resumed_hoist(self, batch: list[int], e: int, i: int, hoisted: int) -> int | None:
         """The largest candidate for slot i in slot e, scanning down from
-        below ``key``, the key of the hoist the last adjustment at i took
+        below rank ``hoisted``, the hoist the last adjustment at i took
         from e; None when e holds none, and then every job of e is below i,
         which becomes e's reach.  Check mode compares the result with a
         scan of the whole slot."""
         limit = self.limit
-        for k in range(bisect_left(batch, key, key=self.keys.__getitem__) - 1, -1, -1):
+        ids = self.ids
+        for k in range(bisect_left(batch, hoisted) - 1, -1, -1):
             x = batch[k]
-            if limit[x] >= i:
+            if limit[ids[x]] >= i:
                 break
         else:
             x = None
             self.reach[e] = i - 1
-        if self.check and x != next((y for y in reversed(batch) if limit[y] >= i), None):
+        if self.check and x != next((y for y in reversed(batch) if limit[ids[y]] >= i), None):
             raise InvariantError(f"resumed hoist scan of slot {e} differs from a full scan")
         return x
+
+    def id_slots(self) -> list[list[int]]:
+        """The held slots as lists of job ids, each in ascending key order:
+        the one translation of the held ranks to ids."""
+        ids = self.ids.__getitem__
+        return [list(map(ids, batch)) for batch in self.slots]
 
     def _check_clean(self, threshold) -> None:
         """Check mode: after a clean pass every nonempty slot's held max is
@@ -667,11 +701,12 @@ class BoundedSolver(WarmSolver):
             raise InvariantError(f"slot {e} exceeds capacity")
         self.check_held(before)
         limit = self.limits.table
-        for c, batch in enumerate(self.slots):
+        held = self.id_slots()
+        for c, batch in enumerate(held):
             if batch and max(map(limit.__getitem__, batch)) > self.reach[c]:
                 raise InvariantError(f"slot {c} holds a limit above its reach")
         rebuilt = form_batches(instance, self.limits)
-        if rebuilt is None or rebuilt != self.slots:
+        if rebuilt is None or rebuilt != held:
             raise InvariantError("standing schedule diverged from rebuild")
 
     def _last_nonfull(self, i: int) -> int | None:

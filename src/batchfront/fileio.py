@@ -15,14 +15,18 @@ Layout::
 Cost objects by type: lateness/tardiness take ``due``, weighted_completion
 takes ``w``, affine takes ``a`` and ``c``, step takes ``breakpoints`` (a
 list of [time, value] pairs).  Every number must be a JSON integer: floats,
-numeric strings and booleans are refused, never truncated, by the model
-constructors; this module checks only the JSON structure.  Parse errors
-carry the source name and either the line and column of a syntax error or
-the field, such as ``jobs[3].p``, in front of the constructor's message.
-A job row is checked by its key sets alone and goes straight to the
-constructors; only a row that fails that check, or whose constructor
-raises, has its location built and its fields checked one at a time, so
-every message names the same field it always did.
+numeric strings and booleans are refused, never truncated, by the model's
+rules; this module checks only the JSON structure.  Parse errors carry the
+source name and either the line and column of a syntax error or the
+field, such as ``jobs[3].p``, in front of the constructor's message.  A
+job row is checked by its key counts alone and goes straight to the
+model's decoder, ``decode_job``, which applies the exact-integer and
+p >= 1 rules itself, builds the frozen ``Job`` without its generic
+constructor, and shares one cost spec among the rows of one parse whose
+integer cost fields are equal.  Only a row that fails that check, that
+the decoder refuses or whose spec constructor raises has its location
+built and its fields checked one at a time by the constructors, so every
+message names the same field it always did.
 ``parse_instance(emit_instance(x)) == x``.
 
 ``parse_instance`` pauses the cyclic garbage collector while it decodes and
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import gc
 import json
+from operator import itemgetter
 from pathlib import Path
 
 from .model import (
@@ -52,6 +57,7 @@ from .model import (
     StepTable,
     Tardiness,
     WeightedCompletion,
+    decode_job,
 )
 
 _COST_FIELDS = {
@@ -61,10 +67,21 @@ _COST_FIELDS = {
     "affine": (Affine, ("a", "c")),
     "step": (StepTable, ("breakpoints",)),
 }
-# the key sets of a well-formed job row and of a well-formed cost object of
-# each type, which ``_jobs`` accepts a row by without locating it
-_JOB_KEYS = frozenset(("id", "p", "cost"))
-_COST_KEYS = {kind: frozenset(("type", *names)) for kind, (_, names) in _COST_FIELDS.items()}
+
+
+def _field_values(names: tuple[str, ...]):
+    """A function from a cost object to its ``names`` values, as a tuple."""
+    if len(names) > 1:
+        return itemgetter(*names)
+    name = names[0]
+    return lambda obj: (obj[name],)
+
+
+# how ``_jobs`` reads a cost object of each type without locating it: the
+# type's class, the key count of a well-formed object (the type and every
+# field, so an object holding them all and that many keys holds no other)
+# and its field values
+_DECODERS = {kind: (cls, 1 + len(names), _field_values(names)) for kind, (cls, names) in _COST_FIELDS.items()}
 
 
 def _cost_from_obj(obj, where: str) -> CostSpec:
@@ -116,24 +133,27 @@ def _job_from_row(row, where: str) -> Job:
 
 
 def _jobs(rows: list, source: str) -> list[Job]:
-    """The jobs of a ``"jobs"`` array.  A row whose key set is exactly id, p
-    and cost, with a cost object of a known type whose key set is exactly
-    that type's, goes straight to the constructors.  Any other row, or one
-    whose constructor raises, goes through ``_job_from_row``, which locates
-    the problem and raises it."""
+    """The jobs of a ``"jobs"`` array.  A row of three keys, id, p and cost,
+    with a cost object of a known type holding the type's fields and no
+    other key, goes to ``decode_job``, which shares one cost spec among
+    the rows of this array with equal fields.  Any other row, or one that
+    ``decode_job`` refuses or whose spec constructor raises, goes through
+    ``_job_from_row``, which locates the problem and raises it."""
     jobs: list[Job] = []
     append = jobs.append
+    specs: dict = {}  # this parse's shared cost specs, filled by ``decode_job``
     for row in rows:
         try:
-            if type(row) is dict and row.keys() == _JOB_KEYS:
+            if type(row) is dict and len(row) == 3:  # KeyError below unless id, p and cost
                 obj = row["cost"]
                 if type(obj) is dict:
-                    kind = obj.get("type")
-                    if obj.keys() == _COST_KEYS.get(kind):  # TypeError when kind is unhashable
-                        cls, names = _COST_FIELDS[kind]
-                        append(Job(row["id"], row["p"], cls(*map(obj.__getitem__, names))))
-                        continue
-        except (InstanceError, TypeError):
+                    cls, size, fields = _DECODERS[obj["type"]]  # KeyError, or TypeError when unhashable
+                    if len(obj) == size:
+                        job = decode_job(row["id"], row["p"], cls, fields(obj), specs)
+                        if job is not None:
+                            append(job)
+                            continue
+        except (InstanceError, KeyError, TypeError):
             pass
         append(_job_from_row(row, f"{source}: jobs[{len(jobs)}]"))
     return jobs

@@ -114,6 +114,7 @@ class PrecedenceSolver(WarmSolver):
     ):
         slots = limits.groups()
         super().__init__(instance, limits, slots, batch_times(slots, instance), trace, check)
+        self.value = instance.cost_value  # the held entries are job ids
         self.bounds = list(limits.table)
         self.marked = [False] * (instance.n + 1)
 

@@ -151,3 +151,51 @@ def test_all_names_every_benchmark_workload_in_order():
     assert SCRIPT["workloads_named"]("all") == [workload["name"] for workload in spec["workloads"]]
     assert SCRIPT["workloads_named"]("hard-b2,paper-800") == ["hard-b2", "paper-800"]
     assert SCRIPT["workloads_named"]("many-small") == ["many-small"]
+
+
+# A traced run's output: per-layer metrics, a frontier digest line, and the
+# result line; each value is the run's position in the log.
+TRACED_STUB = """
+import json, sys
+log = sys.argv[1]
+with open(log, encoding="utf-8") as f:
+    k = sum(1 for _ in f)
+side = open("side.txt", encoding="utf-8").read().strip()
+with open(log, "a", encoding="utf-8") as f:
+    f.write(side + "\\n")
+metrics = {"fileio.parse_s": {"value": float(k), "unit": "s"}, "bounded.passes": {"value": 5.0, "unit": "count"}}
+print("absent: none")
+print("frontier digest sha256 " + ("ab" if side == "parent" else "cd"))
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
+"""
+
+
+def test_traced_pairs_report_layer_medians_and_digests_with_no_verdict(tmp_path):
+    log = tmp_path / "log.txt"
+    log.write_text("", encoding="utf-8")
+    checkouts = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
+
+    def timed(workload, seed, seconds):
+        raise AssertionError("no timed pairs were asked for")
+
+    def traced(workload, seed, seconds):
+        return [sys.executable, "-c", TRACED_STUB, str(log)]
+
+    result = SCRIPT["run_workloads"](*checkouts, ["stub"], 7, 0, 1, command=timed, traced_pairs=3, traced=traced)
+    assert set(result) == {"traced_command", "traced"}
+    run = result["traced"]["seed_7"]["stub"]
+    assert run["first_side"] == ["parent", "change", "parent"]
+    assert run["digests"] == {"parent": ["ab"] * 3, "change": ["cd"] * 3}
+    parse = run["metrics"]["fileio.parse_s"]
+    assert (parse["parent"], parse["change"]) == ([0.0, 3.0, 4.0], [1.0, 2.0, 5.0])
+    assert (parse["parent_median"], parse["change_median"], parse["parent_iqr"]) == (3.0, 2.0, 2.0)
+    passes = run["metrics"]["bounded.passes"]
+    assert (passes["parent_median"], passes["change_median"], passes["relative"]) == (5.0, 5.0, 0.0)
+    for summary in run["metrics"].values():
+        assert not {"change_better_pairs", "bound", "regression"} & set(summary)
+    assert result["traced_command"].endswith(", for W in stub")
+
+
+def test_the_default_traced_command_is_the_timed_one_with_tracing_on():
+    assert SCRIPT["traced_command"]("paper-800", 3, 8) == SCRIPT["perfbench_command"]("paper-800", 3, 8)[:-1] + ["1"]
+    assert SCRIPT["perfbench_command"]("paper-800", 3, 8)[-2:] == ["--trace", "0"]

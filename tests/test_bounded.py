@@ -371,22 +371,69 @@ def test_held_slots_stay_in_key_order_through_a_whole_sweep():
     # through full 2-job batches, each carry and hoist inserting in order
     inst = gen_random(150, 1, "small", capacity=2)
     solver = BoundedSolver.initial(inst)
-    assert _in_key_order(inst, solver.slots)
+    assert _in_key_order(inst, solver.id_slots())
     threshold, steps = UNBOUNDED, 0
     while True:
         makespan = solver.solve(threshold)
         steps += 1
-        assert _in_key_order(inst, solver.slots), f"step {steps}"
+        assert _in_key_order(inst, solver.id_slots()), f"step {steps}"
         if makespan is None:
             break
         threshold = solver.max_cost
     assert steps == 314
 
 
+@pytest.mark.parametrize(
+    "profile, capacity",
+    [("small", 2), ("paper", None), ("geo", None), ("staged", None)],
+    ids=["small-b2", "paper", "geo", "staged"],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_id_view_of_the_held_slots_is_the_fill_of_the_limits_at_every_step(profile, capacity, seed):
+    # the solver holds ranks; without check mode nothing else translates
+    # them, so this is the one place an unchecked sweep's ids are compared
+    inst = gen_random(40, seed, profile, capacity=capacity)
+    solver = BoundedSolver.initial(inst)
+    assert solver.id_slots() == form_batches(inst, solver.limits)
+    threshold, steps = UNBOUNDED, 0
+    while solver.solve(threshold) is not None:
+        steps += 1
+        assert solver.id_slots() == form_batches(inst, solver.limits), f"step {steps}"
+        assert [[inst.keys[j] for j in batch] for batch in solver.id_slots()] == solver.slots
+        threshold = solver.max_cost
+    assert steps >= 1
+
+
+class _SwapsTwoJobsInItsTranslation(BoundedSolver):
+    """A solver whose rank-to-id table swaps jobs 1 and 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        ids = list(self.ids)
+        one, two = self.instance.keys[1], self.instance.keys[2]
+        ids[one], ids[two] = ids[two], ids[one]
+        self.ids = tuple(ids)
+
+
+def test_check_mode_catches_a_rank_to_id_translation_that_swaps_two_jobs():
+    # jobs 1 and 2 have one p and one cost, so the swap moves no completion
+    # and no cost: only the rebuild of the limits, in ids, can see it
+    inst = gen_random(12, 1, "small", capacity=3)
+    twin = inst.jobs[0]
+    inst = Instance(jobs=(twin, Job(2, twin.p, twin.cost), *inst.jobs[2:]), setup=inst.setup, capacity=3)
+    assert inst.by_key.index(2) + 1 == inst.by_key.index(1)  # adjacent ranks, the smaller id ranking higher
+    pareto_bounded(inst, check=True)  # the real solver passes every check
+    solver = _SwapsTwoJobsInItsTranslation.initial(inst, check=True)
+    threshold = UNBOUNDED
+    with pytest.raises(InvariantError, match="^standing schedule diverged from rebuild$"):
+        while solver.solve(threshold) is not None:
+            threshold = solver.max_cost
+
+
 def _reach_misses(solver):
     """Nonempty slots holding a limit above their reach."""
     limit = solver.limits.table
-    return [c for c, batch in enumerate(solver.slots) if batch and max(limit[x] for x in batch) > solver.reach[c]]
+    return [c for c, batch in enumerate(solver.id_slots()) if batch and max(limit[x] for x in batch) > solver.reach[c]]
 
 
 def test_reach_stays_an_upper_bound_through_a_whole_sweep():
@@ -395,7 +442,7 @@ def test_reach_stays_an_upper_bound_through_a_whole_sweep():
     inst = gen_random(150, 1, "small", capacity=2)
     solver = BoundedSolver.initial(inst)
     limit = solver.limits.table
-    assert solver.reach == [max((limit[x] for x in batch), default=0) for batch in solver.slots]
+    assert solver.reach == [max((limit[x] for x in batch), default=0) for batch in solver.id_slots()]
     threshold, steps = UNBOUNDED, 0
     while True:
         makespan = solver.solve(threshold)
@@ -415,7 +462,7 @@ def test_check_mode_catches_a_reach_below_a_held_limit():
     inst = gen_random(15, 1, "paper")
     solver = BoundedSolver.initial(inst, check=True)
     solver.solve(UNBOUNDED)
-    assert solver.reach[11:] == [15] * 5 and solver.slots[11] == [3, 4, 5]
+    assert solver.reach[11:] == [15] * 5 and solver.id_slots()[11] == [3, 4, 5]
     solver.reach[11] = 14
     with pytest.raises(InvariantError, match="^slot 11 holds a limit above its reach$"):
         solver.solve(solver.max_cost)
@@ -429,9 +476,10 @@ def test_check_mode_catches_a_slot_out_of_key_order():
     inst = gen_random(15, 1, "paper")
     solver = BoundedSolver.initial(inst, check=True)
     solver.solve(UNBOUNDED)
+    held = solver.id_slots()
+    assert held[14] == [15, 14, 12] and held[14] == sorted(held[14], key=inst.keys.__getitem__)
+    assert all(len(held[c]) == 3 for c in range(11, 15)) and len(held[10]) < 3
     batch = solver.slots[14]
-    assert batch == [15, 14, 12] and batch == sorted(batch, key=inst.keys.__getitem__)
-    assert all(len(solver.slots[c]) == 3 for c in range(11, 15)) and len(solver.slots[10]) < 3
     batch[0], batch[-1] = batch[-1], batch[0]
     with pytest.raises(InvariantError, match="^standing schedule diverged from rebuild$"):
         solver.solve(solver.max_cost)
@@ -907,7 +955,7 @@ class _StartsEveryRepeatWalkAtTheLastHoist(BoundedSolver):
 
     def __setattr__(self, name, value):
         if name == "resume" and value is not None:
-            value = (*value[:3], len(self.keys))
+            value = (*value[:3], len(self.ids))
         super().__setattr__(name, value)
 
 

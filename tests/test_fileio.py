@@ -1,11 +1,13 @@
+import dataclasses
 import gc
 import re
 
 import pytest
 
+from batchfront import fileio, model
 from batchfront.fileio import emit_instance, load_instance, parse_instance, save_instance
-from batchfront.generate import gen_random
-from batchfront.model import Instance, InstanceError, Job, StepTable, Tardiness, WeightedCompletion
+from batchfront.generate import PROFILES, gen_random
+from batchfront.model import Instance, InstanceError, Job, Lateness, StepTable, Tardiness, WeightedCompletion
 
 MINIMAL = """
 {
@@ -24,9 +26,12 @@ def test_parse_minimal(two_jobs):
 
 
 def test_round_trip_all_profiles():
-    for profile, n in (("paper", 12), ("small", 7), ("prec", 7)):
-        inst = gen_random(n, seed=5, profile=profile)
-        assert parse_instance(emit_instance(inst)) == inst
+    for profile in PROFILES:
+        for n, capacity in ((7, None), (12, None), (12, 3)):
+            if capacity and profile in ("prec", "geo-prec"):
+                continue  # precedence instances are unbounded
+            inst = gen_random(n, seed=5, profile=profile, capacity=capacity)
+            assert parse_instance(emit_instance(inst)) == inst
 
 
 def test_round_trip_every_cost_variant():
@@ -338,3 +343,126 @@ def test_parse_leaves_no_cyclic_garbage(profile):
     instance = parse_instance(text)
     del instance
     assert gc.collect() == 0
+
+
+def _cost_pair_text(first_cost, second_cost, second_p="1"):
+    """Two jobs, the first of which holds ``first_cost``: a well-formed cost
+    the decoder shares before it meets the second row."""
+    return (
+        '{"setup": 1, "capacity": 2, "jobs": ['
+        f'{{"id": 1, "p": 1, "cost": {first_cost}}}, {{"id": 2, "p": {second_p}, "cost": {second_cost}}}]}}'
+    )
+
+
+_NOT_EXACT = [("true", "true"), ("1.0", "1.0"), ('"1"', '"1"')]
+
+
+@pytest.mark.parametrize("value, shown", _NOT_EXACT, ids=["bool", "float", "string"])
+@pytest.mark.parametrize(
+    "kind, first, second, field",
+    [
+        ("lateness", '"due": 1', '"due": {}', "due"),
+        ("tardiness", '"due": 1', '"due": {}', "due"),
+        ("weighted_completion", '"w": 1', '"w": {}', "w"),
+        ("affine", '"a": 1, "c": 1', '"a": {}, "c": 1', "a"),
+        ("affine", '"a": 1, "c": 1', '"a": 1, "c": {}', "c"),
+    ],
+    ids=["lateness-due", "tardiness-due", "weighted-w", "affine-a", "affine-c"],
+)
+def test_a_value_equal_to_a_shared_integer_field_is_still_refused(kind, first, second, field, value, shown):
+    # true == 1.0 == 1 and they hash alike, so a spec cache read before the
+    # exact-integer test would hand the second row the first row's spec
+    text = _cost_pair_text(
+        f'{{"type": "{kind}", {first}}}', f'{{"type": "{kind}", {second.format(value)}}}'
+    )
+    message = f"<string>: jobs[1].cost.{field} must be an integer, got {shown}"
+    with pytest.raises(InstanceError, match=rf"^{re.escape(message)}$"):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "first, second, second_p, message",
+    [
+        pytest.param(
+            '{"type": "weighted_completion", "w": 1}',
+            '{"type": "weighted_completion", "w": -1}',
+            "1",
+            "jobs[1].cost.w: weighted_completion weight must be >= 0, got -1",
+            id="w",
+        ),
+        pytest.param(
+            '{"type": "affine", "a": 1, "c": 2}',
+            '{"type": "affine", "a": -1, "c": 2}',
+            "1",
+            "jobs[1].cost.a: affine slope must be >= 0, got -1",
+            id="a",
+        ),
+        pytest.param(
+            '{"type": "lateness", "due": 1}',
+            '{"type": "lateness", "due": 1}',
+            "0",
+            "jobs[1].p: job 2: processing time must be >= 1, got 0",
+            id="p-beside-a-shared-cost",
+        ),
+    ],
+)
+def test_a_constructor_error_after_a_shared_spec_is_refused_with_its_location(first, second, second_p, message):
+    with pytest.raises(InstanceError, match=rf"^{re.escape(f'<string>: {message}')}$"):
+        parse_instance(_cost_pair_text(first, second, second_p))
+
+
+def test_rows_with_equal_integer_costs_share_one_spec_and_step_costs_do_not():
+    text = (
+        '{"setup": 1, "capacity": 2, "jobs": ['
+        '{"id": 1, "p": 1, "cost": {"type": "lateness", "due": 7}}, '
+        '{"id": 2, "p": 2, "cost": {"type": "lateness", "due": 7}}, '
+        '{"id": 3, "p": 3, "cost": {"type": "tardiness", "due": 7}}, '
+        '{"id": 4, "p": 4, "cost": {"type": "step", "breakpoints": [[0, 1], [5, 2]]}}, '
+        '{"id": 5, "p": 5, "cost": {"type": "step", "breakpoints": [[0, 1], [5, 2]]}}]}'
+    )
+    jobs = parse_instance(text).jobs
+    assert jobs[0].cost is jobs[1].cost and jobs[0].cost == Lateness(7)
+    assert jobs[2].cost == Tardiness(7)  # same field values, another class: its own spec
+    assert jobs[3].cost == jobs[4].cost == StepTable(((0, 1), (5, 2)))
+    assert jobs[3].cost is not jobs[4].cost
+    assert jobs == (
+        Job(1, 1, Lateness(7)),
+        Job(2, 2, Lateness(7)),
+        Job(3, 3, Tardiness(7)),
+        Job(4, 4, StepTable(((0, 1), (5, 2)))),
+        Job(5, 5, StepTable(((0, 1), (5, 2)))),
+    )
+
+
+def test_decoded_jobs_equal_hash_and_repr_as_constructed_ones_and_stay_frozen():
+    inst = gen_random(30, 4, "small", capacity=3)
+    decoded = parse_instance(emit_instance(inst)).jobs
+    assert decoded == inst.jobs
+    assert [hash(job) for job in decoded] == [hash(job) for job in inst.jobs]
+    assert [repr(job) for job in decoded] == [repr(job) for job in inst.jobs]
+    job = decoded[0]
+    for name in ("id", "p", "cost"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(job, name, 2)
+    assert dataclasses.replace(job, p=job.p + 1) == Job(job.id, job.p + 1, job.cost)
+
+
+def _module_state():
+    """The size of every container held at module level by the parser and
+    the model."""
+    return {
+        (module.__name__, name): len(value)
+        for module in (fileio, model)
+        for name, value in vars(module).items()
+        if isinstance(value, (dict, list, set, tuple)) and not name.startswith("__")
+    }
+
+
+def test_each_parse_has_its_own_specs_and_leaves_nothing_at_module_level():
+    text = emit_instance(gen_random(40, 2, "paper"))
+    before = _module_state()
+    first, second = parse_instance(text), parse_instance(text)
+    assert first == second
+    shared = {id(job.cost) for job in first.jobs} & {id(job.cost) for job in second.jobs}
+    assert not shared
+    assert _module_state() == before

@@ -223,7 +223,7 @@ def test_solver_max_cost_equals_objectives_at_every_step(profile, n):
         steps = 0
         while (makespan := solver.solve(threshold)) is not None:
             steps += 1
-            assert (makespan, solver.max_cost) == objectives(timetable(solver.slots[1:], inst), inst)
+            assert (makespan, solver.max_cost) == objectives(timetable(solver.id_slots()[1:], inst), inst)
             threshold = solver.max_cost
         assert steps + 1 == sweep(inst).threshold_steps
 
@@ -250,7 +250,7 @@ def _held_points(solver, inst):
     while (makespan := solver.solve(threshold)) is not None:
         if last is not None and makespan > last[0]:
             points.append(last)
-        last = (makespan, solver.max_cost, timetable(solver.slots[1:], inst))
+        last = (makespan, solver.max_cost, timetable(solver.id_slots()[1:], inst))
         threshold = solver.max_cost
     return points + [last]
 
@@ -294,7 +294,7 @@ def test_warm_solvers_meet_their_contract_below_the_last_max_cost(profile, n, ca
     while True:
         before = solver.limits.copy()
         makespan = solver.solve(threshold)
-        schedule = None if makespan is None else timetable(solver.slots[1:], inst)
+        schedule = None if makespan is None else timetable(solver.id_slots()[1:], inst)
         if unbounded:
             assert verify._replay_fresh(inst, before, threshold, schedule, solver.limits) == []
         else:

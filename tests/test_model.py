@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import re
 
@@ -19,6 +20,7 @@ from batchfront.model import (
     StepTable,
     Tardiness,
     WeightedCompletion,
+    decode_job,
     eval_cost,
     objectives,
     timetable,
@@ -202,6 +204,75 @@ def test_values_of_the_wrong_kind_are_refused_by_the_constructor_naming_the_fiel
     assert re.match(rf"{re.escape(field)} must be an? \w.*, got .+", message)
 
 
+# (class, fields) of a well-formed cost spec of every type
+DECODED_COSTS = [
+    (Lateness, (5,)),
+    (Tardiness, (-3,)),
+    (WeightedCompletion, (0,)),
+    (Affine, (2, -7)),
+    (StepTable, ([[0, 1], [5, 2]],)),
+]
+
+
+@pytest.mark.parametrize("cls, fields", DECODED_COSTS, ids=lambda v: getattr(v, "__name__", ""))
+def test_a_decoded_job_is_the_job_its_constructors_build(cls, fields):
+    specs = {}
+    job = decode_job(4, 2, cls, fields, specs)
+    built = Job(4, 2, cls(*fields))
+    assert type(job) is Job
+    assert (job, hash(job), repr(job)) == (built, hash(built), repr(built))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        job.p = 3
+    # a step table is built for its row alone; every other spec is shared
+    again = decode_job(5, 1, cls, fields, specs)
+    assert again.cost == job.cost and (again.cost is job.cost) == (cls is not StepTable)
+    assert len(specs) == (cls is not StepTable)
+
+
+@pytest.mark.parametrize(
+    "job_id, p, cls, fields",
+    [
+        pytest.param(True, 2, Lateness, (5,), id="id-bool"),
+        pytest.param(1.0, 2, Lateness, (5,), id="id-float"),
+        pytest.param(1, "2", Lateness, (5,), id="p-string"),
+        pytest.param(1, 2.0, Lateness, (5,), id="p-float"),
+        pytest.param(1, 0, Lateness, (5,), id="p-zero"),
+        pytest.param(1, 2, Lateness, (True,), id="due-bool"),
+        pytest.param(1, 2, Tardiness, (5.0,), id="due-float"),
+        pytest.param(1, 2, WeightedCompletion, ("5",), id="w-string"),
+        pytest.param(1, 2, Affine, (True, 5), id="a-bool"),
+        pytest.param(1, 2, Affine, (1, 5.0), id="c-float"),
+    ],
+)
+def test_decode_job_refuses_what_the_constructors_refuse_and_shares_nothing_then(job_id, p, cls, fields):
+    # the spec cache holds an equal spec for every field value above (True
+    # == 1.0 == 1), so only a test ahead of the cache read can refuse them
+    specs = {}
+    for held in ((5,), (1,), (1, 5)):
+        if len(held) == len(fields):
+            decode_job(9, 1, cls, held, specs)
+    cached = dict(specs)
+    assert decode_job(job_id, p, cls, fields, specs) is None
+    assert specs == cached
+    with pytest.raises(InstanceError):
+        Job(job_id, p, cls(*fields))
+
+
+@pytest.mark.parametrize(
+    "cls, fields, message",
+    [
+        (WeightedCompletion, (-1,), "w: weighted_completion weight must be >= 0, got -1"),
+        (Affine, (-1, 2), "a: affine slope must be >= 0, got -1"),
+        (StepTable, ([[5, 1], [0, 2]],), "breakpoints: step cost breakpoint times must be strictly increasing"),
+    ],
+)
+def test_decode_job_raises_a_spec_constructors_error_and_caches_nothing(cls, fields, message):
+    specs = {}
+    with pytest.raises(InstanceError, match=rf"^{re.escape(message)}$"):
+        decode_job(1, 1, cls, fields, specs)
+    assert specs == {}
+
+
 def test_the_good_document_parses():
     assert parse_instance(json.dumps(GOOD_DOC)).n == 5
 
@@ -354,7 +425,7 @@ def test_timetables_of_held_slots_share_one_empty_slot_and_equal_the_held_times(
     solver = solver_class.initial(inst)
     threshold, snapshots = UNBOUNDED, []
     while (makespan := solver.solve(threshold)) is not None:
-        schedule = timetable(solver.slots[1:], inst)
+        schedule = timetable(solver.id_slots()[1:], inst)
         assert schedule.completion == tuple(solver.completion[1:]) and schedule.makespan == makespan
         snapshots.append(schedule)
         threshold = solver.max_cost
