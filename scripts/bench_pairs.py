@@ -9,16 +9,16 @@ Runs without pytest or any other third-party package::
 ``all``, every workload ``BENCHMARK.json`` declares, in its order.  The
 workloads run one after another, each with its own alternating pairs.
 ``--traced-pairs K`` adds K traced pairs per workload, run the same way
-with ``--trace 1`` after the timed ones; ``--pairs 0`` runs traced pairs
-alone.
+with ``--trace 1`` appended, after the timed ones; ``--pairs 0`` runs
+traced pairs alone.
 
 PARENT and CHANGE are two checkouts of the repository (say, a ``git
 archive`` of the parent commit and the working tree).  For each pair, each
 side is copied into a fresh temporary directory and runs::
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds T
 
-there; even pairs run the parent first, odd pairs the change, so neither
+there, untraced as ``BENCHMARK.json`` runs it; even pairs run the parent first, odd pairs the change, so neither
 side always meets a warm or a cold machine.  The copy leaves out version
 control, bytecode and test caches, so every run compiles its own tree.
 
@@ -68,20 +68,12 @@ Command = Callable[[str, int, int], list[str]]
 
 
 DIGEST = "frontier digest sha256 "
+TRACE_ON = ["--trace", "1"]  # appended to a command for a traced pair
 
 
-def perfbench_command(workload: str, seed: int, seconds: int, trace: int = 0) -> list[str]:
-    """The perfbench run of one workload, from a checkout's root: untraced
-    unless ``trace`` is 1."""
-    return [
-        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(trace),
-    ]
-
-
-def traced_command(workload: str, seed: int, seconds: int) -> list[str]:
-    """The traced perfbench run of one workload, from a checkout's root."""
-    return perfbench_command(workload, seed, seconds, trace=1)
+def perfbench_command(workload: str, seed: int, seconds: int) -> list[str]:
+    """The untraced perfbench run of one workload, from a checkout's root."""
+    return [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
 
 
 def benchmark() -> dict:
@@ -175,13 +167,15 @@ def run_pairs(
     pairs: int,
     seconds: int,
     command: Command = perfbench_command,
+    traced: bool = False,
 ) -> dict:
     """The ``runs`` entry of ``pairs`` alternating pairs on one workload:
     pair k runs the parent first when k is even, the change when it is odd.
-    Only end-to-end metrics get a verdict, and ``digests`` is added when
-    the runs printed frontier digests."""
+    A traced pair appends ``TRACE_ON`` to ``command``.  Only end-to-end
+    metrics get a verdict, and ``digests`` is added when the runs printed
+    frontier digests."""
     checkouts = {"parent": parent, "change": change}
-    argv = command(workload, seed, seconds)
+    argv = command(workload, seed, seconds) + (TRACE_ON if traced else [])
     first_side: list[str] = []
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
     for k in range(pairs):
@@ -255,30 +249,29 @@ def run_workloads(
     seconds: int,
     command: Command = perfbench_command,
     traced_pairs: int = 0,
-    traced: Command = traced_command,
 ) -> dict:
     """The whole output for ``workloads``, run one after another: with
     timed ``pairs``, ``command``, ``runs``, the claim on the first workload
     and the regression verdicts of every workload; with ``traced_pairs``,
     ``traced_command`` and ``traced``, each workload's traced pairs run
     after its timed ones."""
-    def listed(run_command: Command) -> str:
-        return f"python3 {' '.join(run_command('W', seed, seconds)[1:])}, for W in {', '.join(workloads)}"
+    def listed(extra: list[str]) -> str:
+        return f"python3 {' '.join(command('W', seed, seconds)[1:] + extra)}, for W in {', '.join(workloads)}"
 
     runs, traced_runs = {}, {}
     for workload in workloads:
         if pairs:
             runs[workload] = run_pairs(parent, change, workload, seed, pairs, seconds, command)
         if traced_pairs:
-            traced_runs[workload] = run_pairs(parent, change, workload, seed, traced_pairs, seconds, traced)
+            traced_runs[workload] = run_pairs(parent, change, workload, seed, traced_pairs, seconds, command, traced=True)
     result = {}
     if pairs:
-        result["command"] = listed(command)
+        result["command"] = listed([])
         result["runs"] = {f"seed_{seed}": runs}
         result["claim_result"] = claim_result(runs[workloads[0]], workloads[0])
         result["regression_result"] = " ".join(regression_result(run, workload) for workload, run in runs.items())
     if traced_pairs:
-        result["traced_command"] = listed(traced)
+        result["traced_command"] = listed(TRACE_ON)
         result["traced"] = {f"seed_{seed}": traced_runs}
     return result
 

@@ -19,13 +19,12 @@ numeric strings and booleans are refused, never truncated, by the model's
 rules; this module checks only the JSON structure.  Parse errors carry the
 source name and either the line and column of a syntax error or the
 field, such as ``jobs[3].p``, in front of the constructor's message.  A
-job row is checked by its key counts alone and goes straight to the
-model's decoder, ``decode_job``, which applies the exact-integer and
-p >= 1 rules itself, builds the frozen ``Job`` without its generic
-constructor, and shares one cost spec among the rows of one parse whose
-integer cost fields are equal.  Only a row that fails that check, that
-the decoder refuses or whose spec constructor raises has its location
-built and its fields checked one at a time by the constructors, so every
+job row is checked by its key counts alone: its cost spec is built by
+the spec's constructor and the job by the model's decoder, ``decode_job``,
+which applies the model's job rules and builds the frozen ``Job`` without
+its generic constructor.  Only a row that fails that check, whose spec
+constructor raises or that the decoder refuses has its location built
+and its fields checked one at a time by the constructors, so every
 message names the same field it always did.
 ``parse_instance(emit_instance(x)) == x``.
 
@@ -135,13 +134,12 @@ def _job_from_row(row, where: str) -> Job:
 def _jobs(rows: list, source: str) -> list[Job]:
     """The jobs of a ``"jobs"`` array.  A row of three keys, id, p and cost,
     with a cost object of a known type holding the type's fields and no
-    other key, goes to ``decode_job``, which shares one cost spec among
-    the rows of this array with equal fields.  Any other row, or one that
-    ``decode_job`` refuses or whose spec constructor raises, goes through
-    ``_job_from_row``, which locates the problem and raises it."""
+    other key, has its spec built by the type's class and goes to
+    ``decode_job``.  Any other row, or one whose spec constructor raises or
+    that ``decode_job`` refuses, goes through ``_job_from_row``, which
+    locates the problem and raises it."""
     jobs: list[Job] = []
     append = jobs.append
-    specs: dict = {}  # this parse's shared cost specs, filled by ``decode_job``
     for row in rows:
         try:
             if type(row) is dict and len(row) == 3:  # KeyError below unless id, p and cost
@@ -149,7 +147,7 @@ def _jobs(rows: list, source: str) -> list[Job]:
                 if type(obj) is dict:
                     cls, size, fields = _DECODERS[obj["type"]]  # KeyError, or TypeError when unhashable
                     if len(obj) == size:
-                        job = decode_job(row["id"], row["p"], cls, fields(obj), specs)
+                        job = decode_job(row["id"], row["p"], cls(*fields(obj)))
                         if job is not None:
                             append(job)
                             continue

@@ -154,9 +154,11 @@ def test_all_names_every_benchmark_workload_in_order():
 
 
 # A traced run's output: per-layer metrics, a frontier digest line, and the
-# result line; each value is the run's position in the log.
+# result line; each value is the run's position in the log.  It refuses to
+# run unless its command line ends with ``--trace 1``.
 TRACED_STUB = """
 import json, sys
+assert sys.argv[-2:] == ["--trace", "1"], sys.argv
 log = sys.argv[1]
 with open(log, encoding="utf-8") as f:
     k = sum(1 for _ in f)
@@ -175,13 +177,10 @@ def test_traced_pairs_report_layer_medians_and_digests_with_no_verdict(tmp_path)
     log.write_text("", encoding="utf-8")
     checkouts = _checkout(tmp_path, "parent"), _checkout(tmp_path, "change")
 
-    def timed(workload, seed, seconds):
-        raise AssertionError("no timed pairs were asked for")
-
-    def traced(workload, seed, seconds):
+    def command(workload, seed, seconds):
         return [sys.executable, "-c", TRACED_STUB, str(log)]
 
-    result = SCRIPT["run_workloads"](*checkouts, ["stub"], 7, 0, 1, command=timed, traced_pairs=3, traced=traced)
+    result = SCRIPT["run_workloads"](*checkouts, ["stub"], 7, 0, 1, command=command, traced_pairs=3)
     assert set(result) == {"traced_command", "traced"}
     run = result["traced"]["seed_7"]["stub"]
     assert run["first_side"] == ["parent", "change", "parent"]
@@ -193,9 +192,11 @@ def test_traced_pairs_report_layer_medians_and_digests_with_no_verdict(tmp_path)
     assert (passes["parent_median"], passes["change_median"], passes["relative"]) == (5.0, 5.0, 0.0)
     for summary in run["metrics"].values():
         assert not {"change_better_pairs", "bound", "regression"} & set(summary)
-    assert result["traced_command"].endswith(", for W in stub")
+    assert result["traced_command"].endswith(f"{log} --trace 1, for W in stub")
 
 
-def test_the_default_traced_command_is_the_timed_one_with_tracing_on():
-    assert SCRIPT["traced_command"]("paper-800", 3, 8) == SCRIPT["perfbench_command"]("paper-800", 3, 8)[:-1] + ["1"]
-    assert SCRIPT["perfbench_command"]("paper-800", 3, 8)[-2:] == ["--trace", "0"]
+def test_timed_runs_are_untraced_as_the_benchmark_runs_them():
+    argv = SCRIPT["perfbench_command"]("paper-800", 3, 8)
+    assert argv[1:] == ["perfbench/run.py", "--workload", "paper-800", "--seed", "3", "--seconds", "8"]
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert "--trace" not in spec["command"]

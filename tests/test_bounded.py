@@ -84,16 +84,16 @@ def test_incremental_solver_warm_ladder(two_jobs):
     assert (solver.solve(UNBOUNDED), solver.max_cost) == (6, 3)
 
     assert (solver.solve(3), solver.max_cost) == (8, 0)
-    assert solver.slots == [[], [1], [2]]
+    assert solver.id_slots() == [[], [1], [2]]
 
     assert solver.solve(0) is None
 
 
 def test_unbounded_threshold_changes_nothing(two_jobs):
     solver = BoundedSolver.initial(two_jobs)
-    before = timetable(solver.slots[1:], two_jobs)
+    before = timetable(solver.id_slots()[1:], two_jobs)
     assert solver.solve(UNBOUNDED) == before.makespan
-    assert timetable(solver.slots[1:], two_jobs) == before
+    assert timetable(solver.id_slots()[1:], two_jobs) == before
     assert solver.limits.relocations == 0
 
 
@@ -231,7 +231,7 @@ def test_incremental_times_match_a_full_retime(two_jobs):
     solver.solve(UNBOUNDED)
     assert solver.solve(3) == 8  # opens a batch in the empty slot 1
     assert solver.completion == [0, 3, 8]
-    assert solver.completion == batch_times([set(s) for s in solver.slots], two_jobs)
+    assert solver.completion == batch_times([set(s) for s in solver.id_slots()], two_jobs)
 
 
 _CORRUPTED_COMPLETION = textwrap.dedent(

@@ -204,73 +204,38 @@ def test_values_of_the_wrong_kind_are_refused_by_the_constructor_naming_the_fiel
     assert re.match(rf"{re.escape(field)} must be an? \w.*, got .+", message)
 
 
-# (class, fields) of a well-formed cost spec of every type
-DECODED_COSTS = [
-    (Lateness, (5,)),
-    (Tardiness, (-3,)),
-    (WeightedCompletion, (0,)),
-    (Affine, (2, -7)),
-    (StepTable, ([[0, 1], [5, 2]],)),
-]
+# a well-formed cost spec of every type
+DECODED_COSTS = [Lateness(5), Tardiness(-3), WeightedCompletion(0), Affine(2, -7), StepTable([[0, 1], [5, 2]])]
 
 
-@pytest.mark.parametrize("cls, fields", DECODED_COSTS, ids=lambda v: getattr(v, "__name__", ""))
-def test_a_decoded_job_is_the_job_its_constructors_build(cls, fields):
-    specs = {}
-    job = decode_job(4, 2, cls, fields, specs)
-    built = Job(4, 2, cls(*fields))
+@pytest.mark.parametrize("cost", DECODED_COSTS, ids=lambda cost: type(cost).__name__)
+def test_a_decoded_job_is_the_job_its_constructor_builds(cost):
+    job = decode_job(4, 2, cost)
+    built = Job(4, 2, cost)
     assert type(job) is Job
     assert (job, hash(job), repr(job)) == (built, hash(built), repr(built))
     with pytest.raises(dataclasses.FrozenInstanceError):
         job.p = 3
-    # a step table is built for its row alone; every other spec is shared
-    again = decode_job(5, 1, cls, fields, specs)
-    assert again.cost == job.cost and (again.cost is job.cost) == (cls is not StepTable)
-    assert len(specs) == (cls is not StepTable)
 
 
-@pytest.mark.parametrize(
-    "job_id, p, cls, fields",
-    [
-        pytest.param(True, 2, Lateness, (5,), id="id-bool"),
-        pytest.param(1.0, 2, Lateness, (5,), id="id-float"),
-        pytest.param(1, "2", Lateness, (5,), id="p-string"),
-        pytest.param(1, 2.0, Lateness, (5,), id="p-float"),
-        pytest.param(1, 0, Lateness, (5,), id="p-zero"),
-        pytest.param(1, 2, Lateness, (True,), id="due-bool"),
-        pytest.param(1, 2, Tardiness, (5.0,), id="due-float"),
-        pytest.param(1, 2, WeightedCompletion, ("5",), id="w-string"),
-        pytest.param(1, 2, Affine, (True, 5), id="a-bool"),
-        pytest.param(1, 2, Affine, (1, 5.0), id="c-float"),
-    ],
-)
-def test_decode_job_refuses_what_the_constructors_refuse_and_shares_nothing_then(job_id, p, cls, fields):
-    # the spec cache holds an equal spec for every field value above (True
-    # == 1.0 == 1), so only a test ahead of the cache read can refuse them
-    specs = {}
-    for held in ((5,), (1,), (1, 5)):
-        if len(held) == len(fields):
-            decode_job(9, 1, cls, held, specs)
-    cached = dict(specs)
-    assert decode_job(job_id, p, cls, fields, specs) is None
-    assert specs == cached
-    with pytest.raises(InstanceError):
-        Job(job_id, p, cls(*fields))
+_IDS = [1, 7, 0, -3, True, 1.0, "1", None]
+_PS = [1, 2, 0, -1, True, 2.0, "2", None]
+_COSTS = [Lateness(5), StepTable([[0, 1]]), 5, None, (5,), "due"]
 
 
-@pytest.mark.parametrize(
-    "cls, fields, message",
-    [
-        (WeightedCompletion, (-1,), "w: weighted_completion weight must be >= 0, got -1"),
-        (Affine, (-1, 2), "a: affine slope must be >= 0, got -1"),
-        (StepTable, ([[5, 1], [0, 2]],), "breakpoints: step cost breakpoint times must be strictly increasing"),
-    ],
-)
-def test_decode_job_raises_a_spec_constructors_error_and_caches_nothing(cls, fields, message):
-    specs = {}
-    with pytest.raises(InstanceError, match=rf"^{re.escape(message)}$"):
-        decode_job(1, 1, cls, fields, specs)
-    assert specs == {}
+@pytest.mark.parametrize("cost", _COSTS, ids=repr)
+def test_decode_job_refuses_exactly_what_the_job_constructor_refuses(cost):
+    # both decide by one statement of the job rules; a grid of kinds and
+    # ranges shows they agree on every id, p and cost
+    for job_id in _IDS:
+        for p in _PS:
+            decoded = decode_job(job_id, p, cost)
+            try:
+                built = Job(job_id, p, cost)
+            except InstanceError:
+                assert decoded is None, (job_id, p, cost)
+            else:
+                assert decoded == built, (job_id, p, cost)
 
 
 def test_the_good_document_parses():
