@@ -19,6 +19,21 @@ from collections.abc import Sequence
 from .model import Instance, InstanceError, InvariantError, _int
 
 
+def _refuse(table: Sequence[int], n: int) -> None:
+    """Raise for the first entry of a limit table that is not an exact
+    integer in 1..n: InstanceError naming the job for a non-integer,
+    ValueError for one out of range."""
+    for j in range(1, n + 1):
+        try:
+            if 1 <= _int(table[j], "") <= n:
+                continue
+        except InstanceError:
+            pass
+        # only now is the job named: a non-integer raises here, anything else is out of range
+        _int(table[j], f"job {j}: group index")
+        raise ValueError(f"job {j}: group index {table[j]} out of range")
+
+
 class AdmissibleSlots:
     """The n disjoint groups with leftward-only movement tracking.
 
@@ -38,17 +53,17 @@ class AdmissibleSlots:
         n = instance.n
         if len(table) != n + 1:
             raise ValueError("limits must cover job ids 1..n")
-        for j in range(1, n + 1):
-            try:
-                if 1 <= _int(table[j], "") <= n:
-                    continue
-            except InstanceError:
-                pass
-            # only now is the job named: a non-integer raises here, anything else is out of range
-            _int(table[j], f"job {j}: group index")
-            raise ValueError(f"job {j}: group index {table[j]} out of range")
+        limit = list(table)
+        limit[0] = n  # entry 0 is not read; n passes the check
+        # one check in bulk, on every entry's type and on the distinct
+        # values' range; only a table that fails it is walked for its first
+        # bad entry
+        values = set(limit)
+        if not ({*map(type, limit)} == {int} and min(values) >= 1 and max(values) <= n):
+            _refuse(table, n)
+        limit[0] = 0
         self._instance = instance
-        self._limit = [0, *table[1:]]
+        self._limit = limit
         self.relocations = 0
         self._undo: list[tuple[int, int]] = []  # (job, origin) of each move since the checkpoint
 

@@ -48,14 +48,26 @@ timed, and only a moved completion clears that mark: a carry slot or e
 whose time changed, and every slot from e on after an opening.  A job is
 evaluated when it enters a timed slot or when a pass refreshes the max of
 an untimed one, and never again while both hold; a stale max of a timed
-slot, and the walk of a costly one, read the held costs.  The max cost of
-a converged schedule is read from the held maxima from the lowest
-nonempty slot on.  ``WarmSolver`` holds what this solver shares with the
-precedence one: the held slots, completions, job costs and maxima, the
-lowest nonempty slot, the opening rule, the converged step and the
-held-state checks.  A converged step returns only its makespan: its
-schedule is ``form_batches`` of the limits it left, which the frontier
-sweep rebuilds for the steps it keeps.
+slot reads the held costs.  The walk of a costly slot keeps the max of
+the held costs it reads and of the hoists it takes in, so the slot ends
+its walk with a current max unless an opening moved it.
+
+Beside each max the solver holds an upper bound on it, while its slots
+hold more than ``SMALL_SLOT`` jobs on average and every cost states a
+slope (``model``): a refresh sets the bound to the max, a slot that
+completes d later raises it by the instance's largest slope times d (an
+opening by slope times setup), a job entering a slot folds in its cost at
+the slot's completion, one evaluation, and a job leaving changes nothing.
+A pass skips a stale slot whose bound is below the threshold without
+evaluating it: on the paper profile a slot that a one-job repair moved by
+a few time units keeps its 160 jobs below the threshold nearly always.
+The max cost of a converged schedule is the largest bound once the lowest
+slot holding it is current.  ``WarmSolver`` holds what this solver shares
+with the precedence one: the held slots, completions, job costs, maxima
+and bounds, the lowest nonempty slot, the opening rule, the converged
+step and the held-state checks.  A converged step returns only its
+makespan: its schedule is ``form_batches`` of the limits it left, which
+the frontier sweep rebuilds for the steps it keeps.
 
 A pass walks only a span of slots, outside which every slot is clean.  An
 adjustment at i marks slots at or below i, down to e, so the pass lowers
@@ -64,7 +76,7 @@ slots it adjusted, and the next pass walks from the first of them down to
 the last.  An opening also shifts every slot right of i, and then the
 next pass starts from n.  A converged step holds every slot below its max
 cost, so the next step, whose threshold is that max, starts on the span
-from the highest to the lowest slot holding it.
+from the highest to the lowest slot whose bound is that max.
 """
 
 from __future__ import annotations
@@ -92,6 +104,17 @@ UNBOUNDED = float("inf")
 # 2-job slot, 86 against 94 ns on an 8-job one and 136 against 1,525 ns on
 # a 160-job one; the 35 ns it gives up on each of a hard-b2 instance's
 # roughly 1,500 deletions is under 1% of its sweep.
+#
+# The warm solvers also hold cost bounds only while their nonempty slots
+# hold more than this many jobs on average.  A refresh of a small slot
+# costs a call or two, about what keeping its bound costs.  Measured in
+# process on CPython 3.11 on a shared 2-core host (best sweep times,
+# alternating processes), holding bounds whenever every cost has a slope
+# made geo n=400 at b=2 (slopes up to n^2) 16-25% slower, and holding them
+# whenever the capacity exceeds this made staged n=400 (b = n - 1, but 2
+# jobs a slot after its first openings) 19-25% slower and prec n=400 (sink
+# layers of 2.5 jobs) 5-9% slower; with the average rule all three are
+# within a few percent of not holding bounds at all.
 SMALL_SLOT = 16
 
 
@@ -101,11 +124,12 @@ def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[list[int]]
     Working from slot n down to slot 1, each slot takes the longest
     still-unassigned jobs admissible there (limit >= slot index), up to the
     capacity.  The unassigned jobs are one list in ascending
-    ``Instance.keys`` order: each nonempty group is appended and the list
-    re-sorted, which merges two ascending runs, and slot i takes the list's
-    last ``cap`` entries.  The fill stops at the first empty slot once every
-    job is placed, leaving the slots left of it empty.  Returns 1-based slot
-    lists (index 0 unused), each in ascending key order, or None when some
+    ``Instance.keys`` order: an empty list takes the next group as it is,
+    and a nonempty group is appended and the list re-sorted, which merges
+    two ascending runs; slot i takes the list's last ``cap`` entries.  The
+    fill stops at the first empty slot once every job is placed, leaving
+    the slots left of it empty.  Returns 1-based slot lists (index 0
+    unused), each in ascending key order, or None when some
     slot comes out empty while lower groups still hold jobs, the only way
     the fill fails: a nonempty slot takes at least one job, so n nonempty
     slots place all n jobs and no pool is left over.
@@ -127,7 +151,9 @@ def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[list[int]]
     groups = limits.groups()
     for i in range(n, 0, -1):
         group = groups[i]
-        if group:
+        if not pool:
+            pool = group
+        elif group:
             pool += group
             pool.sort(key=by_key)
         batch = slots[i] = pool[-cap:]
@@ -138,6 +164,16 @@ def form_batches(instance: Instance, limits: AdmissibleSlots) -> list[list[int]]
         del pool[-cap:]
         assigned += len(batch)
     return slots
+
+
+def lowest_nonempty(slots: list[list[int]]) -> int:
+    """The lowest nonempty slot of 1-based slot lists whose nonempty slots
+    are a suffix, as every fill and every held state is: a walk down from
+    the last slot, which holds a job, to the first empty one."""
+    c = len(slots) - 1
+    while c > 1 and slots[c - 1]:
+        c -= 1
+    return c
 
 
 def tolerated_slot(value: Callable[[int], int], completion: list[int], i: int, threshold) -> int:
@@ -203,16 +239,37 @@ class WarmSolver:
     completion moves, evaluates a job entering a timed slot into ``cost``,
     and needs nothing for a leaving job.  ``held_max`` refreshes a stale max,
     evaluating the members of an untimed slot and taking their max in one
-    loop.  ``first`` is the lowest nonempty slot.  A subclass calls ``_open``
-    wherever a job opens an empty slot, which shifts every slot from there
-    on by one setup, marks their held maxima stale and their job costs
-    untimed, and lowers ``first``.  ``solve`` may be called repeatedly with
-    strictly smaller thresholds, each call going on from the state the
-    previous one left, and returns the converged makespan, or None when the
-    threshold is unattainable; after an infeasible result the state is
-    spent.  A converged step's schedule is a function of its limits, so the
-    solver builds none.  A subclass computes the initial completions with its
-    own module's ``batch_times`` and passes them in.
+    loop.  ``first`` is the lowest nonempty slot, which the subclass finds
+    and passes in.  A subclass calls ``_open`` wherever a job opens an
+    empty slot, which shifts every slot from there on by one setup, marks
+    their held maxima stale and their job costs untimed, and lowers
+    ``first``.
+
+    ``bound[i]`` is an upper bound on slot i's max cost, equal to
+    ``top[i]`` whenever that is current, and ``slope`` the largest slope of
+    the instance's costs, or None while no bounds are held: from the start
+    when some cost states none (a ``StepTable``) or the nonempty slots hold
+    ``SMALL_SLOT`` jobs or fewer on average (``_small_slots``), and from
+    the first pass that finds them so (``_drop_bounds``) to the sweep's
+    end.  Without bounds every entry of
+    ``bound`` is ``UNBOUNDED``, so a pass refreshes every stale slot it
+    reaches.  With them, ``held_max`` sets the bound to the max, a subclass
+    adds slope x d wherever slot c completes d later (``_open``: slope x
+    setup) and folds in the cost of each job entering a slot at its
+    completion, and a job leaving needs nothing; a pass skips a stale slot
+    whose bound is below the threshold.  An opened slot's bound starts at
+    ``-UNBOUNDED``.  ``converged`` refreshes the lowest slot holding the
+    largest bound until it is current, which makes that bound the max cost,
+    and sets ``due``, the span from the highest down to the lowest slot
+    whose bound is the max cost, where a bounded step to that max starts.
+
+    ``solve`` may be called repeatedly with strictly smaller thresholds,
+    each call going on from the state the previous one left, and returns
+    the converged makespan, or None when the threshold is unattainable;
+    after an infeasible result the state is spent.  A converged step's
+    schedule is a function of its limits, so the solver builds none.  A
+    subclass computes the initial completions with its own module's
+    ``batch_times`` and passes them in.
     """
 
     def __init__(
@@ -220,6 +277,7 @@ class WarmSolver:
         instance: Instance,
         limits: AdmissibleSlots,
         slots: list[list[int]],
+        first: int,
         completion: list[int],
         trace: Trace | None,
         check: bool,
@@ -231,20 +289,45 @@ class WarmSolver:
         self.top: list[int | None] = [None] * len(slots)
         self.cost: list[int | None] = [None] * (instance.n + 1)  # by held entry
         self.timed = [False] * len(slots)
-        self.first = next(c for c in range(1, len(slots)) if slots[c])
+        self.first = first
+        self.slope = None  # None while no bounds are held
+        if not self._small_slots():
+            slopes = [job.cost.slope for job in instance.jobs]
+            if None not in slopes:
+                self.slope = max(slopes)
+        self.bound = [UNBOUNDED] * len(slots)  # written only while bounds are held
         self.max_cost: int | None = None
+        self.due = (instance.n, first)
         self.trace = trace
         self.check = check
         self.adjustments = 0
         self.passes = 0
 
     def converged(self) -> int:
-        """After a clean pass: set ``max_cost`` from the held maxima and
-        return the makespan.  Check mode compares the held completions with
-        a ``timetable`` of the held slots and ``max_cost`` with
-        ``objectives``."""
-        # a clean pass left every nonempty slot's entry current
-        self.max_cost = max(self.top[self.first :])
+        """After a clean pass: set ``max_cost`` and ``due`` and return the
+        makespan.  Check mode compares the held completions with a
+        ``timetable`` of the held slots and ``max_cost`` with
+        ``objectives``.
+
+        A clean pass left every nonempty slot's max current or its bound
+        below the threshold.  Without bounds the maxima are read directly.
+        With them, the lowest slot holding the largest bound is refreshed
+        until that slot is current: its max is then the largest bound, which
+        no slot's max exceeds.  ``due`` runs from the highest down to the
+        lowest slot holding it; a stale slot in it whose max is lower is
+        refreshed and skipped by the next step's pass, so the span may be
+        wider than the slots that hold the max, and no move changes."""
+        first = self.first
+        top = self.top
+        upper = top if self.slope is None else self.bound  # without bounds, the maxima themselves
+        worst = max(upper[first:])
+        low = upper.index(worst, first)
+        while top[low] is None:  # a stale slot holds the largest bound
+            self.held_max(low)
+            worst = max(upper[first:])
+            low = upper.index(worst, first)
+        self.max_cost = worst
+        self.due = (len(upper) - 1 - upper[::-1].index(worst), low)
         if self.check:
             instance = self.instance
             held = timetable(self.id_slots()[1:], instance)
@@ -254,6 +337,22 @@ class WarmSolver:
                 raise InvariantError("held max cost differs from objectives")
         return self.completion[-1]
 
+    def _small_slots(self) -> bool:
+        """Whether the nonempty slots hold ``SMALL_SLOT`` jobs or fewer on
+        average, where holding bounds costs about what it saves."""
+        return self.instance.n <= SMALL_SLOT * (len(self.slots) - self.first)
+
+    def _drop_bounds(self) -> bool:
+        """At a pass's start: stop holding bounds, for the rest of the
+        sweep, once the slots are small, and say whether that happened
+        now.  Every held bound is then ``UNBOUNDED`` again, so the pass
+        must walk every slot."""
+        if self.slope is None or not self._small_slots():
+            return False
+        self.slope = None
+        self.bound = [UNBOUNDED] * len(self.slots)
+        return True
+
     def held_max(self, c: int) -> int:
         """Refresh slot c's stale held max and return it: the max of its
         members' held costs when the slot is timed, and otherwise the
@@ -261,29 +360,39 @@ class WarmSolver:
         batch = self.slots[c]
         cost = self.cost
         if self.timed[c]:
-            worst = self.top[c] = max(map(cost.__getitem__, batch))
-            return worst
-        value = self.value
-        at = self.completion[c]
-        worst = None
-        for r in batch:
-            x = cost[r] = value[r](at)
-            if worst is None or x > worst:
-                worst = x
-        self.timed[c] = True
+            worst = max(map(cost.__getitem__, batch))
+        else:
+            value = self.value
+            at = self.completion[c]
+            worst = None
+            for r in batch:
+                x = cost[r] = value[r](at)
+                if worst is None or x > worst:
+                    worst = x
+            self.timed[c] = True
         self.top[c] = worst
+        if self.slope is not None:
+            self.bound[c] = worst
         return worst
 
     def _open(self, x: int) -> None:
         """A job opened the empty slot x: every slot from x on completes one
         setup later, its held max and its members' held costs go stale, and
-        x becomes ``first``."""
+        x becomes ``first``.  With bounds, each slot right of x raises its
+        bound by slope x setup, and x, which held nothing, starts at
+        ``-UNBOUNDED`` for the jobs that enter it to fold into."""
         setup = self.instance.setup
         for c in range(x, len(self.completion)):
             self.completion[c] += setup
         stale = len(self.top) - x
         self.top[x:] = [None] * stale
         self.timed[x:] = [False] * stale
+        if self.slope is not None:
+            bound = self.bound
+            rise = self.slope * setup
+            for c in range(x + 1, len(bound)):
+                bound[c] += rise
+            bound[x] = -UNBOUNDED
         self.first = x
 
     def id_slots(self) -> list[list[int]]:
@@ -296,8 +405,9 @@ class WarmSolver:
         """Check mode: the held completions equal a ``batch_times`` of the
         held slots, none is earlier than in ``before`` (when given), every
         held max equals a fresh evaluation, every timed slot's held job
-        costs do too, every slot with a current max is timed, and ``first``
-        is the lowest nonempty slot.  Jobs are evaluated by id, through
+        costs do too, every slot with a current max is timed, ``first``
+        is the lowest nonempty slot, and, while bounds are held, they pass
+        ``_check_bounds``.  Jobs are evaluated by id, through
         ``id_slots``."""
         instance = self.instance
         slots = self.slots
@@ -320,6 +430,22 @@ class WarmSolver:
                 raise InvariantError(f"held job costs of slot {i} differ from a fresh evaluation")
             if not timed and self.top[i] is not None:
                 raise InvariantError(f"slot {i} holds a current max but its job costs are not timed")
+        if self.slope is not None:
+            self._check_bounds()
+
+    def _check_bounds(self) -> None:
+        """Check mode: no nonempty slot's held bound is below its max cost,
+        and a slot with a current max holds it as its bound."""
+        value = self.instance.cost_value
+        completion = self.completion
+        top = self.top
+        bound = self.bound
+        for i, batch in enumerate(self.id_slots()):
+            if batch:
+                if bound[i] < max([value[j](completion[i]) for j in batch]):
+                    raise InvariantError(f"held bound of slot {i} is below its max cost")
+                if top[i] is not None and bound[i] != top[i]:
+                    raise InvariantError(f"held bound of slot {i} differs from its current max")
 
 
 class BoundedSolver(WarmSolver):
@@ -377,17 +503,24 @@ class BoundedSolver(WarmSolver):
     only with a moved completion: the adjustment untimes each carry slot
     and e whose time changed (``_open`` untimes every slot from e on), and
     evaluates once each job entering a slot that stays timed: the hoist in
-    i, a swapped carry and the carry landing in e.  A pass refreshes a
-    stale max when it reaches the slot, from the held costs when the slot
-    is timed, and skips the slot outright when the held max is below the
-    threshold.  Thresholds only shrink, so a new step's first pass reuses
-    every held value.
+    i, a swapped carry and the carry landing in e.  While bounds are held
+    the adjustment raises the bound of each slot of a stretch that moves
+    later, by slope x delta, and folds into the bound of i, of each swap
+    slot and of e the cost of the job that entered it, read from ``cost``
+    where the slot stays timed and evaluated otherwise.  A pass skips a
+    stale slot whose bound is below the threshold; otherwise it refreshes
+    the max, from the held costs when the slot is timed, and skips the slot
+    when that max is below the threshold.  A walked slot that no opening
+    moved ends its walk with a current max: the largest held cost among the
+    jobs it kept and the hoists it took in.  Thresholds only shrink, so a
+    new step's first pass reuses every held value.
 
     A pass walks a span high..low, not every nonempty slot: ``_adjust``
     returns e, the pass lowers ``low`` to it, and hands the next pass the
     span from its first adjusted slot (n after an opening) down to its
     last.  ``due`` is the span a step to the last converged max cost starts
-    on: from the highest down to the lowest slot holding that max.
+    on: from the highest down to the lowest slot whose bound is that max.
+    A pass that drops the bounds walks every slot instead.
 
     With ``check=True`` the solver verifies its own invariants after every
     adjustment and raises InvariantError on a breach: the hoisted job came
@@ -398,7 +531,9 @@ class BoundedSolver(WarmSolver):
     included.  That costs O(n log n) per adjustment and is meant for the
     verification harness.  A resumed hoist scan is compared with a scan of
     the whole slot.  After each clean pass it also checks that every
-    nonempty slot, walked or not, holds a current max below the threshold.
+    nonempty slot, walked or not, holds a current max below the threshold
+    or, stale, a bound below it, and that the bounds pass
+    ``_check_bounds``.
     """
 
     def __init__(
@@ -411,19 +546,19 @@ class BoundedSolver(WarmSolver):
         filled = form_batches(instance, limits)
         if filled is None:
             raise InvariantError("the greedy fill failed on the starting limits")
+        first = lowest_nonempty(filled)  # slots first..n hold jobs, and an empty slot's reach is 0
+        completion = batch_times(filled, instance, first)
+        limit = self.limit = limits.table  # the live table, by job id, which ``limits.move`` updates
+        self.reach = [0] * first + [max(map(limit.__getitem__, batch)) for batch in filled[first:]]
         rank = instance.keys.__getitem__  # a slot of ids in key order becomes ascending ranks
-        slots = [list(map(rank, batch)) for batch in filled]
-        super().__init__(instance, limits, slots, batch_times(filled, instance), trace, check)
+        filled[first:] = [list(map(rank, batch)) for batch in filled[first:]]
+        super().__init__(instance, limits, filled, first, completion, trace, check)
         ids = self.ids = (0, *instance.by_key)
         p = instance.p
         cost_value = instance.cost_value
         self.p = [p[j] for j in ids]
         self.value = [cost_value[j] for j in ids]
         self.cap = instance.effective_capacity
-        limit = self.limit = limits.table  # the live table, by job id, which ``limits.move`` updates
-        first = self.first  # slots first..n hold jobs, and an empty slot's reach is 0
-        self.reach = [0] * first + [max(map(limit.__getitem__, batch)) for batch in filled[first:]]
-        self.due = (instance.n, self.first)
         self.resume: tuple[int, int, int, int] | None = None  # (i, e, hoist's rank, lowest) of the last hoist
 
     @classmethod
@@ -443,16 +578,15 @@ class BoundedSolver(WarmSolver):
         span = self.due if threshold == self.max_cost else (self.instance.n, self.first)
         while True:
             self.passes += 1
+            if self.slope is not None and self._drop_bounds():
+                span = (self.instance.n, self.first)
             span = self._adjust_pass(threshold, *span)
             if span is None:
                 return None
             if not span:
                 if self.check:
                     self._check_clean(threshold)
-                makespan = self.converged()
-                top, worst = self.top, self.max_cost
-                self.due = (len(top) - 1 - top[::-1].index(worst), top.index(worst, self.first))
-                return makespan
+                return self.converged()
 
     def _adjust_pass(self, threshold, high: int, low: int) -> tuple[int, int] | tuple[()] | None:
         """One descending sweep over slots high..low.
@@ -467,11 +601,16 @@ class BoundedSolver(WarmSolver):
         i are walked in this sweep.  Times are refreshed after every
         adjustment, so jobs later in the sweep are judged against current
         completions; a job hoisted into an already-swept slot is caught by
-        the next sweep.  A slot's stale max is refreshed by ``held_max``,
-        and the slot is walked longest first (over a reversed copy of the
-        key-ordered slot) only when that max reaches the threshold.  The
-        walk reads held costs, the slot being timed once its max is
-        current, and evaluates live once an opening has untimed slot i.
+        the next sweep.  A stale slot whose held bound is below the
+        threshold is passed as it is; any other stale max is refreshed by
+        ``held_max``, and the slot is walked longest first (over a reversed
+        copy of the key-ordered slot) only when that max reaches the
+        threshold.  The walk reads held costs, the slot being timed once
+        its max is current, and evaluates live once an opening has untimed
+        slot i.  While bounds are held and no opening moved slot i, the walk
+        leaves it with a current max: the largest held cost among the jobs
+        it kept and the hoists it took in, read from ``resume`` after each
+        adjustment.
         """
         slots = self.slots
         completion = self.completion  # updated in place by _adjust
@@ -479,6 +618,7 @@ class BoundedSolver(WarmSolver):
         cost = self.cost  # refreshed in place by _adjust
         timed = self.timed  # cleared in place by _adjust
         value = self.value
+        held = self.slope is not None  # and then ``bound``, raised and folded in place by _adjust
         first = self.first  # lowered by an opening
         upper = lower = 0  # the first and the last slot adjusted
         i = high + 1
@@ -486,12 +626,17 @@ class BoundedSolver(WarmSolver):
             i -= 1
             worst = top[i]
             if worst is None:
+                if held and self.bound[i] < threshold:
+                    continue  # stale, but its bound says it is clean
                 worst = self.held_max(i)
             if worst < threshold:
                 continue  # a clean slot needs no walk
+            kept = -UNBOUNDED  # with bounds: the max held cost of the jobs that stay and the hoists taken in
             for r in slots[i][::-1]:
                 if timed[i]:
                     if cost[r] < threshold:
+                        if held and cost[r] > kept:
+                            kept = cost[r]
                         continue
                 elif value[r](completion[i]) < threshold:
                     continue  # an opening retimed slot i mid-walk
@@ -500,10 +645,14 @@ class BoundedSolver(WarmSolver):
                 e = self._adjust(r, i)
                 if not e:
                     return None
+                if held and self.resume is not None and cost[self.resume[2]] > kept:
+                    kept = cost[self.resume[2]]  # the hoist's cost, current while slot i is timed
                 if e < low:
                     low = e
                 upper = upper or i
                 lower = i
+            if held and timed[i]:  # no opening moved slot i, so kept is its max
+                top[i] = self.bound[i] = kept
         if not lower:
             return ()
         return (self.instance.n if self.first < first else upper, lower)
@@ -656,6 +805,26 @@ class BoundedSolver(WarmSolver):
             self._open(e)
         if hoist is not None and timed[i]:
             cost[hoist] = value[hoist](completion[i])  # after the opening, which untimes i
+        if self.slope is not None:
+            # each stretch that moved later raises its bounds (an opened e,
+            # at -UNBOUNDED, stays there), and then each slot a job entered
+            # folds in that job's cost at the slot's final completion
+            bound = self.bound
+            slope = self.slope
+            high = i
+            for c, x in swaps:
+                delta = shift + p[x]
+                if delta > 0:
+                    rise = slope * delta
+                    for k in range(c, high):
+                        bound[k] += rise
+                high = c
+            if hoist is not None:
+                swaps.append((i, hoist))
+            for c, x in swaps:
+                worst = cost[x] if timed[c] else value[x](completion[c])
+                if worst > bound[c]:
+                    bound[c] = worst
         if self.check:
             self._check_state(e, before)
         return e
@@ -687,11 +856,15 @@ class BoundedSolver(WarmSolver):
 
     def _check_clean(self, threshold) -> None:
         """Check mode: after a clean pass every nonempty slot's held max is
-        current and below the threshold."""
+        current and below the threshold, or stale with its bound below it,
+        and every held bound passes ``_check_bounds``."""
         top = self.top
+        bound = self.bound
         for c in range(self.first, len(top)):
-            if top[c] is None or top[c] >= threshold:
+            if (bound[c] if top[c] is None else top[c]) >= threshold:
                 raise InvariantError(f"clean pass left slot {c} due")
+        if self.slope is not None:
+            self._check_bounds()
 
     def _check_state(self, e: int, before: list[int]) -> None:
         """Check mode: the state after an adjustment whose carry ended in

@@ -21,7 +21,7 @@ from itertools import islice
 from typing import Callable, Iterable
 
 from .admissible import AdmissibleSlots
-from .bounded import UNBOUNDED, BoundedSolver, Trace, form_batches, solve_reference
+from .bounded import UNBOUNDED, BoundedSolver, Trace, form_batches, lowest_nonempty, solve_reference
 from .model import _EMPTY_SLOT, Instance, InstanceError, InvariantError, Schedule, batch_times, freeze_slots, objectives
 from .precedence import PrecedenceSolver
 
@@ -85,8 +85,10 @@ def frontier_csv(rows: Iterable[tuple[int, int, Schedule]]) -> str:
 
 
 def _batches(instance: Instance, limits: AdmissibleSlots) -> tuple[int, list[list[int]]]:
-    """The fill of the bounded model, ``form_batches``, from slot 1."""
-    return 1, form_batches(instance, limits)
+    """The fill of the bounded model, ``form_batches``, from its lowest
+    nonempty slot."""
+    slots = form_batches(instance, limits)
+    return lowest_nonempty(slots), slots
 
 
 def _groups(instance: Instance, limits: AdmissibleSlots) -> tuple[int, list[list[int]]]:

@@ -10,6 +10,12 @@ one setup after its predecessor completes).
 All times and costs are exact integers; the frontier sweep compares them
 against strict thresholds, so floating point is never used here, and the
 constructors below refuse any value that is not one (``_int``).
+
+Every cost spec states a ``slope``: an integer s >= 0 with
+``value(t + d) - value(t) <= s * d`` for every time t and every d >= 0, so
+a cost known at one completion bounds the cost at any later one.  A
+``StepTable`` states None, and the warm solvers hold no cost bounds for an
+instance with one.
 """
 
 from __future__ import annotations
@@ -49,9 +55,10 @@ def _int(value, subject: str, rule: str = "must be an integer", shown=None) -> i
 
 @dataclass(frozen=True)
 class Lateness:
-    """Completion time minus due date; may be negative."""
+    """Completion time minus due date; may be negative.  Slope 1."""
 
     due: int
+    slope = 1
 
     def __post_init__(self):
         _int(self.due, "due")
@@ -62,9 +69,11 @@ class Lateness:
 
 @dataclass(frozen=True)
 class Tardiness:
-    """Lateness clamped at zero."""
+    """Lateness clamped at zero.  Slope 1: it rises by at most the time
+    that passes."""
 
     due: int
+    slope = 1
 
     def __post_init__(self):
         _int(self.due, "due")
@@ -75,11 +84,17 @@ class Tardiness:
 
 @dataclass(frozen=True)
 class WeightedCompletion:
+    """w*t with w >= 0.  Slope w."""
+
     w: int
 
     def __post_init__(self):
         if _int(self.w, "w") < 0:
             raise InstanceError(f"w: weighted_completion weight must be >= 0, got {self.w}")
+
+    @property
+    def slope(self) -> int:
+        return self.w
 
     def value(self, t: int) -> int:
         return self.w * t
@@ -87,7 +102,7 @@ class WeightedCompletion:
 
 @dataclass(frozen=True)
 class Affine:
-    """a*t + c with a >= 0 so the cost never decreases over time."""
+    """a*t + c with a >= 0 so the cost never decreases over time.  Slope a."""
 
     a: int
     c: int
@@ -96,6 +111,10 @@ class Affine:
         if _int(self.a, "a") < 0:
             raise InstanceError(f"a: affine slope must be >= 0, got {self.a}")
         _int(self.c, "c")
+
+    @property
+    def slope(self) -> int:
+        return self.a
 
     def value(self, t: int) -> int:
         return self.a * t + self.c
@@ -109,10 +128,12 @@ class StepTable:
     below the first breakpoint the first value applies.  Times and values
     must be integers (floats and booleans are refused, never truncated),
     times strictly increasing and values non-decreasing, which keeps
-    evaluation monotone.
+    evaluation monotone.  Its slope is None: a jump is not proportional to
+    the time that passes, so no cost bound is held by it.
     """
 
     breakpoints: tuple[tuple[int, int], ...]
+    slope = None
 
     def __post_init__(self):
         if not (isinstance(self.breakpoints, (list, tuple)) and self.breakpoints):

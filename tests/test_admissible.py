@@ -123,3 +123,33 @@ def test_at_checkpoint_without_a_checkpoint_is_the_state_at_construction():
     start = slots.at_checkpoint()
     assert start.table == [0, 3, 2, 3] and start.relocations == 0
     assert slots.table == [0, 1, 2, 2] and slots.relocations == 3
+
+
+def test_a_table_that_passes_the_bulk_check_is_not_walked(monkeypatch):
+    # the check is one pass over the types and the min and max; only a
+    # table that fails it is walked, job by job, for its first bad entry
+    import batchfront.admissible as admissible
+
+    inst = gen_random(50, 1, "paper")
+    table = [None] + [1 + j % 50 for j in range(50)]  # entry 0 is not read
+    walked = []
+    monkeypatch.setattr(admissible, "_refuse", lambda table, n: walked.append(n))
+    assert AdmissibleSlots(inst, table).table == [0, *table[1:]]
+    assert AdmissibleSlots.unrestricted(inst).table == [0] + [50] * 50
+    assert walked == []
+    AdmissibleSlots(inst, table[:7] + [True] + table[8:])
+    AdmissibleSlots(inst, table[:7] + [51] + table[8:])
+    assert walked == [50, 50]
+
+
+def test_unrestricted_limits_are_built_by_the_constructor(monkeypatch):
+    init = AdmissibleSlots.__init__
+    built = []
+
+    def counted(self, instance, table):
+        built.append(len(table))
+        init(self, instance, table)
+
+    monkeypatch.setattr(AdmissibleSlots, "__init__", counted)
+    AdmissibleSlots.unrestricted(gen_random(9, 1, "paper"))
+    assert built == [10]

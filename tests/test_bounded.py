@@ -989,3 +989,18 @@ def test_repeat_adjustments_at_one_slot_skip_the_slots_the_last_walk_passed(monk
     [solver] = solvers
     assert solver.adjustments == 1126
     assert solver.reach.reads <= 7_000
+
+
+def test_a_solver_translates_and_times_only_the_nonempty_slots(monkeypatch):
+    # paper n=800 fills slots 796..800; the 795 empty slots below them are
+    # the fill's own empty lists, neither translated to ranks nor timed
+    import batchfront.bounded as bounded
+
+    inst = gen_random(800, 1, "paper")
+    filled = form_batches(inst, AdmissibleSlots.unrestricted(inst))
+    timed = []
+    monkeypatch.setattr(bounded, "batch_times", lambda s, i, first=1: timed.append(first) or batch_times(s, i, first))
+    solver = BoundedSolver.initial(inst)
+    assert timed == [796] and solver.first == 796
+    assert solver.id_slots() == filled
+    assert solver.completion == batch_times(filled, inst)

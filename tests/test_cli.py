@@ -97,6 +97,38 @@ def test_trace_beyond_the_oracle_matches_golden_digest(tmp_path, capsys):
     assert digest.hexdigest() == LONG_CARRY_DIGEST
 
 
+# (profile, n, capacity, seeds) around held cost bounds: paper, small at
+# b=40 and geo-prec start with more than SMALL_SLOT jobs a slot and sloped
+# costs, geo-prec drops its bounds mid-sweep, and prec's sink layers are
+# too small to hold any; the digest was computed before bounds were held
+HELD_BOUND_CORPUS = [
+    ("paper", 400, None, (1, 2, 3)),
+    ("small", 120, 40, (1, 2, 3)),
+    ("prec", 400, None, (1, 2)),
+    ("geo-prec", 300, None, (1,)),
+]
+HELD_BOUND_DIGEST = "a862ea05bd2ae6badb8adcc0696431786038d0128f1b74a3bd94449237b3a6c2"
+
+
+def test_trace_where_cost_bounds_are_held_matches_golden_digest(tmp_path, capsys):
+    # one digest over the complete stdout and stderr of `pareto --trace` on
+    # every instance, in corpus and seed order
+    digest = hashlib.sha256()
+    moves = steps = 0
+    for profile, n, capacity, seeds in HELD_BOUND_CORPUS:
+        for seed in seeds:
+            path = tmp_path / f"{profile}-n{n}-seed{seed}.json"
+            save_instance(gen_random(n, seed, profile, capacity=capacity), path)
+            assert main(["pareto", str(path), "--trace"]) == 0
+            captured = capsys.readouterr()
+            for text in (captured.out, captured.err):
+                digest.update(text.encode("utf-8") + b"\0")
+            moves += captured.err.count("\nmove ")
+            steps += captured.err.count("step threshold=")
+    assert (moves, steps) == (9727, 476)
+    assert digest.hexdigest() == HELD_BOUND_DIGEST
+
+
 # main2 beyond the precedence oracle's n <= 7: `prec` instances at these
 # sizes, seeds 1-5, with hundreds of moves and bound propagations each
 PRECEDENCE_SIZES = (20, 60, 120, 250)

@@ -303,3 +303,20 @@ def test_warm_solvers_meet_their_contract_below_the_last_max_cost(profile, n, ca
             break
         assert objectives(schedule, inst) == (makespan, solver.max_cost)
         threshold = solver.max_cost - drops.randint(0, 5)
+
+
+def test_a_bounded_witness_freezes_and_times_only_its_nonempty_slots(monkeypatch):
+    # paper n=800 fills 5 of its 800 slots: a witness built from slot 1 froze
+    # and timed the 795 empty slots below them as well
+    from batchfront import frontier
+    from batchfront.model import batch_times, freeze_slots
+
+    inst = gen_random(800, 1, "paper")
+    limits = AdmissibleSlots.unrestricted(inst)
+    first, slots = frontier._batches(inst, limits)
+    assert first == 796 and not any(slots[1:first]) and all(slots[first:])
+    frozen, timed = [], []
+    monkeypatch.setattr(frontier, "freeze_slots", lambda batches: frozen.append(len(batches)) or freeze_slots(batches))
+    monkeypatch.setattr(frontier, "batch_times", lambda s, i, f: timed.append(f) or batch_times(s, i, f))
+    assert frontier._timed(inst, frontier._batches, limits) == timetable(slots[1:], inst)
+    assert (frozen, timed) == ([5], [796])

@@ -269,6 +269,32 @@ def test_every_cost_spec_is_monotone(spec, t1, t2):
     assert eval_cost(spec, lo) <= eval_cost(spec, hi)
 
 
+_sloped_specs = st.one_of(
+    st.integers(-50, 50).map(lambda d: Lateness(due=d)),
+    st.integers(-50, 50).map(lambda d: Tardiness(due=d)),
+    st.integers(0, 10_000).map(lambda w: WeightedCompletion(w=w)),
+    st.tuples(st.integers(0, 10_000), st.integers(-20, 20)).map(lambda ac: Affine(*ac)),
+)
+
+
+@given(_sloped_specs, st.integers(-100, 10_000), st.integers(0, 10_000))
+def test_a_cost_rises_by_at_most_its_slope_per_time_unit(spec, t, d):
+    # the warm solvers raise a held cost bound by slope x shift when a
+    # slot's completion moves later, and trust it to stay an upper bound
+    assert type(spec.slope) is int and spec.slope >= 0
+    assert spec.value(t + d) - spec.value(t) <= spec.slope * d
+
+
+def test_each_cost_spec_states_its_slope():
+    assert (Lateness(3).slope, Tardiness(3).slope) == (1, 1)
+    assert WeightedCompletion(7).slope == 7
+    assert Affine(4, -2).slope == 4
+    assert StepTable(((0, 1), (5, 9))).slope is None
+    # the slope is stated, not a field: equality, hashing and repr are the specs' own
+    assert Affine(4, -2) == Affine(4, -2) and repr(Affine(4, -2)) == "Affine(a=4, c=-2)"
+    assert [f.name for f in dataclasses.fields(WeightedCompletion)] == ["w"]
+
+
 def test_job_and_instance_validation():
     with pytest.raises(InstanceError):
         Job(1, 0, Lateness(1))
