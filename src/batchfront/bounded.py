@@ -63,11 +63,11 @@ evaluating it: on the paper profile a slot that a one-job repair moved by
 a few time units keeps its 160 jobs below the threshold nearly always.
 The max cost of a converged schedule is the largest bound once the lowest
 slot holding it is current.  ``WarmSolver`` holds what this solver shares
-with the precedence one: the held slots, completions, job costs, maxima
-and bounds, the lowest nonempty slot, the opening rule, the converged
-step and the held-state checks.  A converged step returns only its
-makespan: its schedule is ``form_batches`` of the limits it left, which
-the frontier sweep rebuilds for the steps it keeps.
+with the precedence one, which holds no bounds: the held slots,
+completions, job costs and maxima, the lowest nonempty slot, the opening
+rule, the converged step and the held-state checks.  A converged step
+returns only its makespan: its schedule is ``form_batches`` of the limits
+it left, which the frontier sweep rebuilds for the steps it keeps.
 
 A pass walks only a span of slots, outside which every slot is clean.  An
 adjustment at i marks slots at or below i, down to e, so the pass lowers
@@ -105,16 +105,15 @@ UNBOUNDED = float("inf")
 # a 160-job one; the 35 ns it gives up on each of a hard-b2 instance's
 # roughly 1,500 deletions is under 1% of its sweep.
 #
-# The warm solvers also hold cost bounds only while their nonempty slots
+# ``BoundedSolver`` also holds cost bounds only while its nonempty slots
 # hold more than this many jobs on average.  A refresh of a small slot
 # costs a call or two, about what keeping its bound costs.  Measured in
 # process on CPython 3.11 on a shared 2-core host (best sweep times,
 # alternating processes), holding bounds whenever every cost has a slope
 # made geo n=400 at b=2 (slopes up to n^2) 16-25% slower, and holding them
 # whenever the capacity exceeds this made staged n=400 (b = n - 1, but 2
-# jobs a slot after its first openings) 19-25% slower and prec n=400 (sink
-# layers of 2.5 jobs) 5-9% slower; with the average rule all three are
-# within a few percent of not holding bounds at all.
+# jobs a slot after its first openings) 19-25% slower; with the average
+# rule both are within a few percent of not holding bounds at all.
 SMALL_SLOT = 16
 
 
@@ -245,23 +244,8 @@ class WarmSolver:
     their held maxima stale and their job costs untimed, and lowers
     ``first``.
 
-    ``bound[i]`` is an upper bound on slot i's max cost, equal to
-    ``top[i]`` whenever that is current, and ``slope`` the largest slope of
-    the instance's costs, or None while no bounds are held: from the start
-    when some cost states none (a ``StepTable``) or the nonempty slots hold
-    ``SMALL_SLOT`` jobs or fewer on average (``_small_slots``), and from
-    the first pass that finds them so (``_drop_bounds``) to the sweep's
-    end.  Without bounds every entry of
-    ``bound`` is ``UNBOUNDED``, so a pass refreshes every stale slot it
-    reaches.  With them, ``held_max`` sets the bound to the max, a subclass
-    adds slope x d wherever slot c completes d later (``_open``: slope x
-    setup) and folds in the cost of each job entering a slot at its
-    completion, and a job leaving needs nothing; a pass skips a stale slot
-    whose bound is below the threshold.  An opened slot's bound starts at
-    ``-UNBOUNDED``.  ``converged`` refreshes the lowest slot holding the
-    largest bound until it is current, which makes that bound the max cost,
-    and sets ``due``, the span from the highest down to the lowest slot
-    whose bound is the max cost, where a bounded step to that max starts.
+    ``converged`` sets ``max_cost`` to what ``_max_cost`` returns, by
+    default the largest held max, which a clean pass left current.
 
     ``solve`` may be called repeatedly with strictly smaller thresholds,
     each call going on from the state the previous one left, and returns
@@ -290,44 +274,18 @@ class WarmSolver:
         self.cost: list[int | None] = [None] * (instance.n + 1)  # by held entry
         self.timed = [False] * len(slots)
         self.first = first
-        self.slope = None  # None while no bounds are held
-        if not self._small_slots():
-            slopes = [job.cost.slope for job in instance.jobs]
-            if None not in slopes:
-                self.slope = max(slopes)
-        self.bound = [UNBOUNDED] * len(slots)  # written only while bounds are held
         self.max_cost: int | None = None
-        self.due = (instance.n, first)
         self.trace = trace
         self.check = check
         self.adjustments = 0
         self.passes = 0
 
     def converged(self) -> int:
-        """After a clean pass: set ``max_cost`` and ``due`` and return the
-        makespan.  Check mode compares the held completions with a
-        ``timetable`` of the held slots and ``max_cost`` with
-        ``objectives``.
-
-        A clean pass left every nonempty slot's max current or its bound
-        below the threshold.  Without bounds the maxima are read directly.
-        With them, the lowest slot holding the largest bound is refreshed
-        until that slot is current: its max is then the largest bound, which
-        no slot's max exceeds.  ``due`` runs from the highest down to the
-        lowest slot holding it; a stale slot in it whose max is lower is
-        refreshed and skipped by the next step's pass, so the span may be
-        wider than the slots that hold the max, and no move changes."""
-        first = self.first
-        top = self.top
-        upper = top if self.slope is None else self.bound  # without bounds, the maxima themselves
-        worst = max(upper[first:])
-        low = upper.index(worst, first)
-        while top[low] is None:  # a stale slot holds the largest bound
-            self.held_max(low)
-            worst = max(upper[first:])
-            low = upper.index(worst, first)
-        self.max_cost = worst
-        self.due = (len(upper) - 1 - upper[::-1].index(worst), low)
+        """After a clean pass: set ``max_cost`` from ``_max_cost`` and
+        return the makespan.  Check mode compares the held completions with
+        a ``timetable`` of the held slots and ``max_cost`` with
+        ``objectives``."""
+        self.max_cost = self._max_cost()
         if self.check:
             instance = self.instance
             held = timetable(self.id_slots()[1:], instance)
@@ -337,21 +295,10 @@ class WarmSolver:
                 raise InvariantError("held max cost differs from objectives")
         return self.completion[-1]
 
-    def _small_slots(self) -> bool:
-        """Whether the nonempty slots hold ``SMALL_SLOT`` jobs or fewer on
-        average, where holding bounds costs about what it saves."""
-        return self.instance.n <= SMALL_SLOT * (len(self.slots) - self.first)
-
-    def _drop_bounds(self) -> bool:
-        """At a pass's start: stop holding bounds, for the rest of the
-        sweep, once the slots are small, and say whether that happened
-        now.  Every held bound is then ``UNBOUNDED`` again, so the pass
-        must walk every slot."""
-        if self.slope is None or not self._small_slots():
-            return False
-        self.slope = None
-        self.bound = [UNBOUNDED] * len(self.slots)
-        return True
+    def _max_cost(self) -> int:
+        """The converged schedule's max cost: a clean pass left every
+        nonempty slot's held max current."""
+        return max(self.top[self.first :])
 
     def held_max(self, c: int) -> int:
         """Refresh slot c's stale held max and return it: the max of its
@@ -360,39 +307,29 @@ class WarmSolver:
         batch = self.slots[c]
         cost = self.cost
         if self.timed[c]:
-            worst = max(map(cost.__getitem__, batch))
-        else:
-            value = self.value
-            at = self.completion[c]
-            worst = None
-            for r in batch:
-                x = cost[r] = value[r](at)
-                if worst is None or x > worst:
-                    worst = x
-            self.timed[c] = True
+            worst = self.top[c] = max(map(cost.__getitem__, batch))
+            return worst
+        value = self.value
+        at = self.completion[c]
+        worst = None
+        for r in batch:
+            x = cost[r] = value[r](at)
+            if worst is None or x > worst:
+                worst = x
+        self.timed[c] = True
         self.top[c] = worst
-        if self.slope is not None:
-            self.bound[c] = worst
         return worst
 
     def _open(self, x: int) -> None:
         """A job opened the empty slot x: every slot from x on completes one
         setup later, its held max and its members' held costs go stale, and
-        x becomes ``first``.  With bounds, each slot right of x raises its
-        bound by slope x setup, and x, which held nothing, starts at
-        ``-UNBOUNDED`` for the jobs that enter it to fold into."""
+        x becomes ``first``."""
         setup = self.instance.setup
         for c in range(x, len(self.completion)):
             self.completion[c] += setup
         stale = len(self.top) - x
         self.top[x:] = [None] * stale
         self.timed[x:] = [False] * stale
-        if self.slope is not None:
-            bound = self.bound
-            rise = self.slope * setup
-            for c in range(x + 1, len(bound)):
-                bound[c] += rise
-            bound[x] = -UNBOUNDED
         self.first = x
 
     def id_slots(self) -> list[list[int]]:
@@ -405,9 +342,8 @@ class WarmSolver:
         """Check mode: the held completions equal a ``batch_times`` of the
         held slots, none is earlier than in ``before`` (when given), every
         held max equals a fresh evaluation, every timed slot's held job
-        costs do too, every slot with a current max is timed, ``first``
-        is the lowest nonempty slot, and, while bounds are held, they pass
-        ``_check_bounds``.  Jobs are evaluated by id, through
+        costs do too, every slot with a current max is timed, and ``first``
+        is the lowest nonempty slot.  Jobs are evaluated by id, through
         ``id_slots``."""
         instance = self.instance
         slots = self.slots
@@ -430,22 +366,6 @@ class WarmSolver:
                 raise InvariantError(f"held job costs of slot {i} differ from a fresh evaluation")
             if not timed and self.top[i] is not None:
                 raise InvariantError(f"slot {i} holds a current max but its job costs are not timed")
-        if self.slope is not None:
-            self._check_bounds()
-
-    def _check_bounds(self) -> None:
-        """Check mode: no nonempty slot's held bound is below its max cost,
-        and a slot with a current max holds it as its bound."""
-        value = self.instance.cost_value
-        completion = self.completion
-        top = self.top
-        bound = self.bound
-        for i, batch in enumerate(self.id_slots()):
-            if batch:
-                if bound[i] < max([value[j](completion[i]) for j in batch]):
-                    raise InvariantError(f"held bound of slot {i} is below its max cost")
-                if top[i] is not None and bound[i] != top[i]:
-                    raise InvariantError(f"held bound of slot {i} differs from its current max")
 
 
 class BoundedSolver(WarmSolver):
@@ -503,24 +423,41 @@ class BoundedSolver(WarmSolver):
     only with a moved completion: the adjustment untimes each carry slot
     and e whose time changed (``_open`` untimes every slot from e on), and
     evaluates once each job entering a slot that stays timed: the hoist in
-    i, a swapped carry and the carry landing in e.  While bounds are held
-    the adjustment raises the bound of each slot of a stretch that moves
-    later, by slope x delta, and folds into the bound of i, of each swap
-    slot and of e the cost of the job that entered it, read from ``cost``
-    where the slot stays timed and evaluated otherwise.  A pass skips a
-    stale slot whose bound is below the threshold; otherwise it refreshes
-    the max, from the held costs when the slot is timed, and skips the slot
-    when that max is below the threshold.  A walked slot that no opening
-    moved ends its walk with a current max: the largest held cost among the
-    jobs it kept and the hoists it took in.  Thresholds only shrink, so a
-    new step's first pass reuses every held value.
+    i, a swapped carry and the carry landing in e.  A pass refreshes a
+    stale max when it reaches the slot, from the held costs when the slot
+    is timed, and skips the slot when that max is below the threshold.  A
+    walked slot that no opening moved ends its walk with a current max: the
+    largest held cost among the jobs it kept and the hoists it took in.
+    Thresholds only shrink, so a new step's first pass reuses every held
+    value.
+
+    ``bound[i]`` is an upper bound on slot i's max cost, equal to
+    ``top[i]`` whenever that is current, and ``slope`` the largest slope of
+    the instance's costs, or None while no bounds are held: from the start
+    when some cost states none (a ``StepTable``) or the nonempty slots hold
+    ``SMALL_SLOT`` jobs or fewer on average (``_small_slots``), and from
+    the first pass that finds them so (``_drop_bounds``) to the sweep's
+    end.  Without bounds every entry of ``bound`` is ``UNBOUNDED``.  With
+    them, a refresh sets the bound to the max, the adjustment raises the
+    bound of each slot of a stretch that moves later by slope x delta
+    (``_open``: slope x setup, and the opened slot starts at
+    ``-UNBOUNDED``), and folds into the bound of i, of each swap slot and
+    of e the cost of the job that entered it, read from ``cost`` where the
+    slot stays timed and evaluated otherwise; a job leaving needs nothing.
+    A pass then skips a stale slot whose bound is below the threshold
+    without refreshing it, and ``_max_cost`` refreshes the lowest slot
+    holding the largest bound until that slot is current, which makes the
+    bound the max cost.
 
     A pass walks a span high..low, not every nonempty slot: ``_adjust``
     returns e, the pass lowers ``low`` to it, and hands the next pass the
     span from its first adjusted slot (n after an opening) down to its
     last.  ``due`` is the span a step to the last converged max cost starts
-    on: from the highest down to the lowest slot whose bound is that max.
-    A pass that drops the bounds walks every slot instead.
+    on: from the highest down to the lowest slot whose bound is that max
+    (the held max, without bounds).  A stale slot in it whose max is lower
+    is refreshed and skipped by the next step's pass, so the span may be
+    wider than the slots that hold the max, and no move changes.  A pass
+    that drops the bounds walks every slot instead.
 
     With ``check=True`` the solver verifies its own invariants after every
     adjustment and raises InvariantError on a breach: the hoisted job came
@@ -559,6 +496,13 @@ class BoundedSolver(WarmSolver):
         self.p = [p[j] for j in ids]
         self.value = [cost_value[j] for j in ids]
         self.cap = instance.effective_capacity
+        self.slope = None  # the largest cost slope while bounds are held
+        if not self._small_slots():
+            slopes = [job.cost.slope for job in instance.jobs]
+            if None not in slopes:
+                self.slope = max(slopes)
+        self.bound = [UNBOUNDED] * len(filled)  # written only while bounds are held
+        self.due = (instance.n, first)
         self.resume: tuple[int, int, int, int] | None = None  # (i, e, hoist's rank, lowest) of the last hoist
 
     @classmethod
@@ -607,10 +551,9 @@ class BoundedSolver(WarmSolver):
         copy of the key-ordered slot) only when that max reaches the
         threshold.  The walk reads held costs, the slot being timed once
         its max is current, and evaluates live once an opening has untimed
-        slot i.  While bounds are held and no opening moved slot i, the walk
-        leaves it with a current max: the largest held cost among the jobs
-        it kept and the hoists it took in, read from ``resume`` after each
-        adjustment.
+        slot i.  When no opening moved slot i, the walk leaves it with a
+        current max: the largest held cost among the jobs it kept and the
+        hoists it took in, read from ``resume`` after each adjustment.
         """
         slots = self.slots
         completion = self.completion  # updated in place by _adjust
@@ -618,7 +561,8 @@ class BoundedSolver(WarmSolver):
         cost = self.cost  # refreshed in place by _adjust
         timed = self.timed  # cleared in place by _adjust
         value = self.value
-        held = self.slope is not None  # and then ``bound``, raised and folded in place by _adjust
+        held = self.slope is not None
+        bound = self.bound  # raised and folded in place by _adjust while held
         first = self.first  # lowered by an opening
         upper = lower = 0  # the first and the last slot adjusted
         i = high + 1
@@ -626,17 +570,21 @@ class BoundedSolver(WarmSolver):
             i -= 1
             worst = top[i]
             if worst is None:
-                if held and self.bound[i] < threshold:
+                if not held:
+                    worst = self.held_max(i)
+                elif bound[i] < threshold:
                     continue  # stale, but its bound says it is clean
-                worst = self.held_max(i)
+                else:
+                    worst = bound[i] = self.held_max(i)
             if worst < threshold:
                 continue  # a clean slot needs no walk
-            kept = -UNBOUNDED  # with bounds: the max held cost of the jobs that stay and the hoists taken in
+            kept = -UNBOUNDED  # the max held cost of the jobs that stay and the hoists taken in
             for r in slots[i][::-1]:
                 if timed[i]:
-                    if cost[r] < threshold:
-                        if held and cost[r] > kept:
-                            kept = cost[r]
+                    x = cost[r]
+                    if x < threshold:
+                        if x > kept:
+                            kept = x
                         continue
                 elif value[r](completion[i]) < threshold:
                     continue  # an opening retimed slot i mid-walk
@@ -645,14 +593,17 @@ class BoundedSolver(WarmSolver):
                 e = self._adjust(r, i)
                 if not e:
                     return None
-                if held and self.resume is not None and cost[self.resume[2]] > kept:
-                    kept = cost[self.resume[2]]  # the hoist's cost, current while slot i is timed
+                resume = self.resume
+                if resume is not None and cost[resume[2]] > kept:
+                    kept = cost[resume[2]]  # the hoist's cost, current while slot i is timed
                 if e < low:
                     low = e
                 upper = upper or i
                 lower = i
-            if held and timed[i]:  # no opening moved slot i, so kept is its max
-                top[i] = self.bound[i] = kept
+            if timed[i]:  # no opening moved slot i, so kept is its max
+                top[i] = kept
+                if held:
+                    bound[i] = kept
         if not lower:
             return ()
         return (self.instance.n if self.first < first else upper, lower)
@@ -829,6 +780,53 @@ class BoundedSolver(WarmSolver):
             self._check_state(e, before)
         return e
 
+    def _open(self, x: int) -> None:
+        """``WarmSolver._open``, and while bounds are held each slot right of
+        x raises its bound by slope x setup, and x, which held nothing,
+        starts at ``-UNBOUNDED`` for the jobs that enter it to fold into."""
+        super()._open(x)
+        if self.slope is not None:
+            bound = self.bound
+            rise = self.slope * self.instance.setup
+            for c in range(x + 1, len(bound)):
+                bound[c] += rise
+            bound[x] = -UNBOUNDED
+
+    def _max_cost(self) -> int:
+        """The converged schedule's max cost, which also sets ``due``.  A
+        clean pass left every nonempty slot's max current or its bound below
+        the threshold.  Without bounds the maxima are read directly.  With
+        them, the lowest slot holding the largest bound is refreshed until
+        that slot is current: its max is then the largest bound, which no
+        slot's max exceeds."""
+        first = self.first
+        top = self.top
+        upper = top if self.slope is None else self.bound
+        worst = max(upper[first:])
+        low = upper.index(worst, first)
+        while top[low] is None:  # a stale slot holds the largest bound
+            upper[low] = self.held_max(low)
+            worst = max(upper[first:])
+            low = upper.index(worst, first)
+        self.due = (len(upper) - 1 - upper[::-1].index(worst), low)
+        return worst
+
+    def _small_slots(self) -> bool:
+        """Whether the nonempty slots hold ``SMALL_SLOT`` jobs or fewer on
+        average, where holding bounds costs about what it saves."""
+        return self.instance.n <= SMALL_SLOT * (len(self.slots) - self.first)
+
+    def _drop_bounds(self) -> bool:
+        """At a pass's start: stop holding bounds, for the rest of the
+        sweep, once the slots are small, and say whether that happened
+        now.  Every held bound is then ``UNBOUNDED`` again, so the pass
+        must walk every slot."""
+        if self.slope is None or not self._small_slots():
+            return False
+        self.slope = None
+        self.bound = [UNBOUNDED] * len(self.slots)
+        return True
+
     def _resumed_hoist(self, batch: list[int], e: int, i: int, hoisted: int) -> int | None:
         """The largest candidate for slot i in slot e, scanning down from
         below rank ``hoisted``, the hoist the last adjustment at i took
@@ -866,6 +864,20 @@ class BoundedSolver(WarmSolver):
         if self.slope is not None:
             self._check_bounds()
 
+    def _check_bounds(self) -> None:
+        """Check mode: no nonempty slot's held bound is below its max cost,
+        and a slot with a current max holds it as its bound."""
+        value = self.instance.cost_value
+        completion = self.completion
+        top = self.top
+        bound = self.bound
+        for i, batch in enumerate(self.id_slots()):
+            if batch:
+                if bound[i] < max([value[j](completion[i]) for j in batch]):
+                    raise InvariantError(f"held bound of slot {i} is below its max cost")
+                if top[i] is not None and bound[i] != top[i]:
+                    raise InvariantError(f"held bound of slot {i} differs from its current max")
+
     def _check_state(self, e: int, before: list[int]) -> None:
         """Check mode: the state after an adjustment whose carry ended in
         slot e, against the completion times it started from."""
@@ -873,6 +885,8 @@ class BoundedSolver(WarmSolver):
         if len(self.slots[e]) > instance.effective_capacity:
             raise InvariantError(f"slot {e} exceeds capacity")
         self.check_held(before)
+        if self.slope is not None:
+            self._check_bounds()
         limit = self.limits.table
         held = self.id_slots()
         for c, batch in enumerate(held):

@@ -14,8 +14,8 @@ constructors below refuse any value that is not one (``_int``).
 Every cost spec states a ``slope``: an integer s >= 0 with
 ``value(t + d) - value(t) <= s * d`` for every time t and every d >= 0, so
 a cost known at one completion bounds the cost at any later one.  A
-``StepTable`` states None, and the warm solvers hold no cost bounds for an
-instance with one.
+``StepTable`` states None, and the bounded solver holds no cost bounds for
+an instance with one.
 """
 
 from __future__ import annotations

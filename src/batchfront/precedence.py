@@ -14,13 +14,10 @@ group's max cost and marks the groups holding a job whose bound fell, so a
 pass walks only changed, marked and costly groups; a move shifts only the
 completion times it changes.  It also holds each job's cost at its group's
 completion, and only a move's retimed groups, or an opening, make those
-stale: the walk of a costly group reads them, and a group that merely lost
-jobs keeps the largest of those it kept as its max.  While its groups hold
-more than ``SMALL_SLOT`` jobs on average it also holds an upper bound on
-each group's max cost, by the rules ``WarmSolver`` states, and a pass
-skips an unmarked stale group whose cost bound is below the threshold.
-Propagation reads the predecessors in descending sink layer and stops
-where no bound can fall any more.
+stale: a group that merely lost jobs refreshes its max from the held costs,
+and the walk of a costly group reads them.  Propagation reads the
+predecessors in descending sink layer and stops where no bound can fall any
+more.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 
 from .admissible import AdmissibleSlots
-from .bounded import UNBOUNDED, Trace, WarmSolver, lowest_nonempty, tolerated_slot
+from .bounded import Trace, WarmSolver, lowest_nonempty, tolerated_slot
 from .model import Instance, InvariantError, batch_times
 from .model import timetable  # noqa: F401 - unused here; perfbench/tracer.py times calls through this name
 from .model import eval_cost  # noqa: F401 - unused here; perfbench/tracer.py counts calls through this name
@@ -84,21 +81,15 @@ class PrecedenceSolver(WarmSolver):
     ``slots`` holds the groups, which are the batches, and ``marked[i]``
     is set when propagation lowers the bound of a job that group i holds.
     The nonempty groups are ``first``..n, and a pass visits them from n
-    down.  It skips an unmarked stale group whose held cost bound is below
-    the threshold, refreshes any other stale max with ``held_max``, and
-    walks group i only when the group is marked or its held max reaches
-    the threshold; any other group has every job tolerating its completion
-    and no job bounded below it, so the walk would move nothing.  A walked
-    group is timed, so the walk reads each job's held cost, and a group
-    that loses jobs keeps the largest held cost among the rest as its
-    current max.  Moves land at pass end: each shifts ``completion`` by the
-    job's processing time on its target..origin-1, marks those groups'
-    maxima stale and their job costs untimed (the target is among them, so
-    a landing job's held cost needs no evaluation), and calls ``_open``
-    when it opens its target.  While cost bounds are held, a landing raises
-    the cost bound of each group it retimes by slope x p and folds the
-    landing job's cost at its target's completion into the target's, the one
-    evaluation a landing then costs.
+    down; it refreshes a stale max with ``held_max`` and walks group i
+    only when the group is marked or its held max reaches the threshold;
+    any other group has every job tolerating its completion and no job
+    bounded below it, so the walk would move nothing.  A walked group is
+    timed, so the walk reads each job's held cost.  Moves land at pass
+    end: each shifts ``completion`` by the job's processing time on its
+    target..origin-1, marks those groups' maxima stale and their job costs
+    untimed (the target is among them, so a landing job needs no
+    evaluation), and calls ``_open`` when it opens its target.
     Propagation reads ``Instance.preds_by_layer`` and stops at the first
     predecessor whose sink layer is below the target: a job's limit never
     exceeds its layer, and its bound never exceeds its limit, so no
@@ -122,8 +113,7 @@ class PrecedenceSolver(WarmSolver):
         check: bool = False,
     ):
         slots = limits.groups()
-        first = lowest_nonempty(slots)
-        super().__init__(instance, limits, slots, first, batch_times(slots, instance), trace, check)
+        super().__init__(instance, limits, slots, lowest_nonempty(slots), batch_times(slots, instance), trace, check)
         self.value = instance.cost_value  # the held entries are job ids
         self.bounds = list(limits.table)
         self.marked = [False] * (instance.n + 1)
@@ -149,7 +139,6 @@ class PrecedenceSolver(WarmSolver):
             if self.check:
                 self._check_state(before)
                 before = self.completion[:]
-            self._drop_bounds()  # a pass walks every group anyway
             outcome = self._sweep(threshold)
             if outcome is None:
                 return None
@@ -179,8 +168,6 @@ class PrecedenceSolver(WarmSolver):
         limit = limits.table
         bounds = self.bounds
         top = self.top
-        cost_bound = self.bound  # per group, beside the per-job ``bounds``
-        held = self.slope is not None
         cost = self.cost
         marked = self.marked
         trace = self.trace
@@ -190,26 +177,20 @@ class PrecedenceSolver(WarmSolver):
             batch = slots[i]
             worst = top[i]
             if worst is None:
-                worst = cost_bound[i]  # UNBOUNDED while no cost bounds are held
-                if worst >= threshold or marked[i]:
-                    worst = self.held_max(i)
+                worst = self.held_max(i)
             if worst < threshold and not marked[i]:
                 if self.check:
                     self._check_skip(i, threshold)
                 continue  # every job tolerates slot i and none is bounded below it
             marked[i] = False
             left = len(batch)
-            kept = -UNBOUNDED  # the max held cost of the jobs that stay
             for j in batch[::-1]:
                 target = bounds[j]  # at most i, the job's limit
-                x = cost[j]
-                if x >= threshold:  # group i is timed: its max is current
+                if cost[j] >= threshold:  # group i is timed: its max is current
                     tolerated = tolerated_slot(value[j], completion, i, threshold)
                     if tolerated < target:
                         target = tolerated
                 elif target == i:
-                    if x > kept:
-                        kept = x
                     continue
                 if target < 1:
                     return None  # nothing tolerable, or successors force the job out of every slot
@@ -237,10 +218,8 @@ class PrecedenceSolver(WarmSolver):
                     for q in instance.preds[j]:
                         if q in lowered:
                             trace(f"bound job={q} new={target - 1}")
-            if left < len(batch):  # jobs left the group, which _land removes; the rest hold kept
-                top[i] = kept if left else None
-                if held and left:
-                    cost_bound[i] = kept
+            if left < len(batch):
+                top[i] = None  # jobs left the group; _land removes them
         if not moves:
             return False
         self._land(moves)
@@ -252,9 +231,7 @@ class PrecedenceSolver(WarmSolver):
         its processing time.  A move that opens its target calls ``_open``,
         which shifts every slot from the target on by one setup.  The held
         maxima of the slots whose times or members changed go stale, and
-        the retimed slots are untimed.  While bounds are held, each retimed
-        slot's cost bound rises by slope x p, and the target's folds in the
-        landing job's cost there, which later moves' rises keep covering."""
+        the retimed slots are untimed."""
         p = self.instance.p
         keys = self.instance.keys
         by_key = keys.__getitem__
@@ -262,9 +239,6 @@ class PrecedenceSolver(WarmSolver):
         completion = self.completion
         top = self.top
         timed = self.timed
-        slope = self.slope
-        bound = self.bound
-        value = self.value
         for j, i, target in moves:
             origin = slots[i]
             del origin[bisect_left(origin, keys[j], key=by_key)]
@@ -272,21 +246,10 @@ class PrecedenceSolver(WarmSolver):
                 self._open(target)  # no earlier move left it, so it was empty all pass
             insort(slots[target], j, key=by_key)
             pj = p[j]
-            if slope is None:
-                for c in range(target, i):
-                    completion[c] += pj
-                    top[c] = None
-                    timed[c] = False
-                continue
-            rise = slope * pj
             for c in range(target, i):
                 completion[c] += pj
                 top[c] = None
                 timed[c] = False
-                bound[c] += rise
-            worst = value[j](completion[target])  # the entrant's cost, which later moves' rises cover
-            if worst > bound[target]:
-                bound[target] = worst
 
     def _check_state(self, before: list[int] | None) -> None:
         """Check mode: the held state before a pass against a rebuild, and

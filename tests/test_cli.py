@@ -97,10 +97,11 @@ def test_trace_beyond_the_oracle_matches_golden_digest(tmp_path, capsys):
     assert digest.hexdigest() == LONG_CARRY_DIGEST
 
 
-# (profile, n, capacity, seeds) around held cost bounds: paper, small at
-# b=40 and geo-prec start with more than SMALL_SLOT jobs a slot and sloped
-# costs, geo-prec drops its bounds mid-sweep, and prec's sink layers are
-# too small to hold any; the digest was computed before bounds were held
+# (profile, n, capacity, seeds) around held cost bounds: paper and small
+# at b=40 start with more than SMALL_SLOT jobs a slot and sloped costs, so
+# the bounded solver holds bounds there, and prec and geo-prec pin the
+# precedence sweep beside them, which holds none; the digest was computed
+# before bounds were held
 HELD_BOUND_CORPUS = [
     ("paper", 400, None, (1, 2, 3)),
     ("small", 120, 40, (1, 2, 3)),

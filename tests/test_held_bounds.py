@@ -1,4 +1,4 @@
-"""Held cost bounds in the warm solvers.
+"""Held cost bounds in the bounded solver.
 
 A solver whose nonempty slots hold more than ``SMALL_SLOT`` jobs on average,
 and whose every cost states a slope, holds an upper bound on each slot's
@@ -12,7 +12,7 @@ check-mode coverage, the work they save and the outputs they leave alone.
 import pytest
 
 from batchfront.bounded import SMALL_SLOT, UNBOUNDED, BoundedSolver, WarmSolver
-from batchfront.frontier import pareto_bounded, pareto_precedence
+from batchfront.frontier import pareto_bounded
 from batchfront.generate import gen_random
 from batchfront.model import Instance, InvariantError, Job, Lateness, StepTable
 from batchfront.precedence import PrecedenceSolver
@@ -21,7 +21,6 @@ from batchfront.verify import check_instance
 # sweeps that hold bounds from their first step: large batches, sloped costs
 BOUNDED_CORPUS = [(gen_random(n, seed, "small", capacity=b), "small") for n, b in ((60, 30), (120, 40)) for seed in (1, 2, 3)]
 BOUNDED_CORPUS += [(gen_random(100, seed, "paper"), "paper") for seed in (1, 2)]
-PRECEDENCE_CORPUS = [gen_random(300, seed, "geo-prec") for seed in (1, 2)]
 
 
 def _sweep(solver):
@@ -34,7 +33,7 @@ def _sweep(solver):
 
 def _held_passes(monkeypatch):
     """Count the passes that start with bounds held; returns the tally."""
-    drop = WarmSolver._drop_bounds
+    drop = BoundedSolver._drop_bounds
     tally = [0]
 
     def counted(self):
@@ -42,7 +41,7 @@ def _held_passes(monkeypatch):
         tally[0] += self.slope is not None
         return dropped
 
-    monkeypatch.setattr(WarmSolver, "_drop_bounds", counted)
+    monkeypatch.setattr(BoundedSolver, "_drop_bounds", counted)
     return tally
 
 
@@ -50,10 +49,7 @@ def test_the_corpora_hold_bounds(monkeypatch):
     tally = _held_passes(monkeypatch)
     for instance, _ in BOUNDED_CORPUS:
         pareto_bounded(instance)
-    bounded = tally[0]
-    for instance in PRECEDENCE_CORPUS:
-        pareto_precedence(instance)
-    assert bounded > 100 and tally[0] - bounded > 100
+    assert tally[0] > 100
 
 
 def test_bounds_are_held_only_for_large_slots_and_sloped_costs():
@@ -67,7 +63,8 @@ def test_bounds_are_held_only_for_large_slots_and_sloped_costs():
     assert solver.slope is None
     solver.solve(UNBOUNDED)
     assert solver.slope is None and solver.bound == [UNBOUNDED] * 61
-    assert PrecedenceSolver.initial(gen_random(60, 1, "prec")).slope is None
+    # the precedence solver holds none at any size
+    assert not hasattr(PrecedenceSolver.initial(gen_random(300, 1, "geo-prec")), "bound")
 
 
 def test_bounds_are_dropped_for_the_rest_of_the_sweep_once_slots_average_small_slot_jobs(monkeypatch):
@@ -76,7 +73,7 @@ def test_bounds_are_dropped_for_the_rest_of_the_sweep_once_slots_average_small_s
     # sweep's outputs are those of a sweep that never held bounds
     instance = gen_random(120, 1, "staged")
     drops = []
-    drop = WarmSolver._drop_bounds
+    drop = BoundedSolver._drop_bounds
 
     def recorded(self):
         dropped = drop(self)
@@ -84,13 +81,13 @@ def test_bounds_are_dropped_for_the_rest_of_the_sweep_once_slots_average_small_s
             drops.append(len(self.slots) - self.first)
         return dropped
 
-    monkeypatch.setattr(WarmSolver, "_drop_bounds", recorded)
+    monkeypatch.setattr(BoundedSolver, "_drop_bounds", recorded)
     trace = []
     front = pareto_bounded(instance, trace=trace.append, check=True)
     assert drops == [8]  # 120 jobs over 8 slots are 15 a slot, at most SMALL_SLOT
     assert instance.n <= SMALL_SLOT * 8 and instance.n > SMALL_SLOT * 7
-    monkeypatch.setattr(WarmSolver, "_drop_bounds", lambda self: False)
-    monkeypatch.setattr(WarmSolver, "__init__", _without_bounds(WarmSolver.__init__))
+    monkeypatch.setattr(BoundedSolver, "_drop_bounds", lambda self: False)
+    monkeypatch.setattr(BoundedSolver, "__init__", _without_bounds(BoundedSolver.__init__))
     unheld = []
     assert pareto_bounded(instance, trace=unheld.append, check=True) == front
     assert trace == unheld
@@ -111,7 +108,7 @@ def test_held_and_unheld_sweeps_make_the_same_moves(monkeypatch, seed):
     instance = gen_random(160, seed, "small", capacity=60 + seed)
     trace = []
     front = pareto_bounded(instance, trace=trace.append)
-    monkeypatch.setattr(WarmSolver, "__init__", _without_bounds(WarmSolver.__init__))
+    monkeypatch.setattr(BoundedSolver, "__init__", _without_bounds(BoundedSolver.__init__))
     unheld = []
     assert pareto_bounded(instance, trace=unheld.append) == front
     assert trace == unheld
@@ -238,32 +235,7 @@ class _AdjustsWithoutTheFold(BoundedSolver):
         return e
 
 
-class _LandsWithoutTheRise(PrecedenceSolver):
-    """A solver whose landings leave out the rise of every group they
-    move later, and fold in the jobs landing there."""
-
-    def _land(self, moves):
-        completion, bound, first = self.completion[:], self.bound[:], self.first
-        super()._land(moves)
-        if self.slope is not None and self.first == first:
-            for c, (old, new) in enumerate(zip(completion, self.completion)):
-                if new > old:
-                    self.bound[c] = max([bound[c], *(self.value[j](new) for j, _, target in moves if target == c)])
-
-
-class _LandsWithoutTheFold(PrecedenceSolver):
-    """A solver whose landings leave out the cost of each job landing in a
-    group that held jobs already."""
-
-    def _land(self, moves):
-        slots, completion, bound, first = [b[:] for b in self.slots], self.completion[:], self.bound[:], self.first
-        super()._land(moves)
-        if self.slope is not None and self.first == first:
-            for c in _slots_that_gained(slots, self.slots):
-                self.bound[c] = bound[c] + self.slope * (self.completion[c] - completion[c])
-
-
-_open = WarmSolver._open
+_open = BoundedSolver._open
 
 
 def _open_without_the_rise(self, x):
@@ -291,29 +263,15 @@ def _bounded_sweeps(cls):
     return [lambda instance=instance: _sweep(cls.initial(instance, check=True)) for instance, _ in BOUNDED_CORPUS]
 
 
-def _precedence_sweeps(cls):
-    return [lambda instance=instance: _sweep(cls.initial(instance, check=True)) for instance in PRECEDENCE_CORPUS]
-
-
 def test_the_real_rules_pass_every_check():
-    assert _caught(_bounded_sweeps(BoundedSolver) + _precedence_sweeps(PrecedenceSolver)) == 0
+    assert _caught(_bounded_sweeps(BoundedSolver)) == 0
 
 
-@pytest.mark.parametrize(
-    "sweeps",
-    [
-        lambda: _bounded_sweeps(_RetimesWithoutTheRise),
-        lambda: _bounded_sweeps(_AdjustsWithoutTheFold),
-        lambda: _precedence_sweeps(_LandsWithoutTheRise),
-        lambda: _precedence_sweeps(_LandsWithoutTheFold),
-    ],
-    ids=["bounded-retime-rise", "bounded-fold", "prec-land-rise", "prec-fold"],
-)
-def test_check_mode_catches_a_rule_left_out(sweeps):
-    assert _caught(sweeps()) > 0
+@pytest.mark.parametrize("cls", [_RetimesWithoutTheRise, _AdjustsWithoutTheFold], ids=["retime-rise", "fold"])
+def test_check_mode_catches_a_rule_left_out(cls):
+    assert _caught(_bounded_sweeps(cls)) > 0
 
 
-@pytest.mark.parametrize("sweeps", [lambda: _bounded_sweeps(BoundedSolver), lambda: _precedence_sweeps(PrecedenceSolver)], ids=["bounded", "prec"])
-def test_check_mode_catches_an_opening_without_the_rise(monkeypatch, sweeps):
-    monkeypatch.setattr(WarmSolver, "_open", _open_without_the_rise)
-    assert _caught(sweeps()) > 0
+def test_check_mode_catches_an_opening_without_the_rise(monkeypatch):
+    monkeypatch.setattr(BoundedSolver, "_open", _open_without_the_rise)
+    assert _caught(_bounded_sweeps(BoundedSolver)) > 0
