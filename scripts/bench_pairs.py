@@ -27,15 +27,16 @@ files use: ``command``, ``runs`` (per seed and workload: the per-pair
 ``first_side``, ``failed`` and ``attempted`` counts, ``correct``, and for
 each end-to-end metric the per-pair values with both medians, the relative
 change, the pairs the change wins, the parent's interquartile range and
-the regression verdict), ``claim_result``, which says whether
-``latency_p50_s`` on the first workload named, the metric every perf claim
-here is made on, meets the claim rule: the change better in at least nine
-of every ten pairs, and the medians apart in the better direction by more
-than the parent's IQR, and ``regression_result``, which names, on every
-workload, each end-to-end metric whose change median is worse than the
-parent's by more than its bound (regressed), and each whose runs spread
-wider than that bound (unresolved).  Which
-direction is better, and each bound, come from ``BENCHMARK.json``.
+the regression verdict), ``claim_result``, which says whether the claimed
+metric on the first workload named meets the claim rule: the change better
+in at least nine of every ten pairs, and the medians apart in the better
+direction by more than the parent's IQR (the claimed metric is the
+end-to-end metric ``--claim-metric`` names, ``latency_p50_s`` unless
+given), and ``regression_result``, which names, on every workload, each
+end-to-end metric whose change median is worse than the parent's by more
+than its bound (regressed), and each whose runs spread wider than that
+bound (unresolved).  Which direction is better, and each bound, come from
+``BENCHMARK.json``.
 Traced pairs go under ``traced``, in the shape of ``runs``, with
 ``traced_command``: each per-layer metric's per-pair values, both medians,
 the relative change and the parent's IQR, and ``digests``, the frontier
@@ -205,17 +206,22 @@ def run_pairs(
     return run
 
 
-def claim_result(run: dict, workload: str) -> str:
-    """Whether ``CLAIM_METRIC`` on one workload's runs meets the claim rule,
-    with the figures it was judged on."""
-    m = run["metrics"][CLAIM_METRIC]
+def claim_result(run: dict, workload: str, name: str = CLAIM_METRIC) -> str:
+    """Whether the end-to-end metric ``name`` on one workload's runs meets
+    the claim rule, with the figures it was judged on.  The difference of
+    the medians is taken in the metric's better direction, so it is
+    positive when the change is better."""
+    m = run["metrics"][name]
     pairs = run["pairs"]
     wins = m["change_better_pairs"]
-    difference = m["parent_median"] - m["change_median"]  # the metric is better lower
+    if end_to_end()[name]["better"] == "higher":
+        difference = m["change_median"] - m["parent_median"]
+    else:
+        difference = m["parent_median"] - m["change_median"]
     met = wins >= math.ceil(0.9 * pairs) and difference > m["parent_iqr"]
     failed = sum(run["failed"]["parent"]) + sum(run["failed"]["change"])
     return (
-        f"{'met' if met else 'not met'}. Seed {run['seed']}: {workload} {CLAIM_METRIC} {m['parent_median']} -> "
+        f"{'met' if met else 'not met'}. Seed {run['seed']}: {workload} {name} {m['parent_median']} -> "
         f"{m['change_median']} ({m['relative']:+.1%}), change better in {wins}/{pairs} pairs, difference "
         f"{difference:.7g} against a parent IQR of {m['parent_iqr']}; {failed} failed attempts, correct {run['correct']}."
     )
@@ -249,12 +255,13 @@ def run_workloads(
     seconds: int,
     command: Command = perfbench_command,
     traced_pairs: int = 0,
+    claim_metric: str = CLAIM_METRIC,
 ) -> dict:
     """The whole output for ``workloads``, run one after another: with
-    timed ``pairs``, ``command``, ``runs``, the claim on the first workload
-    and the regression verdicts of every workload; with ``traced_pairs``,
-    ``traced_command`` and ``traced``, each workload's traced pairs run
-    after its timed ones."""
+    timed ``pairs``, ``command``, ``runs``, the claim on ``claim_metric`` of
+    the first workload and the regression verdicts of every workload; with
+    ``traced_pairs``, ``traced_command`` and ``traced``, each workload's
+    traced pairs run after its timed ones."""
     def listed(extra: list[str]) -> str:
         return f"python3 {' '.join(command('W', seed, seconds)[1:] + extra)}, for W in {', '.join(workloads)}"
 
@@ -268,7 +275,7 @@ def run_workloads(
     if pairs:
         result["command"] = listed([])
         result["runs"] = {f"seed_{seed}": runs}
-        result["claim_result"] = claim_result(runs[workloads[0]], workloads[0])
+        result["claim_result"] = claim_result(runs[workloads[0]], workloads[0], claim_metric)
         result["regression_result"] = " ".join(regression_result(run, workload) for workload, run in runs.items())
     if traced_pairs:
         result["traced_command"] = listed(TRACE_ON)
@@ -285,6 +292,10 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--traced-pairs", type=int, default=0, help="traced pairs per workload, after the timed ones")
+    parser.add_argument(
+        "--claim-metric", default=CLAIM_METRIC, choices=tuple(end_to_end()),
+        help=f"end-to-end metric the claim is judged on (default {CLAIM_METRIC})",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 0 or args.traced_pairs < 0 or not args.pairs + args.traced_pairs:
         parser.error("--pairs and --traced-pairs must not be negative, and one must be at least 1")
@@ -297,7 +308,7 @@ def main(argv=None) -> int:
     try:
         result = run_workloads(
             args.parent.resolve(), args.change.resolve(), workloads, args.seed, args.pairs, args.seconds,
-            traced_pairs=args.traced_pairs,
+            traced_pairs=args.traced_pairs, claim_metric=args.claim_metric,
         )
     except (RuntimeError, subprocess.TimeoutExpired) as problem:
         print(f"error: {problem}", file=sys.stderr)

@@ -28,20 +28,17 @@ and its fields checked one at a time by the constructors, so every
 message names the same field it always did.
 ``parse_instance(emit_instance(x)) == x``.
 
-``parse_instance`` pauses the cyclic garbage collector while it decodes and
-builds.  A dense precedence relation decodes into up to n(n-1)/2 small
-lists, and the collections their allocation would trigger traverse every
-one of them, yet nothing decoded or built here can form a reference cycle:
-reference counting alone frees it all.  The lists, and the int object
-decoded for each endpoint, die with the parse: the ``Instance`` keeps the
-edges as one flat tuple sharing one int object per job id with its
-per-job tables, so no later collection has a per-edge object to traverse.
-The collector's state on entry is restored on every exit.
+``parse_instance`` runs with the cyclic garbage collector paused, as the
+rest of the JSON-to-CSV chain does; ``model._collector_paused`` states the
+pause and the premise it rests on.  The decoded edge lists, and the int
+object decoded for each endpoint, die with the parse: the ``Instance``
+keeps the edges as one flat tuple sharing one int object per job id with
+its per-job tables, so no later collection has a per-edge object to
+traverse.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 from operator import itemgetter
 from pathlib import Path
@@ -56,6 +53,7 @@ from .model import (
     StepTable,
     Tardiness,
     WeightedCompletion,
+    _collector_paused,
     decode_job,
 )
 
@@ -157,18 +155,9 @@ def _jobs(rows: list, source: str) -> list[Job]:
     return jobs
 
 
+@_collector_paused
 def parse_instance(text: str, source: str = "<string>") -> Instance:
     """Parse instance JSON; InstanceError messages carry position context."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _parse(text, source)
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _parse(text: str, source: str) -> Instance:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

@@ -12,6 +12,11 @@ differ only in cost; only the last of such a run is recorded, so the
 output never contains a dominated pair.  A solver step yields only its
 makespan and max cost; the sweep builds a point's schedule from the limits
 that step left, and only for the steps it records.
+
+The sweeps and ``ParetoFront.to_csv`` run with the cyclic garbage
+collector paused, as ``fileio.parse_instance`` does, and so do the
+``trace`` and ``on_step`` callbacks they call; ``model._collector_paused``
+states the pause and the premise it rests on.
 """
 
 from __future__ import annotations
@@ -22,7 +27,17 @@ from typing import Callable, Iterable
 
 from .admissible import AdmissibleSlots
 from .bounded import UNBOUNDED, BoundedSolver, Trace, form_batches, lowest_nonempty, solve_reference
-from .model import _EMPTY_SLOT, Instance, InstanceError, InvariantError, Schedule, batch_times, freeze_slots, objectives
+from .model import (
+    _EMPTY_SLOT,
+    Instance,
+    InstanceError,
+    InvariantError,
+    Schedule,
+    _collector_paused,
+    batch_times,
+    freeze_slots,
+    objectives,
+)
 from .precedence import PrecedenceSolver
 
 # on_step(limits before the call, threshold, schedule or None, limits after):
@@ -68,6 +83,7 @@ class ParetoFront:
     def pairs(self) -> list[tuple[int, int]]:
         return [(pt.makespan, pt.max_cost) for pt in self.points]
 
+    @_collector_paused
     def to_csv(self) -> str:
         """The points as ``frontier_csv`` text."""
         return frontier_csv((pt.makespan, pt.max_cost, pt.schedule) for pt in self.points)
@@ -159,6 +175,7 @@ def _sweep(instance: Instance, solver, fill: Fill, on_step: StepHook | None) -> 
         threshold = max_cost
 
 
+@_collector_paused
 def pareto_bounded(
     instance: Instance,
     trace: Trace | None = None,
@@ -172,6 +189,27 @@ def pareto_bounded(
     return _sweep(instance, solver, _batches, on_step)
 
 
+class _Restarting:
+    """The naive sweep's solver: each ``solve`` runs the reference solver on
+    fresh unrestricted limits, which then replace ``limits``."""
+
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        self.limits = AdmissibleSlots.unrestricted(instance)
+
+    def solve(self, threshold):
+        instance = self.instance
+        fresh = AdmissibleSlots.unrestricted(instance)
+        result = solve_reference(instance, fresh, threshold)
+        fresh.relocations += self.limits.relocations  # the final limits carry the move total
+        self.limits = fresh
+        if result is None:
+            return None
+        self.max_cost = objectives(result, instance)[1]
+        return result.makespan
+
+
+@_collector_paused
 def pareto_bounded_naive(instance: Instance) -> ParetoFront:
     """Same frontier as pareto_bounded but restarting from scratch per step.
 
@@ -182,24 +220,10 @@ def pareto_bounded_naive(instance: Instance) -> ParetoFront:
     """
     if not instance.bounded:
         raise InstanceError("bounded frontier requires an instance with integer capacity")
-
-    class _Restarting:
-        def __init__(self):
-            self.limits = AdmissibleSlots.unrestricted(instance)
-
-        def solve(self, threshold):
-            fresh = AdmissibleSlots.unrestricted(instance)
-            result = solve_reference(instance, fresh, threshold)
-            fresh.relocations += self.limits.relocations  # the final limits carry the move total
-            self.limits = fresh
-            if result is None:
-                return None
-            self.max_cost = objectives(result, instance)[1]
-            return result.makespan
-
-    return _sweep(instance, _Restarting(), _batches, None)
+    return _sweep(instance, _Restarting(instance), _batches, None)
 
 
+@_collector_paused
 def pareto_precedence(
     instance: Instance,
     trace: Trace | None = None,

@@ -20,9 +20,11 @@ an instance with one.
 
 from __future__ import annotations
 
+import gc
 import json
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
+from functools import wraps
 from itertools import chain
 from typing import Iterable, Iterator, Union
 
@@ -41,6 +43,41 @@ class InvariantError(RuntimeError):
     An explicit exception rather than ``assert``, so the checks that
     verification relies on still run under ``python -O``.
     """
+
+
+def _collector_paused(fn):
+    """``fn`` run with Python's cyclic garbage collector disabled, and
+    enabled again on every exit, errors included, only if it was enabled on
+    entry, so a caller that turned it off keeps it off.
+
+    ``fileio.parse_instance``, the three frontier sweeps
+    (``frontier.pareto_bounded``, ``pareto_precedence`` and
+    ``pareto_bounded_naive``, so ``pareto_front`` too) and
+    ``ParetoFront.to_csv`` run under it, so the JSON-to-CSV chain runs no
+    collection.  The premise is that nothing the chain decodes, builds or
+    drops forms a reference cycle: reference counting alone frees all of
+    it, and a collection would only traverse what the chain allocates (a
+    dense precedence relation decodes into up to n(n-1)/2 small lists, and
+    a bounded fill builds two lists per slot) to find nothing.  The tests
+    hold the chain to that premise on every generator profile.  A ``trace``
+    or ``on_step`` callback runs inside the sweep, with the collector
+    paused too; any cycle it makes is collected after the call returns.
+
+    A plain ``try``/``finally`` rather than a context manager, whose setup
+    would cost every small instance a generator frame and its exit protocol.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 def _int(value, subject: str, rule: str = "must be an integer", shown=None) -> int:

@@ -200,3 +200,62 @@ def test_timed_runs_are_untraced_as_the_benchmark_runs_them():
     assert argv[1:] == ["perfbench/run.py", "--workload", "paper-800", "--seed", "3", "--seconds", "8"]
     spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert "--trace" not in spec["command"]
+
+
+def _claim_run(name, parent, change):
+    """A ``runs`` entry holding one end-to-end metric's per-pair values."""
+    metric = SCRIPT["end_to_end"]()[name]
+    zeros = [0] * len(parent)
+    return {
+        "seed": 7,
+        "pairs": len(parent),
+        "failed": {"parent": zeros, "change": zeros},
+        "correct": True,
+        "metrics": {name: SCRIPT["summarize"]({"parent": parent, "change": change}, metric)},
+    }
+
+
+_STEADY = [100.0, 101.0, 99.0, 100.0, 102.0, 100.0, 101.0, 99.0, 100.0, 100.0]
+
+
+def test_a_higher_is_better_claim_is_met_when_the_change_reads_higher():
+    higher = [value + 10 for value in _STEADY]
+    run = _claim_run("throughput_ips", _STEADY, higher)
+    assert SCRIPT["claim_result"](run, "stub", "throughput_ips") == (
+        "met. Seed 7: stub throughput_ips 100.0 -> 110.0 (+10.0%), change better in 10/10 pairs, difference 10 "
+        "against a parent IQR of 0.75; 0 failed attempts, correct True."
+    )
+    # the same runs the other way round: the change reads lower, so worse
+    run = _claim_run("throughput_ips", higher, _STEADY)
+    assert SCRIPT["claim_result"](run, "stub", "throughput_ips").startswith(
+        "not met. Seed 7: stub throughput_ips 110.0 -> 100.0 (-9.1%), change better in 0/10 pairs, difference -10 "
+    )
+
+
+def test_a_lower_is_better_claim_stays_the_default():
+    lower = [value - 10 for value in _STEADY]
+    run = _claim_run("latency_p50_s", _STEADY, lower)
+    assert SCRIPT["claim_result"](run, "stub") == SCRIPT["claim_result"](run, "stub", "latency_p50_s")
+    assert SCRIPT["claim_result"](run, "stub").startswith(
+        "met. Seed 7: stub latency_p50_s 100.0 -> 90.0 (-10.0%), change better in 10/10 pairs, difference 10 "
+    )
+
+
+@pytest.mark.parametrize("name", ["latency_p50_s", "throughput_ips"])
+def test_a_tie_meets_no_claim(name):
+    run = _claim_run(name, _STEADY, list(_STEADY))
+    assert SCRIPT["claim_result"](run, "stub", name).startswith(
+        f"not met. Seed 7: stub {name} 100.0 -> 100.0 (+0.0%), change better in 0/10 pairs, difference 0 "
+    )
+
+
+def test_an_unknown_claim_metric_is_refused(tmp_path, capsys):
+    run = _claim_run("latency_p50_s", _STEADY, _STEADY)
+    with pytest.raises(KeyError, match="fileio.parse_s"):  # a per-layer metric has no better direction to claim
+        SCRIPT["claim_result"](run, "stub", "fileio.parse_s")
+    argv = [str(tmp_path), str(tmp_path), "--workload", "stub", "--seed", "1", "--pairs", "1", "--seconds", "1"]
+    with pytest.raises(SystemExit) as stopped:
+        SCRIPT["main"](argv + ["--claim-metric", "latency_p99_s"])
+    assert stopped.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --claim-metric: invalid choice" in err and "latency_p99_s" in err  # quoting varies by Python

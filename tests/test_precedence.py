@@ -288,6 +288,27 @@ class TestPrecedenceSolver:
             "move job=3 from=2 to=1",
         ]
 
+    def test_a_job_never_lands_in_a_slot_whose_cost_equals_the_threshold(self):
+        # job 2 costs a constant 9 (affine, a=0), so at the last threshold,
+        # 9, it tolerates no slot and the step is infeasible at once; a slot
+        # search that tolerated a cost equal to the threshold would first
+        # move it to slot 3.  The frontier is the same either way: only the
+        # relocations and these lines tell
+        lines = []
+        front = pareto_precedence(gen_random(6, 83, "prec"), trace=lines.append)
+        assert (front.relocations, front.threshold_steps, front.pairs()) == (5, 4, [(23, 9)])
+        assert lines == [
+            "move job=5 from=6 to=5",
+            "bound job=3 new=4",
+            "move job=3 from=5 to=4",
+            "move job=5 from=5 to=4",
+            "bound job=3 new=3",
+            "move job=3 from=4 to=3",
+            "move job=5 from=4 to=3",
+            "bound job=1 new=2",
+            "bound job=3 new=2",
+        ]
+
     def test_matches_oracle_on_randoms(self):
         for seed in range(80):
             inst = gen_random(2 + seed % 5, seed=50_000 + seed, profile="prec")
