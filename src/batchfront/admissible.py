@@ -84,7 +84,10 @@ class AdmissibleSlots:
         return self._limit
 
     def move(self, job_id: int, to: int) -> None:
-        """Relocate a job to a strictly lower group."""
+        """Relocate a job to a strictly lower group; IndexError for an id
+        outside 1..n."""
+        if job_id < 1:
+            raise IndexError(f"job id {job_id} is not in 1..{self.n}")  # above n, the lookup raises
         origin = self._limit[job_id]
         if not 1 <= to < origin:
             raise InvariantError(f"job {job_id}: move {origin} -> {to} is not strictly left")

@@ -7,76 +7,16 @@ nonempty batches), or report that none exists.
 
 ``solve_reference`` rebuilds the batches from scratch every round - simple
 and obviously correct, but it repeats work.  ``BoundedSolver`` instead keeps
-one standing schedule and repairs it in place after each limit change; the
-standing schedule is maintained to be exactly what ``form_batches`` would
-build from the current limits, which is what lets a frontier sweep reuse
-all prior work as the cost cap shrinks.
-
-One repair (an adjustment) expels a job from slot i and is local: one
-walk down from i - 1 to e, the rightmost slot left of i with room or with
-a job still admissible at i, finds the hoist and makes the carry's swaps
-as it passes.  Between two swaps one job is carried, so the slots it
-passed move in stretches by one delta each, and only a stretch that moves
-is walked again, to retime it.  Slots i..n keep their completion times,
-except when the carry opens a new batch in an empty slot e: then
-``WarmSolver._open`` shifts every slot from e on by one setup.  The solver
-works in rank space: a slot holds its jobs' ranks, their ``Instance.keys``,
-as an ascending list of ints, so a job enters a slot by bisection and
-leaves it by a deletion at its bisection point, both on plain ints, and
-the solver's processing-time, cost-value and held-cost tables are indexed
-by rank.  A rank becomes a job id only where the id leaves the solver: a
-limit move or read, a trace line and check mode's comparisons with the
-id-space functions.  The carry reads a full slot's shortest job as its
-first entry and compares two ranks to decide a swap; the hoist scan stops
-in each slot at the first candidate from the long end.  When the last
-adjustment was at the same i and took its hoist from slot e, the walk
-starts at e unless the carried job outranks the shortest job of a slot it
-would pass, and a scan of a large slot e resumes below that hoist's rank.
-Each slot also holds a limit reach, an upper bound on its jobs' highest
-limit, so the scan passes a slot that cannot hold a candidate without
-walking it.  The solver computes the reach of the nonempty slots only,
-when it is built; an empty slot's reach is 0.
-
-The solver also holds the max cost of each slot it has evaluated, and a
-held max goes stale only when an adjustment changed its slot's members or
-completion: slots i and e, each carry slot where a swap happens or whose
-completion moves, and every slot from e on after an opening.  A carry
-slot keeps its jobs and its time when the carried job is as long as the
-hoist, which on narrow batches is most of them.  Below the maxima it holds
-each job's cost at its slot's completion, current in every slot marked
-timed, and only a moved completion clears that mark: a carry slot or e
-whose time changed, and every slot from e on after an opening.  A job is
-evaluated when it enters a timed slot or when a pass refreshes the max of
-an untimed one, and never again while both hold; a stale max of a timed
-slot reads the held costs.  The walk of a costly slot keeps the max of
-the held costs it reads and of the hoists it takes in, so the slot ends
-its walk with a current max unless an opening moved it.
-
-Beside each max the solver holds an upper bound on it, while its slots
-hold more than ``SMALL_SLOT`` jobs on average and every cost states a
-slope (``model``): a refresh sets the bound to the max, a slot that
-completes d later raises it by the instance's largest slope times d (an
-opening by slope times setup), a job entering a slot folds in its cost at
-the slot's completion, one evaluation, and a job leaving changes nothing.
-A pass skips a stale slot whose bound is below the threshold without
-evaluating it: on the paper profile a slot that a one-job repair moved by
-a few time units keeps its 160 jobs below the threshold nearly always.
-The max cost of a converged schedule is the largest bound once the lowest
-slot holding it is current.  ``WarmSolver`` holds what this solver shares
-with the precedence one, which holds no bounds: the held slots,
-completions, job costs and maxima, the lowest nonempty slot, the opening
-rule, the converged step and the held-state checks.  A converged step
-returns only its makespan: its schedule is ``form_batches`` of the limits
-it left, which the frontier sweep rebuilds for the steps it keeps.
-
-A pass walks only a span of slots, outside which every slot is clean.  An
-adjustment at i marks slots at or below i, down to e, so the pass lowers
-its stop to e and walks them before it ends; what it leaves stale is the
-slots it adjusted, and the next pass walks from the first of them down to
-the last.  An opening also shifts every slot right of i, and then the
-next pass starts from n.  A converged step holds every slot below its max
-cost, so the next step, whose threshold is that max, starts on the span
-from the highest to the lowest slot whose bound is that max.
+one standing schedule, exactly what ``form_batches`` would build from the
+current limits, and repairs it in place after each limit change, which is
+what lets a frontier sweep reuse all prior work as the cost cap shrinks.
+One repair (``_adjust``) expels one job and is local: one walk down from
+its slot finds the job to hoist and makes the carry's swaps, and one loop
+over the jobs that entered a slot keeps the held state current.  Beside
+the slots the solver holds their completions, max costs, job costs, limit
+reaches and cost bounds; each rule that keeps one of them current is
+stated once, at the code that applies it.  ``WarmSolver`` is the part of
+that state, and of the converged step, that the precedence solver shares.
 """
 
 from __future__ import annotations
@@ -229,31 +169,26 @@ class WarmSolver:
     ``BoundedSolver``, its id in the precedence solver.  ``value[x]`` is
     the cost function of the job held as x, a table the subclass sets, and
     ``id_slots`` translates the held slots to job ids.  ``completion[i]``
-    is slot i's completion time and ``top[i]`` the max cost of its jobs at
-    that time, or None when the slot changed since it was last evaluated
-    (every slot starts that way).  ``cost[x]`` is the cost of the job held
-    as x at its slot's completion, current for every member of a slot whose
-    ``timed`` flag is set; a current max implies a timed slot.  A subclass
-    clears ``timed[c]`` (and ``top[c]``) wherever slot c's
-    completion moves, evaluates a job entering a timed slot into ``cost``,
-    and needs nothing for a leaving job.  ``held_max`` refreshes a stale max,
-    evaluating the members of an untimed slot and taking their max in one
-    loop.  ``first`` is the lowest nonempty slot, which the subclass finds
-    and passes in.  A subclass calls ``_open`` wherever a job opens an
-    empty slot, which shifts every slot from there on by one setup, marks
-    their held maxima stale and their job costs untimed, and lowers
-    ``first``.
+    is slot i's completion time, and ``first`` the lowest nonempty slot,
+    which the subclass finds and passes in with completions from its own
+    module's ``batch_times``.
 
-    ``converged`` sets ``max_cost`` to what ``_max_cost`` returns, by
-    default the largest held max, which a clean pass left current.
+    ``top[i]`` is the max cost of slot i's jobs at its completion, or None
+    while stale (every slot starts that way), and ``cost[x]`` the cost of
+    the job held as x at its slot's completion, current for every member of
+    a slot whose ``timed`` flag is set; a current max implies a timed slot.
+    A subclass marks ``top[c]`` stale wherever slot c's members or
+    completion change, clears ``timed[c]`` wherever its completion moves,
+    and evaluates a job entering a timed slot into ``cost``; a leaving job
+    needs nothing.  So a job is evaluated when it enters a timed slot or
+    when ``held_max`` refreshes an untimed one, and never again while both
+    hold.
 
     ``solve`` may be called repeatedly with strictly smaller thresholds,
     each call going on from the state the previous one left, and returns
     the converged makespan, or None when the threshold is unattainable;
     after an infeasible result the state is spent.  A converged step's
-    schedule is a function of its limits, so the solver builds none.  A
-    subclass computes the initial completions with its own module's
-    ``batch_times`` and passes them in.
+    schedule is a function of its limits, so the solver builds none.
     """
 
     def __init__(
@@ -377,100 +312,27 @@ class BoundedSolver(WarmSolver):
     InvariantError is raised when that fill fails.
 
     The solver works in rank space.  Each slot holds its jobs' ranks (their
-    ``Instance.keys``) as an ascending list of ints, and ``p``, ``value``
-    and ``cost`` are indexed by rank; ``ids[r]`` is the job of rank r
-    (``Instance.by_key`` behind a 0), through which the walk reads the live
-    limit table, which stays indexed by job id.  ``id_slots`` is the one id
-    view of the held slots.  Ranks become ids only where ids leave the
-    solver: ``limits.move``, the trace line and check mode's comparisons
-    with ``form_batches``, ``timetable`` and ``batch_times``.
+    ``Instance.keys``) as an ascending list of ints, so a job enters a slot
+    by ``insort`` and leaves it by a deletion at its bisection point, and
+    ``p``, ``value`` and ``cost`` are indexed by rank.  ``ids[r]`` is the
+    job of rank r (``Instance.by_key`` behind a 0), through which the walk
+    reads ``limit``, the live limit table, indexed by job id.  Ranks become
+    ids only where ids leave the solver: ``limits.move``, the trace line
+    and check mode, through ``id_slots``.
 
-    An adjustment that expels a job from slot i works on slots e..i only,
-    e being the rightmost slot left of i with room or with a candidate (a
-    job still admissible at i): one walk down from i - 1 scans each slot
-    for the hoist, stops at e, and in every full slot it passes swaps the
-    slot's first (shortest) job for the carried one, inserted in order,
-    when the carried job outranks it.  It records each swap, and the
-    retiming then walks only the stretches between swaps whose delta is
-    not 0.  Slots i..n keep their times unless the carry opens a new batch
-    in an empty slot e, and then ``_open(e)`` shifts every slot from e on
-    by one setup.  An infeasible adjustment returns after the walk's
-    swaps, which leave the limits as they are.  The hoist scan walks each
-    slot from its longest job down and stops at the first candidate.
-    ``resume`` records ``(i, e, rank of the hoist, lowest)`` of the last
-    adjustment when it hoisted, and None otherwise; ``lowest`` is a lower
-    bound on the shortest ranks of the slots it passed.  When the next
-    adjustment is at the same i, its walk starts at e if the job it
-    carries is below ``lowest``, since it would swap nothing in slots
-    e+1..i-1 and they still hold no candidate; and when its walk reaches e
-    with ``reach[e]`` at least i, a slot of more than ``SMALL_SLOT`` jobs
-    is scanned from below that rank only.  ``cap`` and ``limit`` (the live
-    limit table) are held for the walk.
+    ``reach[c]`` is an upper bound on the highest limit among slot c's jobs
+    (0 for an empty slot), exact when the solver is built.  ``bound[c]`` is
+    an upper bound on slot c's max cost, equal to ``top[c]`` whenever that
+    is current, and ``slope`` the largest slope of the instance's costs
+    while bounds are held, None otherwise; without bounds every entry of
+    ``bound`` is ``UNBOUNDED``.  ``resume`` (``_adjust``) and ``due``
+    (``_max_cost``) carry the last adjustment's hoist and the last step's
+    max to the next adjustment and the next step.
 
-    ``reach[c]`` is an upper bound on the highest limit among slot c's
-    jobs (0 for an empty slot), exact when the solver is built.  It is
-    raised wherever a job enters a slot (the hoist into i, each carry swap
-    and the carry's landing in e), set to the exact maximum when the
-    hoist scan walks a slot in full without finding a candidate, and set
-    to i - 1 when a resumed scan finds none.  Limits only fall, so a job
-    leaving a slot needs no bookkeeping.  The scan passes slot c without
-    walking it when ``reach[c]`` is below i.
-
-    A held max goes stale only when the adjustment changed its slot's
-    members or completion: i, e, each carry slot where a swap happens or
-    whose completion moves (the carried job and the hoist differ in p), and
-    every slot from e on when it opened a batch.  Held job costs go stale
-    only with a moved completion: the adjustment untimes each carry slot
-    and e whose time changed (``_open`` untimes every slot from e on), and
-    evaluates once each job entering a slot that stays timed: the hoist in
-    i, a swapped carry and the carry landing in e.  A pass refreshes a
-    stale max when it reaches the slot, from the held costs when the slot
-    is timed, and skips the slot when that max is below the threshold.  A
-    walked slot that no opening moved ends its walk with a current max: the
-    largest held cost among the jobs it kept and the hoists it took in.
-    Thresholds only shrink, so a new step's first pass reuses every held
-    value.
-
-    ``bound[i]`` is an upper bound on slot i's max cost, equal to
-    ``top[i]`` whenever that is current, and ``slope`` the largest slope of
-    the instance's costs, or None while no bounds are held: from the start
-    when some cost states none (a ``StepTable``) or the nonempty slots hold
-    ``SMALL_SLOT`` jobs or fewer on average (``_small_slots``), and from
-    the first pass that finds them so (``_drop_bounds``) to the sweep's
-    end.  Without bounds every entry of ``bound`` is ``UNBOUNDED``.  With
-    them, a refresh sets the bound to the max, the adjustment raises the
-    bound of each slot of a stretch that moves later by slope x delta
-    (``_open``: slope x setup, and the opened slot starts at
-    ``-UNBOUNDED``), and folds into the bound of i, of each swap slot and
-    of e the cost of the job that entered it, read from ``cost`` where the
-    slot stays timed and evaluated otherwise; a job leaving needs nothing.
-    A pass then skips a stale slot whose bound is below the threshold
-    without refreshing it, and ``_max_cost`` refreshes the lowest slot
-    holding the largest bound until that slot is current, which makes the
-    bound the max cost.
-
-    A pass walks a span high..low, not every nonempty slot: ``_adjust``
-    returns e, the pass lowers ``low`` to it, and hands the next pass the
-    span from its first adjusted slot (n after an opening) down to its
-    last.  ``due`` is the span a step to the last converged max cost starts
-    on: from the highest down to the lowest slot whose bound is that max
-    (the held max, without bounds).  A stale slot in it whose max is lower
-    is refreshed and skipped by the next step's pass, so the span may be
-    wider than the slots that hold the max, and no move changes.  A pass
-    that drops the bounds walks every slot instead.
-
-    With ``check=True`` the solver verifies its own invariants after every
-    adjustment and raises InvariantError on a breach: the hoisted job came
-    from the rightmost slot with room, the carry's slot is within capacity,
-    the held state passes ``check_held`` against the completions before the
-    adjustment, no slot holds a limit above its reach, and the standing
-    schedule equals the greedy rebuild of the current limits, slot order
-    included.  That costs O(n log n) per adjustment and is meant for the
-    verification harness.  A resumed hoist scan is compared with a scan of
-    the whole slot.  After each clean pass it also checks that every
-    nonempty slot, walked or not, holds a current max below the threshold
-    or, stale, a bound below it, and that the bounds pass
-    ``_check_bounds``.
+    With ``check=True`` the solver verifies its own invariants and raises
+    InvariantError on a breach: after every adjustment (``_check_state``,
+    O(n log n) each, meant for the verification harness), at every resumed
+    hoist scan, and after every clean pass (``_check_clean``).
     """
 
     def __init__(
@@ -496,14 +358,16 @@ class BoundedSolver(WarmSolver):
         self.p = [p[j] for j in ids]
         self.value = [cost_value[j] for j in ids]
         self.cap = instance.effective_capacity
-        self.slope = None  # the largest cost slope while bounds are held
+        # bounds are held from the start unless the slots are small or some
+        # cost states no slope (a ``StepTable``), and ``_drop_bounds`` ends them
+        self.slope = None
         if not self._small_slots():
             slopes = [job.cost.slope for job in instance.jobs]
             if None not in slopes:
                 self.slope = max(slopes)
         self.bound = [UNBOUNDED] * len(filled)  # written only while bounds are held
         self.due = (instance.n, first)
-        self.resume: tuple[int, int, int, int] | None = None  # (i, e, hoist's rank, lowest) of the last hoist
+        self.resume: tuple[int, int, int, int] | None = None
 
     @classmethod
     def initial(cls, instance: Instance, trace: Trace | None = None, check: bool = False):
@@ -515,10 +379,9 @@ class BoundedSolver(WarmSolver):
         strictly below the threshold, which the held slots then form, or
         None when the current limits admit none.
 
-        A step to the last converged max cost starts on ``due``, the span
-        from the highest down to the lowest slot holding that max: every
-        other slot is clean and below it.  Any other threshold starts on
-        ``first..n``."""
+        A step to the last converged max cost starts on ``due``: every
+        other slot is clean and below it.  Any other threshold, and a pass
+        that drops the bounds, starts on ``first..n``."""
         span = self.due if threshold == self.max_cost else (self.instance.n, self.first)
         while True:
             self.passes += 1
@@ -535,25 +398,17 @@ class BoundedSolver(WarmSolver):
     def _adjust_pass(self, threshold, high: int, low: int) -> tuple[int, int] | tuple[()] | None:
         """One descending sweep over slots high..low.
 
-        Every slot outside the span must be clean: its held max current and
-        below the threshold.  Returns None when the threshold is
-        unattainable, an empty tuple when no job moved, and otherwise the
-        span the next sweep must walk: from the first slot adjusted here
-        (from n when an adjustment opened a batch, which shifts every slot
-        right of it) down to the last one.  Each adjustment lowers ``low``
-        to e, the slot where its carry ended, so the slots it marked below
-        i are walked in this sweep.  Times are refreshed after every
-        adjustment, so jobs later in the sweep are judged against current
-        completions; a job hoisted into an already-swept slot is caught by
-        the next sweep.  A stale slot whose held bound is below the
-        threshold is passed as it is; any other stale max is refreshed by
-        ``held_max``, and the slot is walked longest first (over a reversed
-        copy of the key-ordered slot) only when that max reaches the
-        threshold.  The walk reads held costs, the slot being timed once
-        its max is current, and evaluates live once an opening has untimed
-        slot i.  When no opening moved slot i, the walk leaves it with a
-        current max: the largest held cost among the jobs it kept and the
-        hoists it took in, read from ``resume`` after each adjustment.
+        Every slot outside the span must be clean: its held max current
+        and below the threshold, or its bound below it.  Returns None when
+        the threshold is unattainable, an empty tuple when no job moved,
+        and otherwise the span the next sweep must walk: from the first
+        slot adjusted here (from n when an adjustment opened a batch, which
+        shifts every slot right of it) down to the last one.  Each
+        adjustment marks slots only from i down to e, the slot where its
+        carry ended, and lowers ``low`` to e, so they are walked in this
+        sweep.  Times are refreshed after every adjustment, so jobs later
+        in the sweep are judged against current completions; a job hoisted
+        into an already-swept slot is caught by the next sweep.
         """
         slots = self.slots
         completion = self.completion  # updated in place by _adjust
@@ -570,15 +425,23 @@ class BoundedSolver(WarmSolver):
             i -= 1
             worst = top[i]
             if worst is None:
+                # a refresh sets the bound to the max; a stale slot whose
+                # bound is below the threshold is passed without one, as a
+                # paper slot of 160 jobs that a repair moved by a few time
+                # units nearly always is
                 if not held:
                     worst = self.held_max(i)
                 elif bound[i] < threshold:
-                    continue  # stale, but its bound says it is clean
+                    continue
                 else:
                     worst = bound[i] = self.held_max(i)
             if worst < threshold:
                 continue  # a clean slot needs no walk
-            kept = -UNBOUNDED  # the max held cost of the jobs that stay and the hoists taken in
+            # the walk goes longest first, over a reversed copy, and reads
+            # the held costs until an opening untimes slot i; kept is the
+            # max held cost of the jobs that stay and the hoists taken in,
+            # which is slot i's max at the walk's end unless it was opened
+            kept = -UNBOUNDED
             for r in slots[i][::-1]:
                 if timed[i]:
                     x = cost[r]
@@ -600,7 +463,7 @@ class BoundedSolver(WarmSolver):
                     low = e
                 upper = upper or i
                 lower = i
-            if timed[i]:  # no opening moved slot i, so kept is its max
+            if timed[i]:
                 top[i] = kept
                 if held:
                     bound[i] = kept
@@ -609,20 +472,17 @@ class BoundedSolver(WarmSolver):
         return (self.instance.n if self.first < first else upper, lower)
 
     def _adjust(self, r: int, i: int) -> int:
-        """Expel the job of rank r from slot i and repair the schedule;
-        returns e, the slot where the carry ended, or 0 when the step is
-        infeasible.
+        """Expel the job of rank r from slot i and repair the schedule to
+        what the greedy fill would now build; returns e, the slot where the
+        carry ended, or 0 when the step is infeasible.
 
-        The job's limit drops one group.  The repair reproduces what the
-        greedy fill would now build: if some earlier-slot job is still
-        admissible at slot i, the largest such job is hoisted in to replace
-        the expelled one; either way that job is pushed leftward through
-        the (necessarily full) intervening batches, each handing its
-        shortest job further left, until the rightmost non-full batch e
-        absorbs the carry.  One walk down from i - 1 finds e and makes the
-        carry's swaps on the way; the slots it passes are then retimed by
-        stretch.  The walk skips every slot whose reach is below i, and
-        raises the reach of every slot a job enters.
+        The job's limit drops one group.  If some job left of i is still
+        admissible at i (a candidate), the largest one, the hoist, replaces
+        it in i; either way the expelled job is carried left through the
+        (necessarily full) intervening slots, each handing its shortest job
+        further left, until the rightmost slot with room or with the hoist,
+        e, absorbs the carry.  An infeasible adjustment returns after the
+        walk's swaps, which leave the limits as they are.
         """
         slots = self.slots
         ids = self.ids
@@ -635,24 +495,27 @@ class BoundedSolver(WarmSolver):
         top = self.top
         top[i] = None
 
-        # The greedy fill passed over each candidate (a job left of i still
-        # admissible at i) in favour of larger jobs at every slot between it
-        # and i, so those slots are full and candidates shrink from right to
-        # left.  Walking down from i - 1, the first slot holding a candidate
-        # holds the best one, and no candidate lies left of the first slot
-        # with room, which is e, where the carry ends.  A slot is scanned
-        # from its longest job down, so the first candidate met is the
-        # slot's largest; a slot whose reach is below i holds no candidate
-        # and is not scanned at all.  The carried job is never a candidate
-        # (the expelled job's limit is now i - 1, and a slot's shortest job
+        # The greedy fill passed over each candidate in favour of larger
+        # jobs at every slot between it and i, so those slots are full and
+        # candidates shrink from right to left.  Walking down from i - 1,
+        # the first slot holding a candidate holds the hoist, and no
+        # candidate lies left of the first slot with room.  A slot is
+        # scanned from its longest job down, so the first candidate met is
+        # the slot's largest; a slot whose reach is below i holds none and
+        # is not scanned.  The carried job is never a candidate (the
+        # expelled job's limit is now i - 1, and a slot's shortest job
         # leaves only a slot that holds none), so each full slot the walk
         # passes swaps in the carried job when it outranks the slot's
-        # shortest, before e is known.  When the last adjustment was at this
-        # same i and hoisted from slot e, every job of e above the hoist's
-        # rank was no candidate then, and is none now, so e's scan resumes
-        # below that rank.  The slots it passed, e+1..i-1, are still full
-        # and hold no candidate, and a carry below their lowest shortest
-        # rank swaps nothing there, so such a walk starts at e.
+        # shortest, before e is known.
+        #
+        # ``resume`` is (i, e, rank of the hoist, lowest) of the last
+        # adjustment when it hoisted, and None otherwise.  When that
+        # adjustment was at this same i, every job of e above the hoist's
+        # rank was no candidate then and is none now, so a scan of a slot
+        # of more than ``SMALL_SLOT`` jobs resumes below that rank; the
+        # slots it passed, e+1..i-1, are still full and hold no candidate,
+        # and a carry below ``lowest``, their lowest shortest rank, swaps
+        # nothing there, so such a walk starts at e.
         reach = self.reach
         resume = self.resume
         carry = r
@@ -662,10 +525,10 @@ class BoundedSolver(WarmSolver):
         if resume is not None and resume[0] == i:
             resumed = resume[1]
             if carry < resume[3]:
-                start = resumed  # slots resumed+1..i-1 are full, hold no candidate and swap nothing
+                start = resumed
                 lowest = resume[3]
         hoist = None
-        swaps = []  # (slot, rank carried into it) for each slot where the carry swapped, then e
+        entrants = []  # (slot, rank) of each job that entered a slot: the hoist, the walk's swaps, the carry in e
         e = 0
         for c in range(start, 0, -1):
             batch = slots[c]
@@ -689,23 +552,20 @@ class BoundedSolver(WarmSolver):
             if carry > shortest:
                 del batch[0]
                 insort(batch, carry)
-                if limit[ids[carry]] > reach[c]:
-                    reach[c] = limit[ids[carry]]
                 top[c] = None
-                swaps.append((c, carry))
+                entrants.append((c, carry))
                 carry = shortest
                 shortest = batch[0]
             if shortest < lowest:
                 lowest = shortest
 
-        opened = not slots[e]  # the carry opens a batch in e (never in case 2: e holds the hoist)
+        opened = not slots[e]  # the carry opens a batch in e (never when e holds the hoist)
         if hoist is not None:
             self.resume = (i, e, hoist, lowest)
             batch = slots[e]
             del batch[bisect_left(batch, hoist)]
             insort(slots[i], hoist)
-            if limit[ids[hoist]] > reach[i]:
-                reach[i] = limit[ids[hoist]]
+            entrants.insert(0, (i, hoist))
             case = 2
             if self.check and self._last_nonfull(i) != e:
                 raise InvariantError("hoisted job's slot is not the rightmost non-full")
@@ -722,11 +582,14 @@ class BoundedSolver(WarmSolver):
 
         # Jobs change slots only within e..i, so slot c in e..i-1 completes
         # later by the time of the job carried into it, less that of the
-        # hoist, which crossed it going right.  Between two swaps one job is
-        # carried, so each stretch of slots moves by one delta, and only a
-        # stretch that moves is walked: its slots' held maxima and job costs
-        # go stale.  A swap slot, or e, whose time holds evaluates its
-        # entrant there once (an empty e is never timed).  Slot i stays
+        # hoist, which crossed it going right.  Each entrant (c, x) starts
+        # the stretch c..high-1 that x was carried across, so each stretch
+        # moves by one delta: the hoist's stretch is empty and its delta 0.
+        # A job entering slot c raises its reach; limits only fall, so a
+        # job leaving needs nothing.  A stretch that moves marks its held
+        # maxima and job costs stale and, while bounds are held, raises its
+        # bounds by slope x delta when it moves later; an entrant whose
+        # slot keeps its time is evaluated there once.  Slot i stays
         # nonempty, so completions from i on move only when e opened, and
         # ``_open`` adds that setup to every slot from e on.
         completion = self.completion
@@ -735,44 +598,35 @@ class BoundedSolver(WarmSolver):
         cost = self.cost
         value = self.value
         p = self.p
+        slope = self.slope
+        bound = self.bound
         shift = -p[hoist] if hoist is not None else 0
-        swaps.append((e, carry))  # the carry lands in e
-        high = i  # one past the stretch's highest slot
-        for c, x in swaps:
+        entrants.append((e, carry))
+        insort(slots[e], carry)
+        top[e] = None
+        high = i
+        for c, x in entrants:
+            if limit[ids[x]] > reach[c]:
+                reach[c] = limit[ids[x]]
             delta = shift + p[x]
             if delta:
                 for k in range(c, high):
                     completion[k] += delta
                     top[k] = None
                     timed[k] = False
-            elif timed[c]:
-                cost[x] = value[x](completion[c])
-            high = c
-        insort(slots[e], carry)
-        if limit[ids[carry]] > reach[e]:
-            reach[e] = limit[ids[carry]]
-        top[e] = None
-        if opened:
-            self._open(e)
-        if hoist is not None and timed[i]:
-            cost[hoist] = value[hoist](completion[i])  # after the opening, which untimes i
-        if self.slope is not None:
-            # each stretch that moved later raises its bounds (an opened e,
-            # at -UNBOUNDED, stays there), and then each slot a job entered
-            # folds in that job's cost at the slot's final completion
-            bound = self.bound
-            slope = self.slope
-            high = i
-            for c, x in swaps:
-                delta = shift + p[x]
-                if delta > 0:
+                if delta > 0 and slope is not None:
                     rise = slope * delta
                     for k in range(c, high):
                         bound[k] += rise
-                high = c
-            if hoist is not None:
-                swaps.append((i, hoist))
-            for c, x in swaps:
+            elif timed[c]:
+                cost[x] = value[x](completion[c])
+            high = c
+        if opened:
+            self._open(e)
+        if slope is not None:
+            # each slot a job entered folds in that job's cost at the
+            # slot's final completion
+            for c, x in entrants:
                 worst = cost[x] if timed[c] else value[x](completion[c])
                 if worst > bound[c]:
                     bound[c] = worst
@@ -798,7 +652,13 @@ class BoundedSolver(WarmSolver):
         the threshold.  Without bounds the maxima are read directly.  With
         them, the lowest slot holding the largest bound is refreshed until
         that slot is current: its max is then the largest bound, which no
-        slot's max exceeds."""
+        slot's max exceeds.
+
+        ``due`` is the span from the highest down to the lowest slot whose
+        bound (the held max, without bounds) is that max cost, which a
+        step to it starts on.  A stale slot in it whose max is lower is
+        refreshed and skipped by that step's pass, so the span may be wider
+        than the slots that hold the max, and no move changes."""
         first = self.first
         top = self.top
         upper = top if self.slope is None else self.bound
@@ -817,11 +677,11 @@ class BoundedSolver(WarmSolver):
         return self.instance.n <= SMALL_SLOT * (len(self.slots) - self.first)
 
     def _drop_bounds(self) -> bool:
-        """At a pass's start: stop holding bounds, for the rest of the
-        sweep, once the slots are small, and say whether that happened
-        now.  Every held bound is then ``UNBOUNDED`` again, so the pass
-        must walk every slot."""
-        if self.slope is None or not self._small_slots():
+        """At the start of a pass while bounds are held: stop holding them,
+        for the rest of the sweep, once the slots are small, and say
+        whether that happened now.  Every bound is then ``UNBOUNDED`` again,
+        so the pass must walk every slot."""
+        if not self._small_slots():
             return False
         self.slope = None
         self.bound = [UNBOUNDED] * len(self.slots)
@@ -880,7 +740,11 @@ class BoundedSolver(WarmSolver):
 
     def _check_state(self, e: int, before: list[int]) -> None:
         """Check mode: the state after an adjustment whose carry ended in
-        slot e, against the completion times it started from."""
+        slot e, against the completion times it started from.  Slot e is
+        within capacity, the held state passes ``check_held`` and, while
+        held, ``_check_bounds``, no slot holds a limit above its reach, and
+        the standing schedule equals the greedy rebuild of the current
+        limits, slot order included."""
         instance = self.instance
         if len(self.slots[e]) > instance.effective_capacity:
             raise InvariantError(f"slot {e} exceeds capacity")

@@ -22,7 +22,6 @@ states the pause and the premise it rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable
 
 from .admissible import AdmissibleSlots
@@ -49,10 +48,11 @@ from .precedence import PrecedenceSolver
 # and must be left as they are.
 StepHook = Callable[[AdmissibleSlots, object, Schedule | None, AdmissibleSlots], None]
 
-# fill(instance, limits): (first, slots), the 1-based slot lists (index 0
-# unused) that a converged step holds under those limits, every slot below
-# ``first`` being empty.
-Fill = Callable[[Instance, AdmissibleSlots], tuple[int, list]]
+# fill(instance, limits): the 1-based slot lists (index 0 unused) that a
+# converged step holds under those limits, whose nonempty slots are a suffix:
+# ``form_batches`` in the bounded model, the limits' groups in the unbounded
+# one.
+Fill = Callable[[Instance, AdmissibleSlots], list[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -100,32 +100,14 @@ def frontier_csv(rows: Iterable[tuple[int, int, Schedule]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _batches(instance: Instance, limits: AdmissibleSlots) -> tuple[int, list[list[int]]]:
-    """The fill of the bounded model, ``form_batches``, from its lowest
-    nonempty slot."""
-    slots = form_batches(instance, limits)
-    return lowest_nonempty(slots), slots
-
-
-def _groups(instance: Instance, limits: AdmissibleSlots) -> tuple[int, list[list[int]]]:
-    """The fill of the unbounded model: every group is its own batch.  Only
-    the groups from the lowest nonempty one on are built; each slot below
-    it is one shared empty list."""
-    limit = limits.table
-    first = min(islice(limit, 1, None))
-    n = instance.n
-    built: list[list[int]] = [[] for _ in range(n - first + 1)]
-    for j in instance.by_key:
-        built[limit[j] - first].append(j)
-    return first, [[]] * first + built
-
-
 def _timed(instance: Instance, fill: Fill, limits: AdmissibleSlots) -> Schedule:
     """The schedule a converged step holds: ``fill`` of the limits it left,
-    with its times; the slots below the fill's first are the shared empty
-    slot and complete at 0.  Check mode holds the solvers' slots to that
-    fill, so ``timetable``'s shape check is not repeated here."""
-    first, slots = fill(instance, limits)
+    with its times.  Only the slots from the lowest nonempty one on are
+    frozen and timed; those below it are the shared empty slot and complete
+    at 0.  Check mode holds the solvers' slots to that fill, so
+    ``timetable``'s shape check is not repeated here."""
+    slots = fill(instance, limits)
+    first = lowest_nonempty(slots)
     frozen = (_EMPTY_SLOT,) * (first - 1) + freeze_slots(slots[first:])
     return Schedule(frozen, tuple(batch_times(slots, instance, first)[1:]), instance.setup)
 
@@ -186,7 +168,7 @@ def pareto_bounded(
     if not instance.bounded:
         raise InstanceError("bounded frontier requires an instance with integer capacity")
     solver = BoundedSolver.initial(instance, trace=trace, check=check)
-    return _sweep(instance, solver, _batches, on_step)
+    return _sweep(instance, solver, form_batches, on_step)
 
 
 class _Restarting:
@@ -220,7 +202,7 @@ def pareto_bounded_naive(instance: Instance) -> ParetoFront:
     """
     if not instance.bounded:
         raise InstanceError("bounded frontier requires an instance with integer capacity")
-    return _sweep(instance, _Restarting(instance), _batches, None)
+    return _sweep(instance, _Restarting(instance), form_batches, None)
 
 
 @_collector_paused
@@ -234,7 +216,7 @@ def pareto_precedence(
     if instance.bounded:
         raise InstanceError("precedence frontier requires unbounded capacity")
     solver = PrecedenceSolver.initial(instance, trace=trace, check=check)
-    return _sweep(instance, solver, _groups, on_step)
+    return _sweep(instance, solver, lambda _, limits: limits.groups(), on_step)
 
 
 def pareto_front(

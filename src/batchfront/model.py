@@ -446,6 +446,9 @@ class Instance:
         return self.capacity if self.capacity is not None else len(self.jobs)
 
     def job(self, job_id: int) -> Job:
+        """Job ``job_id``; IndexError for an id outside 1..n."""
+        if job_id < 1:
+            raise IndexError(f"job id {job_id} is not in 1..{self.n}")  # above n, the lookup raises
         return self.jobs[job_id - 1]
 
     def edge_pairs(self) -> Iterator[tuple[int, int]]:

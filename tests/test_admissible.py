@@ -53,6 +53,14 @@ class TestAdmissibleSlots:
         slots.move(2, 1)
         assert slots.relocations == 3
 
+    @pytest.mark.parametrize("job_id", [0, -1, 4], ids=["zero", "minus-one", "n-plus-1"])
+    def test_a_move_of_a_job_id_outside_1_to_n_is_refused(self, job_id):
+        # move(-1, t) read and wrote entry -1 of the table, job n's limit
+        slots = AdmissibleSlots.unrestricted(_inst([1, 2, 3]))
+        with pytest.raises(IndexError):
+            slots.move(job_id, 1)
+        assert slots.table == [0, 3, 3, 3] and slots.relocations == 0
+
     def test_partition_preserved_under_random_moves(self):
         rng = SplitMix64(5)
         inst = gen_random(8, seed=1, profile="small")

@@ -309,14 +309,42 @@ def test_a_bounded_witness_freezes_and_times_only_its_nonempty_slots(monkeypatch
     # paper n=800 fills 5 of its 800 slots: a witness built from slot 1 froze
     # and timed the 795 empty slots below them as well
     from batchfront import frontier
+    from batchfront.bounded import lowest_nonempty
     from batchfront.model import batch_times, freeze_slots
 
     inst = gen_random(800, 1, "paper")
     limits = AdmissibleSlots.unrestricted(inst)
-    first, slots = frontier._batches(inst, limits)
+    slots = form_batches(inst, limits)
+    first = lowest_nonempty(slots)
     assert first == 796 and not any(slots[1:first]) and all(slots[first:])
     frozen, timed = [], []
     monkeypatch.setattr(frontier, "freeze_slots", lambda batches: frozen.append(len(batches)) or freeze_slots(batches))
     monkeypatch.setattr(frontier, "batch_times", lambda s, i, f: timed.append(f) or batch_times(s, i, f))
-    assert frontier._timed(inst, frontier._batches, limits) == timetable(slots[1:], inst)
+    assert frontier._timed(inst, form_batches, limits) == timetable(slots[1:], inst)
     assert (frozen, timed) == ([5], [796])
+
+
+def test_a_precedence_witness_freezes_and_times_only_its_nonempty_groups(monkeypatch):
+    # the unbounded fill is the limits' groups; prec n=800 holds its jobs in
+    # the groups from 505 on, and a witness freezes and times only those
+    from batchfront import frontier
+    from batchfront.bounded import lowest_nonempty
+    from batchfront.model import batch_times, freeze_slots
+
+    inst = gen_random(800, 1, "prec")
+    frozen, timed, firsts = [], [], []
+    monkeypatch.setattr(frontier, "freeze_slots", lambda batches: frozen.append(len(batches)) or freeze_slots(batches))
+    monkeypatch.setattr(frontier, "batch_times", lambda s, i, f: timed.append(f) or batch_times(s, i, f))
+
+    def step(before, threshold, schedule, after):
+        if schedule is None:
+            return
+        groups = after.groups()
+        first = lowest_nonempty(groups)
+        assert not any(groups[1:first]) and all(groups[first:])
+        assert schedule == timetable(groups[1:], inst)
+        assert (frozen[-1], timed[-1]) == (inst.n - first + 1, first)  # the hook's witness is built last
+        firsts.append(first)
+
+    pareto_precedence(inst, on_step=step)
+    assert firsts[0] == 505 and len(firsts) > 1

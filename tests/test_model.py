@@ -326,6 +326,19 @@ def test_job_and_instance_validation():
         )
 
 
+@pytest.mark.parametrize("job_id", [0, -1, 7], ids=["zero", "minus-one", "n-plus-1"])
+def test_a_job_id_outside_1_to_n_is_refused(job_id):
+    # job(0) and job(-1) read jobs[-1] and jobs[-2], jobs n and n - 1
+    instance = gen_random(6, 1, "small")
+    with pytest.raises(IndexError):
+        instance.job(job_id)
+
+
+def test_each_job_id_names_its_own_job():
+    instance = gen_random(20, 1, "small")
+    assert [instance.job(j).id for j in range(1, 21)] == list(range(1, 21))
+
+
 def test_an_instance_holds_no_object_per_edge():
     # the edges live in one flat tuple of ids; every other table is per job,
     # and all of them share one int object per job id, also for ids above
